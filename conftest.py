@@ -2,9 +2,8 @@
 
 ``pytest --sanitize`` enables the process-wide runtime sanitizer suite
 (:mod:`repro.analysis.sanitizers`) for the whole run: every platform any
-test constructs checks SWMR after each coherence transition, validates
-every virtual-clock advance, and verifies pushdown sessions leave no
-temporary context behind. The CI ``sanitize`` lane runs the full tier-1
+test constructs checks SWMR after each coherence transition and verifies
+pushdown sessions leave no temporary context behind. The CI ``sanitize`` lane runs the full tier-1
 suite this way.
 """
 
@@ -33,7 +32,7 @@ def _sanitizer_session(request):
     yield
     # Surface runs where the option silently did nothing (import skew,
     # hooks disconnected): zero checks means the sanitizers never fired.
-    checks = suite.swmr_checks + suite.clock_checks + suite.leak_checks
+    checks = suite.swmr_checks + suite.leak_checks
     sanitizers.disable()
     if checks == 0:
         warnings.warn(

@@ -1,6 +1,6 @@
 """Runtime invariant sanitizers.
 
-Three always-valid invariants of the simulation, checked continuously when
+Two always-valid invariants of the simulation, checked continuously when
 enabled (they are assumptions everywhere else, so a violation is always a
 library bug):
 
@@ -8,10 +8,6 @@ library bug):
   coherence protocol (paper Figures 8–9), promoted from the per-test
   ``CoherenceProtocol.check_swmr`` spot check to a check after *every*
   protocol transition.
-* **Clock sanitizer** — virtual clocks advance by finite, non-negative
-  amounts and never move backwards. (``VirtualClock`` already rejects
-  negative deltas, but NaN compares false against everything and would
-  silently poison every downstream timestamp.)
 * **Leak sanitizer** — a finished :class:`PushdownSession` leaves nothing
   behind: once the protocol refcount hits zero, the temporary context's
   page table ``t_mm`` is torn down, the in-flight upgrade map is empty,
@@ -24,14 +20,14 @@ Enablement:
   suite's ``pytest --sanitize`` option uses);
 * scoped via the :func:`sanitized` context manager.
 
-All violations raise :class:`~repro.errors.SanitizerViolation`.
+All violations raise :class:`~repro.errors.SanitizerViolation`. Virtual
+time needs no sanitizer: :class:`~repro.sim.clock.VirtualClock` rejects
+negative and non-finite time itself.
 """
 
 import contextlib
-import math
 
 from repro.errors import CoherenceViolation, SanitizerViolation
-from repro.sim.clock import VirtualClock
 
 
 class SanitizerSuite:
@@ -39,29 +35,8 @@ class SanitizerSuite:
 
     def __init__(self):
         self.swmr_checks = 0
-        self.clock_checks = 0
         self.leak_checks = 0
         self.violations = 0
-
-    # ------------------------------------------------------------------
-    # Clock monotonicity / finiteness
-    # ------------------------------------------------------------------
-    def on_clock_advance(self, now, delta):
-        """Validate one ``VirtualClock.advance(delta)`` call."""
-        self.clock_checks += 1
-        if not math.isfinite(delta) or delta < 0:
-            self._violate(
-                f"clock advance by non-finite or negative delta {delta!r} "
-                f"at t={now!r}ns"
-            )
-
-    def on_clock_advance_to(self, now, target):
-        """Validate one ``VirtualClock.advance_to(target)`` call."""
-        self.clock_checks += 1
-        if not math.isfinite(target):
-            self._violate(
-                f"clock advance_to non-finite target {target!r} at t={now!r}ns"
-            )
 
     # ------------------------------------------------------------------
     # Per-transition SWMR
@@ -136,7 +111,6 @@ def enable():
     global _GLOBAL_SUITE
     if _GLOBAL_SUITE is None:
         _GLOBAL_SUITE = SanitizerSuite()
-    VirtualClock.sanitizer = _GLOBAL_SUITE
     return _GLOBAL_SUITE
 
 
@@ -144,7 +118,6 @@ def disable():
     """Disable the process-wide suite (platform-local suites are untouched)."""
     global _GLOBAL_SUITE
     _GLOBAL_SUITE = None
-    VirtualClock.sanitizer = None
 
 
 def active():
@@ -156,13 +129,11 @@ def active():
 def sanitized():
     """Context manager: sanitizers on inside, previous state restored after."""
     previous_suite = _GLOBAL_SUITE
-    previous_clock = VirtualClock.sanitizer
     suite = enable()
     try:
         yield suite
     finally:
         globals()["_GLOBAL_SUITE"] = previous_suite
-        VirtualClock.sanitizer = previous_clock
 
 
 def suite_for(config):
@@ -170,16 +141,10 @@ def suite_for(config):
 
     The process-wide suite wins (so ``pytest --sanitize`` covers every
     platform any test builds); otherwise ``config.sanitizers`` opts a
-    single platform in with its own suite. A config-scoped suite also
-    arms the global clock hook — clocks have no platform pointer, and the
-    clock invariant is unconditionally valid, so the hook is safe to leave
-    armed for the life of the process.
+    single platform in with its own suite.
     """
     if _GLOBAL_SUITE is not None:
         return _GLOBAL_SUITE
     if getattr(config, "sanitizers", False):
-        suite = SanitizerSuite()
-        if VirtualClock.sanitizer is None:
-            VirtualClock.sanitizer = suite
-        return suite
+        return SanitizerSuite()
     return None

@@ -146,7 +146,9 @@ class ExecutionContext:
             cost = self.platform.swap.touch_range(start_vpn, npages, dirty=write)
             return cost + npages * self.config.dram_page_ns
         if pool is Pool.COMPUTE:
-            return self.compkernel.touch_sequential(self.memkernel, start_vpn, npages, write)
+            return self.compkernel.touch_sequential(
+                self.memkernel, start_vpn, npages, write, self.now
+            )
         if pool is Pool.MEMORY:
             cost = 0.0
             for vpn in range(start_vpn, start_vpn + npages):

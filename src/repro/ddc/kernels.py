@@ -102,12 +102,14 @@ class ComputeKernel:
             self.platform.tracer.emit(now, "fault", vpn=vpn, write=write)
         return self._fetch(memkernel, vpn, npages=1, write=write)
 
-    def touch_sequential(self, memkernel, start_vpn, npages, write):
+    def touch_sequential(self, memkernel, start_vpn, npages, write, now=0.0):
         """Stream ``npages`` consecutive pages through the cache.
 
         Misses are served in prefetch-degree batches, modelling the
         disaggregated OS's sequential prefetcher; every page additionally
-        pays the DRAM streaming cost since the CPU consumes it.
+        pays the DRAM streaming cost since the CPU consumes it. ``now`` is
+        the stream's start time; a write upgrade happens at ``now`` plus
+        the fault cost charged before it, as on the random path.
         """
         cost = 0.0
         vpn = start_vpn
@@ -116,7 +118,7 @@ class ComputeKernel:
             entry = self.cache.get(vpn)
             if entry is not None:
                 if write and not entry.writable:
-                    cost += self._upgrade(vpn, entry, now=0.0)
+                    cost += self._upgrade(vpn, entry, now + cost)
                 if write:
                     entry.dirty = True
                 self.stats.cache_hits += 1

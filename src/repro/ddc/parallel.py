@@ -8,7 +8,7 @@ single-threaded and deterministic) but their virtual clocks overlap.
 Shared-state effects (the compute-pool cache, the TELEPORT workqueue) are
 applied in task order, which is a deterministic approximation of true
 interleaving; the fine-grained interleaved scheduler in
-:mod:`repro.micro.scheduler` is used where interleaving order matters
+:func:`repro.serve.scheduler.interleave` is used where interleaving order matters
 (coherence contention experiments).
 """
 

@@ -20,8 +20,8 @@ Modes (Figure 6 bar names in parentheses):
 
 from repro.ddc import make_platform
 from repro.errors import ReproError
-from repro.micro.scheduler import interleave
 from repro.micro.spec import MicroResult
+from repro.serve.scheduler import interleave
 from repro.sim.rng import make_rng
 from repro.teleport.flags import ConsistencyMode, PushdownOptions, SyncMethod
 

@@ -1,6 +1,6 @@
 """The generalized deterministic serving scheduler.
 
-This is the promotion of ``micro/scheduler.interleave`` into a first-class
+This is the promotion of the microbenchmarks' ``interleave`` into a first-class
 discrete-event loop. Tasks are Python generators that perform one bounded
 chunk of charged work per step; the scheduler always advances the task
 with the smallest virtual clock, which yields a deterministic, causally

@@ -79,7 +79,7 @@ class Server:
 
     def __init__(self, config=None, kind="teleport",
                  offload=OffloadPolicy.ADAPTIVE,
-                 queue_policy=QueuePolicy.FIFO, slots=None):
+                 queue_policy=QueuePolicy.FIFO):
         if kind not in ("ddc", "teleport"):
             raise ConfigError(
                 f"serving needs a disaggregated platform, not {kind!r}"
@@ -89,19 +89,7 @@ class Server:
         self.config = config
         self.pool = None
         if kind == "teleport":
-            if slots is None:
-                slots = config.memory_pool_cores
-            if config.teleport_instances < slots:
-                # The RPC layer must have an instance per admission slot,
-                # or the two queueing layers would fight over ordering.
-                self.platform.config = config = config.with_overrides(
-                    teleport_instances=slots
-                )
-                self.platform.teleport.config = config
-                self.platform.teleport.rpc.config = config
-                self.config = config
-            self.pool = PoolScheduler(self.platform, slots=slots,
-                                      policy=queue_policy)
+            self.pool = PoolScheduler(self.platform, policy=queue_policy)
         self.controller = OffloadController(config, policy=offload)
         self.scheduler = Scheduler(
             effect_handler=self._handle_effect, event_source=self.pool

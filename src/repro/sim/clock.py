@@ -7,18 +7,18 @@ clocks at a common start time and joining on the maximum.
 
 from repro.errors import ConfigError
 
+_INF = float("inf")
+
 
 class VirtualClock:
-    """A monotonically advancing virtual clock, in nanoseconds."""
+    """A monotonically advancing virtual clock, in nanoseconds.
+
+    Time is always finite. NaN compares false against everything and would
+    silently poison every timestamp downstream, so the guards are range
+    checks that NaN fails, and they reject infinities too.
+    """
 
     __slots__ = ("_now",)
-
-    #: Optional process-wide :class:`~repro.analysis.sanitizers.SanitizerSuite`
-    #: hook. ``advance(ns)`` rejects negative deltas itself, but NaN compares
-    #: false against everything and would silently poison every timestamp
-    #: downstream; the sanitizer catches non-finite time when armed. Set by
-    #: :func:`repro.analysis.sanitizers.enable` (e.g. ``pytest --sanitize``).
-    sanitizer = None
 
     def __init__(self, start_ns=0.0):
         if start_ns < 0:
@@ -32,17 +32,17 @@ class VirtualClock:
 
     def advance(self, ns):
         """Charge ``ns`` nanoseconds of work and return the new time."""
-        if ns < 0:
-            raise ConfigError(f"cannot advance clock by negative time: {ns}")
-        if VirtualClock.sanitizer is not None:
-            VirtualClock.sanitizer.on_clock_advance(self._now, ns)
+        if not 0 <= ns < _INF:
+            raise ConfigError(
+                f"cannot advance clock by negative or non-finite time: {ns!r}"
+            )
         self._now += ns
         return self._now
 
     def advance_to(self, ns):
         """Move the clock forward to an absolute time (no-op if in the past)."""
-        if VirtualClock.sanitizer is not None:
-            VirtualClock.sanitizer.on_clock_advance_to(self._now, ns)
+        if not -_INF < ns < _INF:
+            raise ConfigError(f"cannot advance clock to non-finite time: {ns!r}")
         if ns > self._now:
             self._now = ns
         return self._now

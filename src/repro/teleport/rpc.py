@@ -5,6 +5,10 @@ one temporary user context at a time. Requests are dispatched FIFO to the
 first free instance; when every instance is busy, requests queue (with a
 single instance, concurrent pushdowns serialise, the paper's default).
 
+These instances are the memory pool's only model of its execution slots:
+the serving layer's admission queue (:mod:`repro.serve.pool`) reads when
+they free up from here.
+
 When more instances run than the memory pool has physical cores, execution
 stretches due to time sharing plus a context-switching penalty — the source
 of Figure 17's diminishing returns.
@@ -30,6 +34,8 @@ class RpcServer:
         self._free_at = [0.0] * config.teleport_instances
         self.dispatched = 0
         self.cancelled = 0
+        #: End time passed to the most recent :meth:`complete`.
+        self.last_end_ns = None
         #: request_id -> number of times the function actually executed
         #: (the at-most-once invariant says every value stays <= 1).
         self._executions = {}
@@ -49,8 +55,7 @@ class RpcServer:
         """
         index = min(range(len(self._free_at)), key=self._free_at.__getitem__)
         start_ns = max(arrival_ns, self._free_at[index])
-        busy = sum(1 for t in self._free_at if t > start_ns) + 1
-        return index, start_ns, self._cpu_scale(busy)
+        return index, start_ns, self._cpu_scale(self.busy(start_ns) + 1)
 
     def commit(self, index, request_id=None):
         """Occupy an instance (it stays busy until :meth:`complete`).
@@ -77,6 +82,7 @@ class RpcServer:
                 f"(already free at {self._free_at[index]:.0f}ns)"
             )
         self._free_at[index] = end_ns
+        self.last_end_ns = end_ns
 
     def cancel_queued(self):
         """Record a request removed from the workqueue before starting."""
@@ -102,6 +108,10 @@ class RpcServer:
 
     def earliest_free_ns(self):
         return min(self._free_at)
+
+    def busy(self, now):
+        """Instances still occupied at ``now``."""
+        return sum(1 for t in self._free_at if t > now)
 
     def _cpu_scale(self, busy):
         cores = self.config.memory_pool_cores

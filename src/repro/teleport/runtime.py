@@ -83,7 +83,8 @@ class TeleportRuntime:
         self._breakers = {}
         self._request_counter = 0
         #: Optional :class:`~repro.serve.pool.PoolScheduler`; when installed
-        #: every ``pushdown()`` is admission-controlled by its slot model.
+        #: every ``pushdown()`` waits in its admission queue for a free
+        #: instance of :attr:`rpc`.
         self.pool_scheduler = None
 
     # ------------------------------------------------------------------
@@ -175,7 +176,7 @@ class TeleportRuntime:
             options = _resolve_options(
                 options, consistency, sync, timeout_ns, sync_regions, on_timeout
             )
-            return scheduler.run_inline(self, ctx, fn, args, options, verify)
+            return scheduler.run_inline(ctx, fn, args, options, verify)
         if verify:
             # Imported lazily: the analysis layer sits above the runtime.
             from repro.analysis.verifier import assert_pushdownable
@@ -195,21 +196,13 @@ class TeleportRuntime:
             return fn(ctx, *args)
         try:
             session = self.begin_session(ctx, options)
-        except PushdownRetryExhausted:
-            breaker.record_failure(ctx.now)
-            if options.on_timeout is TimeoutAction.FALLBACK:
-                self.stats.pushdown_fallbacks += 1
-                return fn(ctx, *args)
-            raise
+        except PushdownRetryExhausted as exc:
+            return self.fail(ctx, ctx.now, exc, options, fn, args)
         if session.cancelled:
-            breaker.record_failure(ctx.now)
-            if options.on_timeout is TimeoutAction.FALLBACK:
-                self.stats.pushdown_fallbacks += 1
-                return fn(ctx, *args)
-            raise PushdownTimeout(
+            return self.fail(ctx, ctx.now, PushdownTimeout(
                 f"pushdown cancelled after {options.timeout_ns:.0f}ns in queue",
                 cancelled=True,
-            )
+            ), options, fn, args)
         error = None
         result = None
         try:
@@ -221,24 +214,38 @@ class TeleportRuntime:
             error = exc
         try:
             session.finish()
-        except (PushdownTimeout, PushdownRetryExhausted):
-            breaker.record_failure(ctx.now)
-            raise
+        except (PushdownTimeout, PushdownRetryExhausted) as exc:
+            # A timeout after a failed cancel, or a lost response: the
+            # function already ran once, so it is never re-run locally.
+            return self.fail(ctx, ctx.now, exc, options)
         if session.fallback_pending:
             # Mid-execution timeout, try_cancel succeeded: the paper's
             # recipe is to re-run the (idempotent) function locally.
-            breaker.record_failure(ctx.now)
-            self.stats.pushdown_fallbacks += 1
-            return fn(ctx, *args)
+            return self.fail(ctx, ctx.now, None, options, fn, args)
         if session.aborted:
-            breaker.record_failure(ctx.now)
-            raise PushdownAborted(
+            return self.fail(ctx, ctx.now, PushdownAborted(
                 f"pushdown function exceeded the {self.config.watchdog_timeout_ns:.0f}ns watchdog"
-            )
+            ), options)
         breaker.record_success(ctx.now)
         if error is not None:
             raise PushdownUserError(error) from error
         return result
+
+    def fail(self, ctx, at_ns, error, options, fn=None, args=()):
+        """The one path from a timed-out, cancelled or failed pushdown to
+        its outcome.
+
+        Counts the failure against the caller's circuit breaker at
+        ``at_ns``. Then, if the caller chose ``TimeoutAction.FALLBACK``
+        and passed ``fn``, re-runs ``fn`` compute-local and returns its
+        result; otherwise raises ``error``. Callers whose function already
+        ran once on the memory pool pass no ``fn``, so it never runs twice.
+        """
+        self.breaker_for(ctx.thread.process).record_failure(at_ns)
+        if fn is not None and options.on_timeout is TimeoutAction.FALLBACK:
+            self.stats.pushdown_fallbacks += 1
+            return fn(ctx, *args)
+        raise error
 
     # ------------------------------------------------------------------
     # Session API (two-phase pushdown, used by the interleaved scheduler)

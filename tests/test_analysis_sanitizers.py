@@ -7,8 +7,6 @@ process-global suite directly — each test monkeypatches a fresh
 :class:`SanitizerSuite` (or None) into place and reads its counters.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -35,7 +33,6 @@ def fresh_suite(monkeypatch):
     """A private suite installed as the active one, restored after."""
     suite = SanitizerSuite()
     monkeypatch.setattr(sanitizers, "_GLOBAL_SUITE", suite)
-    monkeypatch.setattr(VirtualClock, "sanitizer", suite)
     return suite
 
 
@@ -43,7 +40,6 @@ def fresh_suite(monkeypatch):
 def no_sanitizers(monkeypatch):
     """Force sanitizers fully off, regardless of pytest --sanitize."""
     monkeypatch.setattr(sanitizers, "_GLOBAL_SUITE", None)
-    monkeypatch.setattr(VirtualClock, "sanitizer", None)
 
 
 def build_env(config=None):
@@ -63,46 +59,43 @@ def alloc_and_warm(process, ctx, count=4096):
 
 
 # ----------------------------------------------------------------------
-# Clock sanitizer
+# Clock guard (owned by VirtualClock, not by a sanitizer)
 # ----------------------------------------------------------------------
 class TestClockSanitizer:
-    def test_nan_advance_is_silent_without_sanitizer(self, no_sanitizers):
-        """The hazard the sanitizer exists for: NaN passes ``ns < 0``."""
+    """The clock rejects bad time itself, so an armed suite records nothing."""
+
+    def test_nan_advance_rejected_without_sanitizer(self, no_sanitizers):
+        """NaN passes a plain ``ns < 0`` guard; the clock must not be poisoned."""
         clock = VirtualClock()
-        clock.advance(float("nan"))
-        assert math.isnan(clock.now)  # silently poisoned
+        with pytest.raises(ConfigError):
+            clock.advance(float("nan"))
+        assert clock.now == 0.0
 
     def test_nan_advance_caught(self, fresh_suite):
         clock = VirtualClock()
-        with pytest.raises(SanitizerViolation):
+        with pytest.raises(ConfigError):
             clock.advance(float("nan"))
         assert clock.now == 0.0  # rejected before the add
-        assert fresh_suite.violations == 1
+        assert fresh_suite.violations == 0
 
     def test_inf_advance_caught(self, fresh_suite):
         clock = VirtualClock()
-        with pytest.raises(SanitizerViolation):
+        with pytest.raises(ConfigError):
             clock.advance(float("inf"))
+        assert fresh_suite.violations == 0
 
     def test_nonfinite_advance_to_caught(self, fresh_suite):
         clock = VirtualClock()
-        with pytest.raises(SanitizerViolation):
+        with pytest.raises(ConfigError):
             clock.advance_to(float("nan"))
-        with pytest.raises(SanitizerViolation):
+        with pytest.raises(ConfigError):
             clock.advance_to(float("inf"))
+        assert fresh_suite.violations == 0
 
     def test_negative_advance_still_native_error(self, fresh_suite):
         with pytest.raises(ConfigError):
             VirtualClock().advance(-1.0)
         assert fresh_suite.violations == 0  # the clock's own check fired
-
-    def test_finite_advances_counted_clean(self, fresh_suite):
-        clock = VirtualClock()
-        clock.advance(10.0)
-        clock.advance_to(25.0)
-        assert clock.now == 25.0
-        assert fresh_suite.clock_checks == 2
-        assert fresh_suite.violations == 0
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +155,6 @@ class TestSwmrSanitizer:
         assert result != 0.0
         assert fresh_suite.swmr_checks > 0
         assert fresh_suite.leak_checks > 0
-        assert fresh_suite.clock_checks > 0
         assert fresh_suite.violations == 0
 
 
@@ -206,17 +198,13 @@ class TestEnablement:
             DdcConfig(compute_cache_bytes=64 * KIB, sanitizers=True)
         )
         assert isinstance(platform.sanitizers, SanitizerSuite)
-        # The config-scoped suite also arms the clock hook.
-        assert VirtualClock.sanitizer is platform.sanitizers
         assert sanitizers.active() is None  # no process-global suite
 
     def test_sanitized_context_manager_restores(self, no_sanitizers):
         assert sanitizers.active() is None
         with sanitizers.sanitized() as suite:
             assert sanitizers.active() is suite
-            assert VirtualClock.sanitizer is suite
         assert sanitizers.active() is None
-        assert VirtualClock.sanitizer is None
 
     def test_enable_disable_roundtrip(self, no_sanitizers):
         suite = sanitizers.enable()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError, ReproError
 from repro.micro import MicroSpec, parallel_aggregation_speedups, run_micro
-from repro.micro.scheduler import interleave
+from repro.serve.scheduler import interleave
 from repro.sim.clock import VirtualClock
 from repro.sim.config import DdcConfig, scaled_config
 from repro.sim.units import MIB

@@ -1,8 +1,7 @@
 """Fault matrix for the serving layer: failures while queued.
 
 A pushdown that fails *while waiting in the admission queue* must take
-the same retry/fallback/degradation paths PR-1 built for in-flight
-failures: expired timeouts follow the caller's ``TimeoutAction`` and
+the same retry/fallback/degradation paths as in-flight failures: expired timeouts follow the caller's ``TimeoutAction`` and
 count toward the per-process circuit breaker; a memory-pool panic
 surfaces as :class:`KernelPanic` at the would-be dispatch.
 """
@@ -40,7 +39,7 @@ def occupant(ops=OCCUPY_OPS):
 
 def _server():
     return Server(DdcConfig(), offload=OffloadPolicy.ALWAYS,
-                  queue_policy=QueuePolicy.FIFO, slots=1)
+                  queue_policy=QueuePolicy.FIFO)
 
 
 def _quick_body(ectx):

@@ -49,10 +49,10 @@ def batch_tenant(n_requests, ops):
     return build
 
 
-def serve(tenants, queue_policy, slots=1, trace=False):
+def serve(tenants, queue_policy, instances=1, trace=False):
     """Run compute tenants under ALWAYS offload so every request queues."""
-    server = Server(DdcConfig(), offload=OffloadPolicy.ALWAYS,
-                    queue_policy=queue_policy, slots=slots)
+    server = Server(DdcConfig(teleport_instances=instances),
+                    offload=OffloadPolicy.ALWAYS, queue_policy=queue_policy)
     if trace:
         server.platform.tracer.enable(kinds={"sched"})
     for name, workload, kwargs in tenants:
@@ -68,10 +68,19 @@ def test_pool_requires_teleport_platform():
         PoolScheduler(make_platform("ddc"))
 
 
-def test_pool_requires_enough_instances():
-    platform = make_platform("teleport", DdcConfig(teleport_instances=1))
-    with pytest.raises(ConfigError, match="TELEPORT instances"):
-        PoolScheduler(platform, slots=4)
+def test_pool_slots_are_teleport_instances():
+    platform = make_platform("teleport", DdcConfig(teleport_instances=4))
+    pool = PoolScheduler(platform)
+    assert pool.rpc is platform.teleport.rpc
+    assert pool.rpc.instances == 4
+    assert pool.queue_depth(0.0) == 0
+
+
+def occupy_instance(rpc, until_ns):
+    """Hold the earliest free TELEPORT instance busy until ``until_ns``."""
+    index = rpc.plan(0.0)[0]
+    rpc.commit(index)
+    rpc.complete(index, until_ns)
 
 
 def test_tenant_share_validates_weight():
@@ -101,11 +110,28 @@ def test_more_slots_reduce_queueing():
         (name, compute_tenant(3, 400_000), dict(arrival_ns=0.0))
         for name in ("a", "b", "c")
     ]
-    server1, _ = serve(tenants, QueuePolicy.FIFO, slots=1)
-    server3, _ = serve(tenants, QueuePolicy.FIFO, slots=3)
+    server1, _ = serve(tenants, QueuePolicy.FIFO, instances=1)
+    server3, _ = serve(tenants, QueuePolicy.FIFO, instances=3)
     delay1 = sum(s.queue_delay_ns for s in server1.pool.shares.values())
     delay3 = sum(s.queue_delay_ns for s in server3.pool.shares.values())
-    assert delay3 < delay1
+    assert delay1 > 0
+    # One closed-loop request per tenant fits on three instances at once.
+    assert delay3 == 0.0
+
+
+def test_all_waiting_happens_in_the_pool_queue():
+    """The pool's slots are the RPC instances: a request is dispatched only
+    onto a free instance, so no pushdown ever waits at the RPC server."""
+    tenants = [
+        (name, compute_tenant(3, 400_000), dict(arrival_ns=0.0))
+        for name in ("a", "b", "c")
+    ]
+    for instances in (1, 3):
+        server, _ = serve(tenants, QueuePolicy.FIFO, instances=instances)
+        runtime = server.platform.teleport
+        assert runtime.rpc.instances == instances
+        assert len(runtime.breakdowns) == 9
+        assert all(b.queue_wait_ns == 0 for b in runtime.breakdowns)
 
 
 def test_sched_trace_events_emitted():
@@ -248,10 +274,10 @@ def test_fair_share_long_run_shares_converge(heavy):
 # ----------------------------------------------------------------------
 def test_inline_pushdown_waits_for_free_slot():
     platform = make_platform("teleport")
-    pool = PoolScheduler(platform, slots=1)
+    pool = PoolScheduler(platform)
     ctx = platform.main_context()
     busy_until = 5e6
-    pool.slot_free_at[0] = busy_until
+    occupy_instance(pool.rpc, busy_until)
 
     def fn(ectx):
         ectx.compute(1000)
@@ -268,7 +294,7 @@ def test_inline_pushdown_waits_for_free_slot():
 def test_inline_back_to_back_calls_do_not_wait():
     """Sequential pushdowns from one caller find the slot free again."""
     platform = make_platform("teleport")
-    pool = PoolScheduler(platform, slots=1)
+    pool = PoolScheduler(platform)
     ctx = platform.main_context()
 
     def fn(ectx):

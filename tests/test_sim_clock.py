@@ -37,6 +37,23 @@ def test_negative_advance_rejected():
         clock.advance(-0.1)
 
 
+@pytest.mark.parametrize("ns", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_advance_rejected(ns):
+    """NaN passes a plain ``ns < 0`` guard; the clock must still reject it."""
+    clock = VirtualClock(5.0)
+    with pytest.raises(ConfigError):
+        clock.advance(ns)
+    assert clock.now == 5.0  # rejected before the add
+
+
+@pytest.mark.parametrize("ns", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_advance_to_rejected(ns):
+    clock = VirtualClock(5.0)
+    with pytest.raises(ConfigError):
+        clock.advance_to(ns)
+    assert clock.now == 5.0
+
+
 def test_advance_to_moves_forward():
     clock = VirtualClock(10)
     clock.advance_to(20)

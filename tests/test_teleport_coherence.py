@@ -228,6 +228,26 @@ class TestComputeSide:
         assert contended >= platform.config.contention_backoff_ns
         assert platform.stats.coherence_tiebreaks == 1
 
+    @pytest.mark.parametrize("write_at_ns, tiebreaks", [(0.0, 1), (1e9, 0)])
+    def test_sequential_write_tiebreaks_only_while_upgrade_in_flight(
+        self, env, write_at_ns, tiebreaks
+    ):
+        """A sequential compute write upgrades at its own virtual time, as a
+        random one does: it loses the tie-break to a memory-pool upgrade in
+        flight, never to one that finished a second earlier."""
+        platform, process, region = env
+        compute, _memory = platform.kernels_for(process)
+        compute.cache.insert(region.start_vpn, writable=False)
+        protocol = platform.teleport.acquire_protocol(process, ConsistencyMode.PSO)
+        protocol.setup(compute.resident_snapshot())
+        compute.protocol = protocol
+        # PSO memory-pool write at t=0: the compute copy is demoted, not dropped.
+        protocol.memory_touch(region.start_vpn, write=True, now=0.0)
+        ctx = platform.main_context(process)
+        ctx.clock.advance_to(write_at_ns)
+        ctx.touch_seq(region, 0, 1, write=True)
+        assert platform.stats.coherence_tiebreaks == tiebreaks
+
 
 class TestRelaxations:
     """Section 4.2: PSO, weak ordering, coherence off."""
