@@ -93,10 +93,7 @@ class ExecutionContext:
         vpns = np.asarray(region.vpns_of_indices(indices))
         if len(vpns) == 0:
             return
-        keep = np.empty(len(vpns), dtype=bool)
-        keep[0] = True
-        np.not_equal(vpns[1:], vpns[:-1], out=keep[1:])
-        self.thread.clock.advance(self._random_cost(vpns[keep], write))
+        self.thread.clock.advance(self._random_cost(vpns[_run_heads(vpns)], write))
 
     # ------------------------------------------------------------------
     # Data access helpers (cost + real data)
@@ -164,6 +161,9 @@ class ExecutionContext:
         every k-th access runs through the exact cache/coherence machinery
         and cost plus counters are scaled back up. This keeps multi-million
         access workloads tractable while preserving hit rates and shapes.
+        Smaller batches (and each sample) take the exact path, which
+        simulates each run of repeated pages once
+        (:meth:`_random_cost_exact`).
         """
         n = len(vpns)
         if n > self.config.access_sample_threshold:
@@ -177,40 +177,54 @@ class ExecutionContext:
         return self._random_cost_exact(vpns, write)
 
     def _random_cost_exact(self, vpns, write):
-        """Exact per-access simulation.
+        """Exact simulation of every access, one pool call per run.
 
         Per-access DRAM cost depends on locality: an access to the same
         page as the previous one is a row-buffer hit (``dram_line_ns``); a
         page change pays full DRAM latency (``dram_random_ns``). Misses
         additionally pay the pool-specific fault path.
+
+        A run of k accesses to one page goes through the pool's machinery
+        (swap, compute cache, coherence protocol) once, at its head. After
+        that access the page is resident, most recently used and, for a
+        write, writable and dirty, so each of the k-1 repeats would cost
+        exactly ``dram_line_ns`` and change nothing but the compute cache's
+        hit counter. The repeats are charged as k-1 separate additions so
+        that the total is the per-access loop's, bit for bit.
         """
         pool = self.pool
         line_ns = self.config.dram_line_ns
         random_ns = self.config.dram_random_ns
         cost = 0.0
-        prev = None
         if pool is Pool.LOCAL:
             swap = self.platform.swap
-            for vpn in vpns:
+            for vpn, repeats in _page_runs(vpns):
                 cost += swap.touch(vpn, dirty=write)
-                cost += line_ns if vpn == prev else random_ns
-                prev = vpn
+                cost += random_ns
+                for _ in range(repeats):
+                    cost += line_ns
             return cost
         if pool is Pool.COMPUTE:
             kernel = self.compkernel
+            memkernel = self.memkernel
+            stats = self.stats
             now = self.now
-            for vpn in vpns:
-                cost += kernel.touch_random(self.memkernel, vpn, write, now + cost)
-                cost += line_ns if vpn == prev else random_ns
-                prev = vpn
+            for vpn, repeats in _page_runs(vpns):
+                cost += kernel.touch_random(memkernel, vpn, write, now + cost)
+                cost += random_ns
+                if repeats:
+                    stats.cache_hits += repeats
+                    for _ in range(repeats):
+                        cost += line_ns
             return cost
         if pool is Pool.MEMORY:
             protocol = self.protocol
             now = self.now
-            for vpn in vpns:
+            for vpn, repeats in _page_runs(vpns):
                 cost += protocol.memory_touch(vpn, write, now + cost)
-                cost += line_ns if vpn == prev else random_ns
-                prev = vpn
+                cost += random_ns
+                for _ in range(repeats):
+                    cost += line_ns
             self.stats.memory_side_page_touches += len(vpns)
             return cost
         raise ReproError(f"unknown pool {pool!r}")
@@ -249,3 +263,23 @@ class ExecutionContext:
 
     def __repr__(self):
         return f"ExecutionContext({self.thread.name!r}, pool={self.pool.value})"
+
+
+def _run_heads(vpns):
+    """Mask of the accesses in a non-empty vpn array that start a run of
+    equal consecutive vpns."""
+    heads = np.empty(len(vpns), dtype=bool)
+    heads[0] = True
+    np.not_equal(vpns[1:], vpns[:-1], out=heads[1:])
+    return heads
+
+
+def _page_runs(vpns):
+    """(vpn, repeats) for each run of equal consecutive vpns in a batch:
+    the run's page and how many accesses after its first one it holds."""
+    if len(vpns) <= 1:
+        return [(int(vpn), 0) for vpn in vpns]
+    vpns = np.asarray(vpns)
+    starts = np.flatnonzero(_run_heads(vpns))
+    repeats = np.diff(starts, append=len(vpns)) - 1
+    return zip(vpns[starts].tolist(), repeats.tolist())

@@ -15,9 +15,6 @@ class PageTableEntry:
         self.writable = writable
         self.dirty = dirty
 
-    def copy(self):
-        return PageTableEntry(self.present, self.writable, self.dirty)
-
     @property
     def permission(self):
         """Symbolic permission: '0' absent, 'R' read-only, 'W' writable.

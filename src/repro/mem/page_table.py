@@ -1,9 +1,11 @@
 """Sparse page tables.
 
 The memory pool holds each process's *full* page table; during pushdown a
-temporary context gets a clone of it (Figure 8). Both are represented by
-:class:`PageTable`, a sparse map from virtual page number (vpn) to
-:class:`~repro.mem.page.PageTableEntry`.
+temporary context works on that table as of the pushdown's start
+(Figure 8). The full table is a :class:`PageTable`, a sparse map from
+virtual page number (vpn) to :class:`~repro.mem.page.PageTableEntry`; the
+temporary context's is a :class:`PageTableSnapshot` taken from it, which
+copies a PTE only when the protocol first reads it for update.
 """
 
 from repro.mem.page import PageTableEntry
@@ -45,10 +47,6 @@ class PageTable:
         for vpn in range(start_vpn, start_vpn + npages):
             self._entries.pop(vpn, None)
 
-    def entries(self):
-        """Iterate over (vpn, PTE) pairs."""
-        return self._entries.items()
-
     def vpns(self):
         return self._entries.keys()
 
@@ -60,11 +58,73 @@ class PageTable:
         """All vpns whose pages are present and dirty."""
         return [vpn for vpn, pte in self._entries.items() if pte.present and pte.dirty]
 
-    def clone(self):
-        """Deep copy (used to build the temporary context's table)."""
-        table = PageTable()
-        table._entries = {vpn: pte.copy() for vpn, pte in self._entries.items()}
-        return table
+    def snapshot(self):
+        """Copy-on-access view of this table as of now (the temporary
+        context's table)."""
+        return PageTableSnapshot(self._entries)
 
     def __repr__(self):
         return f"PageTable({len(self._entries)} entries)"
+
+
+class PageTableSnapshot:
+    """A page table's mappings as of one instant, copied on access.
+
+    Taking the snapshot copies only the vpn -> PTE map, not the PTEs, so
+    regions mapped or unmapped in the source table afterwards do not show
+    up here. A PTE is copied into a private *owned* map the first time
+    :meth:`get` or :meth:`ensure` returns it; only owned PTEs are ever
+    changed. An owned copy starts clean (``dirty=False``), so its dirty bit
+    means "dirtied since the snapshot". :meth:`peek` reads without copying.
+    """
+
+    __slots__ = ("_entries", "_owned")
+
+    def __init__(self, entries):
+        self._entries = dict(entries)
+        self._owned = {}
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __contains__(self, vpn):
+        return vpn in self._entries
+
+    def peek(self, vpn):
+        """The PTE for ``vpn`` (or None) without copying it; read only."""
+        entry = self._owned.get(vpn)
+        if entry is None:
+            return self._entries.get(vpn)
+        return entry
+
+    def get(self, vpn):
+        """The owned PTE for ``vpn``, copied on first access; None if the
+        page was not mapped when the snapshot was taken."""
+        entry = self._owned.get(vpn)
+        if entry is None:
+            shared = self._entries.get(vpn)
+            if shared is None:
+                return None
+            entry = PageTableEntry(shared.present, shared.writable)
+            self._owned[vpn] = entry
+        return entry
+
+    def ensure(self, vpn):
+        """Like :meth:`get`, creating an absent PTE for an unmapped vpn."""
+        entry = self._owned.get(vpn)
+        if entry is None:
+            shared = self._entries.get(vpn)
+            if shared is None:
+                entry = PageTableEntry()
+                self._entries[vpn] = entry
+            else:
+                entry = PageTableEntry(shared.present, shared.writable)
+            self._owned[vpn] = entry
+        return entry
+
+    def owned_entries(self):
+        """(vpn, PTE) pairs of the PTEs copied so far."""
+        return self._owned.items()
+
+    def __repr__(self):
+        return f"PageTableSnapshot({len(self._entries)} entries, {len(self._owned)} owned)"

@@ -3,8 +3,13 @@
 State per page is a pair of permissions — (compute pool, memory pool) —
 drawn from {absent, R, W}. The compute side's state is the local page cache
 (:class:`~repro.mem.cache.PageCache`); the memory side's is the temporary
-user context's page table ``t_mm``, a clone of the process's full table
-prepared by :func:`CoherenceProtocol.setup` exactly as in Figure 8.
+user context's page table ``t_mm``, prepared by
+:func:`CoherenceProtocol.setup` as in Figure 8. Figure 8 borrows the
+caller's table, so ``t_mm`` is a copy-on-access snapshot of the process's
+full table (:class:`~repro.mem.page_table.PageTableSnapshot`): the table
+as of setup, whose PTEs are copied only when the protocol first updates
+them. Read-only checks, and memory-side reads that change no PTE, use
+``peek`` and copy nothing.
 
 Transitions follow Figure 9:
 
@@ -63,12 +68,12 @@ class CoherenceProtocol:
         ``resident`` is the compute pool's transmitted page list:
         (vpn, writable) pairs. Returns the setup cost in ns.
         """
-        self.t_mm = self.full_table.clone()
+        self.t_mm = self.full_table.snapshot()
         for vpn, writable in resident:
-            pte = self.t_mm.get(vpn)
+            pte = self.t_mm.peek(vpn)
             if pte is None or not pte.present:
                 continue
-            self._invalidate(pte, write=writable)
+            self._invalidate(self.t_mm.get(vpn), write=writable)
         if self.sanitizer is not None:
             # The freshly built temporary context must satisfy SWMR.
             self.sanitizer.swmr_transition(self, "setup")
@@ -95,10 +100,11 @@ class CoherenceProtocol:
         """
         if self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF) or self.t_mm is None:
             return
-        pte = self.t_mm.get(vpn)
+        pte = self.t_mm.peek(vpn)
         if pte is None or not pte.present:
             return
         if write:
+            pte = self.t_mm.get(vpn)
             if self.mode is ConsistencyMode.PSO:
                 # PSO relaxation: set read-only instead of removing.
                 pte.writable = False
@@ -107,7 +113,7 @@ class CoherenceProtocol:
                 self._invalidate(pte, write=True)
                 self.stats.coherence_invalidations += 1
         elif pte.writable:
-            pte.writable = False
+            self.t_mm.get(vpn).writable = False
             self.stats.coherence_downgrades += 1
 
     # ------------------------------------------------------------------
@@ -122,20 +128,29 @@ class CoherenceProtocol:
 
     def _memory_touch(self, vpn, write, now):
         cost = 0.0
-        pte = self.t_mm.ensure(vpn) if self.t_mm is not None else None
+        t_mm = self.t_mm
         # 'True' page fault: the page is not in memory-pool DRAM at all —
         # fault to storage and map it in both mm and t_mm (lines 14-15).
         if not self.memkernel.is_resident(vpn):
             cost += self.memkernel.ensure_resident(vpn, write=write)
-            if pte is not None:
+            if t_mm is not None:
+                pte = t_mm.ensure(vpn)
                 pte.present = True
                 pte.writable = True
                 pte.dirty = pte.dirty or write
             return cost
-        if pte is None:
+        if t_mm is None:
             # No temporary context (coherence fully off): plain local access.
             return cost
-        if self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF):
+        relaxed = self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF)
+        if not write:
+            # A read of a page t_mm maps (writable, in the relaxed modes)
+            # changes no state, so it reads the snapshot without a copy.
+            pte = t_mm.peek(vpn)
+            if pte is not None and pte.present and (pte.writable or not relaxed):
+                return cost
+        pte = t_mm.ensure(vpn)
+        if relaxed:
             pte.present = True
             pte.writable = True
             pte.dirty = pte.dirty or write
@@ -214,9 +229,9 @@ class CoherenceProtocol:
                 self.platform.tracer.emit(
                     now, "coherence", vpn=vpn, side="compute", action="tiebreak-loss",
                 )
-        pte = self.t_mm.get(vpn)
+        pte = self.t_mm.peek(vpn)
         if pte is not None and pte.present:
-            self._invalidate(pte, write=self.mode is not ConsistencyMode.PSO)
+            self._invalidate(self.t_mm.get(vpn), write=self.mode is not ConsistencyMode.PSO)
             if self.mode is ConsistencyMode.PSO:
                 self.stats.coherence_downgrades += 1
             else:
@@ -236,8 +251,9 @@ class CoherenceProtocol:
         """
         if self.t_mm is None:
             return
-        pte = self.t_mm.get(vpn)
-        if pte is not None:
+        pte = self.t_mm.peek(vpn)
+        if pte is not None and not (pte.present and pte.writable):
+            pte = self.t_mm.get(vpn)
             pte.present = True
             pte.writable = True
         if self.sanitizer is not None:
@@ -251,11 +267,12 @@ class CoherenceProtocol:
 
         Weak ordering (and PSO) defer write propagation to explicit sync
         points; the end of a pushdown is one. Compute-pool copies of every
-        page the temporary context dirtied are invalidated in one batched
-        exchange, so the next compute access refetches fresh data. A no-op
-        under MESI (propagation already happened per access) and under
-        OFF (synchronisation is entirely the user's responsibility via
-        ``syncmem``).
+        page this pushdown dirtied are invalidated in one batched exchange,
+        so the next compute access refetches fresh data. Owned ``t_mm``
+        copies start clean, so a page only an earlier pushdown dirtied is
+        not stale here. A no-op under MESI (propagation already happened
+        per access) and under OFF (synchronisation is entirely the user's
+        responsibility via ``syncmem``).
         """
         if self.t_mm is None or self.mode not in (
             ConsistencyMode.WEAK, ConsistencyMode.PSO,
@@ -263,7 +280,7 @@ class CoherenceProtocol:
             return 0.0
         stale = [
             vpn
-            for vpn, pte in self.t_mm.entries()
+            for vpn, pte in self.t_mm.owned_entries()
             if pte.dirty and vpn in self.cache
         ]
         if not stale:
@@ -282,14 +299,18 @@ class CoherenceProtocol:
 
     def finish(self):
         """Merge the temporary context's dirty bits back into the full
-        table — "no external communication is necessary" (Section 4.1)."""
+        table — "no external communication is necessary" (Section 4.1).
+
+        Only owned ``t_mm`` copies can carry a new dirty bit; bits set
+        before setup are already in the full table.
+        """
         if self.t_mm is None:
             return
         if self.sanitizer is not None:
             # Full sweep at session end, complementing the O(1)
             # single-page checks done per transition.
             self.sanitizer.swmr_transition(self, "finish")
-        for vpn, pte in self.t_mm.entries():
+        for vpn, pte in self.t_mm.owned_entries():
             if pte.dirty:
                 full = self.full_table.get(vpn)
                 if full is not None:
@@ -319,7 +340,7 @@ class CoherenceProtocol:
             self._check_swmr_pair(resident_vpn, entry)
 
     def _check_swmr_pair(self, vpn, entry):
-        pte = self.t_mm.get(vpn)
+        pte = self.t_mm.peek(vpn)
         if pte is None or not pte.present:
             return
         if entry.writable:
@@ -337,6 +358,6 @@ class CoherenceProtocol:
         compute = entry.permission if entry is not None else "0"
         if self.t_mm is None:
             return compute, "0"
-        pte = self.t_mm.get(vpn)
+        pte = self.t_mm.peek(vpn)
         memory = pte.permission if pte is not None else "0"
         return compute, memory

@@ -16,13 +16,6 @@ def test_pte_permission_symbols():
     assert PageTableEntry(present=False).permission == "0"
 
 
-def test_pte_copy_is_independent():
-    pte = PageTableEntry(present=True, writable=True, dirty=True)
-    other = pte.copy()
-    other.dirty = False
-    assert pte.dirty
-
-
 def test_pte_equality():
     assert PageTableEntry(True, True) == PageTableEntry(True, True)
     assert PageTableEntry(True, True) != PageTableEntry(True, False)
@@ -70,11 +63,29 @@ def test_present_and_dirty_vpn_queries():
     assert table.dirty_vpns() == [1]
 
 
-def test_clone_is_deep():
+def test_snapshot_copies_on_access():
     table = PageTable()
-    table.map_range(0, 2, present=True, writable=True)
-    clone = table.clone()
-    clone.get(0).present = False
+    table.map_range(0, 2, present=True, writable=True, dirty=True)
+    snap = table.snapshot()
+    assert snap.peek(0) is table.get(0)  # peek shares, never copies
+    assert not snap.owned_entries()
+    copy = snap.get(0)
+    assert copy is not table.get(0)
+    assert copy.present and copy.writable
+    assert not copy.dirty  # owned copies start clean
+    copy.present = False
     assert table.get(0).present
-    assert not clone.get(0).present
-    assert len(clone) == 2
+    assert snap.peek(0) is copy
+    assert [vpn for vpn, _pte in snap.owned_entries()] == [0]
+    assert len(snap) == 2
+
+
+def test_snapshot_ensure_maps_unmapped_vpn():
+    table = PageTable()
+    table.map_range(0, 1)
+    snap = table.snapshot()
+    pte = snap.ensure(7)
+    assert not pte.present
+    assert snap.get(7) is pte
+    assert len(snap) == 2
+    assert 7 not in table

@@ -25,7 +25,7 @@ def make_protocol(platform, process, mode=ConsistencyMode.MESI):
 class TestSetup:
     """Figure 8: temporary-context page table construction."""
 
-    def test_clone_covers_full_table(self, env):
+    def test_snapshot_covers_full_table(self, env):
         platform, process, region = env
         protocol = make_protocol(platform, process)
         protocol.setup([])
@@ -71,6 +71,63 @@ class TestSetup:
         protocol = make_protocol(platform, process)
         protocol.setup(compute.resident_snapshot())
         protocol.check_swmr()
+
+
+class TestSnapshot:
+    """``t_mm`` is the full table as of setup, copied on access."""
+
+    def test_region_allocated_during_pushdown_is_unmapped(self, env):
+        platform, process, _region = env
+        protocol = make_protocol(platform, process)
+        protocol.setup([])
+        late = process.alloc_array("late", np.zeros(1024, dtype=np.float64))
+        assert late.start_vpn not in protocol.t_mm
+        assert protocol.t_mm.get(late.start_vpn) is None
+        assert protocol.state_of(late.start_vpn) == ("0", "0")
+
+    def test_region_freed_during_pushdown_stays_mapped(self, env):
+        platform, process, region = env
+        protocol = make_protocol(platform, process)
+        protocol.setup([])
+        size = len(protocol.t_mm)
+        process.free(region)
+        assert process.address_space.full_table.get(region.start_vpn) is None
+        assert len(protocol.t_mm) == size
+        assert protocol.t_mm.get(region.start_vpn).present
+        assert protocol.state_of(region.start_vpn) == ("0", "W")
+
+    def test_read_only_checks_copy_nothing(self, env):
+        platform, process, region = env
+        compute, _memory = platform.kernels_for(process)
+        for offset in range(4):
+            compute.cache.insert(region.start_vpn + offset, writable=offset % 2 == 0)
+        protocol = make_protocol(platform, process)
+        protocol.setup(compute.resident_snapshot())
+        owned = len(protocol.t_mm.owned_entries())
+        protocol.check_swmr()
+        for offset in range(8):
+            protocol.check_swmr(region.start_vpn + offset)
+            protocol.state_of(region.start_vpn + offset)
+        assert len(protocol.t_mm.owned_entries()) == owned
+
+    def test_setup_copies_only_resident_pages(self, env):
+        platform, process, region = env
+        compute, _memory = platform.kernels_for(process)
+        compute.cache.insert(region.start_vpn, writable=True)
+        protocol = make_protocol(platform, process)
+        protocol.setup(compute.resident_snapshot())
+        assert [vpn for vpn, _pte in protocol.t_mm.owned_entries()] == [region.start_vpn]
+
+    def test_owned_copies_start_clean(self, env):
+        platform, process, region = env
+        vpn = region.start_vpn
+        process.address_space.full_table.get(vpn).dirty = True
+        protocol = make_protocol(platform, process)
+        protocol.setup([(vpn, False)])
+        assert not protocol.t_mm.get(vpn).dirty
+        protocol.finish()
+        # finish never clears a bit that was set before setup.
+        assert process.address_space.full_table.get(vpn).dirty
 
 
 class TestMemoryTouch:

@@ -247,6 +247,33 @@ class TestConsistencyFlags:
         assert region.start_vpn not in compute.cache
         assert (ctx.load_slice(region, 0, 512) == 0).all()
 
+    @pytest.mark.parametrize("mode", [ConsistencyMode.WEAK, ConsistencyMode.PSO])
+    def test_boundary_sync_ignores_pages_dirtied_by_earlier_pushdowns(self, env, mode):
+        # A page only an earlier pushdown dirtied, refetched fresh by the
+        # compute pool, is not stale for a pushdown that writes nothing.
+        platform, process, region, ctx = env
+        vpn = region.start_vpn
+
+        def writer(mctx, r):
+            mctx.store_at(r, 0, 1.0)
+
+        def idle(mctx):
+            return None
+
+        ctx.pushdown(writer, region, consistency=mode)
+        assert process.address_space.full_table.get(vpn).dirty
+        assert ctx.load_at(region, 0) == 1.0  # refetch a read-only copy
+        compute, _memory = platform.kernels_for(process)
+        assert vpn in compute.cache
+        invalidations = platform.stats.coherence_invalidations
+        messages = platform.stats.coherence_messages
+
+        ctx.pushdown(idle, consistency=mode)
+        assert platform.teleport.breakdowns[-1].post_sync_ns == 0.0
+        assert vpn in compute.cache
+        assert platform.stats.coherence_invalidations == invalidations
+        assert platform.stats.coherence_messages == messages
+
     def test_default_mode_generates_coherence_traffic(self, env):
         platform, process, region, ctx = env
         ctx.store_slice(region, 0, np.zeros(100_000))
