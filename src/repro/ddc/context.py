@@ -147,9 +147,14 @@ class ExecutionContext:
                 self.memkernel, start_vpn, npages, write, self.now
             )
         if pool is Pool.MEMORY:
+            # Each page is touched at the stream's start plus the cost
+            # charged before it, so a write upgrade's tie-break window
+            # ends when that upgrade does.
+            protocol = self.protocol
+            now = self.now
             cost = 0.0
             for vpn in range(start_vpn, start_vpn + npages):
-                cost += self.protocol.memory_touch(vpn, write, self.now)
+                cost += protocol.memory_touch(vpn, write, now + cost)
             self.stats.memory_side_page_touches += npages
             return cost + npages * self.config.dram_page_ns
         raise ReproError(f"unknown pool {pool!r}")

@@ -12,6 +12,8 @@ route the relevant transitions through the attached
 Single-Writer-Multiple-Reader invariant holds across the pools.
 """
 
+from itertools import chain, islice, repeat
+
 from repro.mem.cache import PageCache
 from repro.mem.storage import SwapDevice
 
@@ -109,13 +111,23 @@ class ComputeKernel:
         disaggregated OS's sequential prefetcher; every page additionally
         pays the DRAM streaming cost since the CPU consumes it. ``now`` is
         the stream's start time; a write upgrade happens at ``now`` plus
-        the fault cost charged before it, as on the random path.
+        the fault cost charged before it, as on the random path, and each
+        batch's ``fault`` trace event carries that time too.
+
+        A batch that starts at a miss is one :meth:`_fetch`. Without an
+        attached protocol, a run of pages none of which is cached is
+        charged in closed form by :meth:`_stream_absent`: whole prefetch
+        batches, or up to the end of the stream. The batch that reaches a
+        cached page is a plain :meth:`_fetch`.
         """
+        cache = self.cache
+        degree = self.config.prefetch_degree
+        tracer = self.platform.tracer
         cost = 0.0
         vpn = start_vpn
         end = start_vpn + npages
         while vpn < end:
-            entry = self.cache.get(vpn)
+            entry = cache.get(vpn)
             if entry is not None:
                 if write and not entry.writable:
                     cost += self._upgrade(vpn, entry, now + cost)
@@ -124,9 +136,19 @@ class ComputeKernel:
                 self.stats.cache_hits += 1
                 vpn += 1
                 continue
-            batch = min(self.config.prefetch_degree, end - vpn)
+            if self.protocol is None:
+                run_end = cache.first_cached(vpn + 1, end)
+                if run_end < end:
+                    run_end -= (run_end - vpn) % degree
+                if run_end > vpn:
+                    cost = self._stream_absent(memkernel, vpn, run_end - vpn, write, now, cost)
+                    vpn = run_end
+                    continue
+            batch = min(degree, end - vpn)
             self.stats.cache_misses += 1
-            cost += self._fetch(memkernel, vpn, npages=batch, write=write)
+            if tracer.enabled:
+                tracer.emit(now + cost, "fault", vpn=vpn, npages=batch, write=write)
+            cost += self._fetch(memkernel, vpn, batch, write)
             vpn += batch
         return cost + npages * self.config.dram_page_ns
 
@@ -134,36 +156,95 @@ class ComputeKernel:
     # Fault machinery
     # ------------------------------------------------------------------
     def _fetch(self, memkernel, vpn, npages, write):
-        """Fault ``npages`` starting at ``vpn`` in from the memory pool."""
-        # The memory pool may itself need to fault the pages from storage
-        # (the recursive fault of Section 2.1).
+        """Fault one prefetch batch of ``npages`` at ``vpn`` in; returns its cost.
+
+        The memory pool brings the pages into its DRAM (itself faulting
+        them from storage if it spilled them: the recursive fault of
+        Section 2.1), one request carries them over the fabric, and the
+        cache admits them in one step. Each dirty victim is written back
+        in its own message; its cost is added to the batch's one page at a
+        time, as charging the victims one by one would round.
+
+        With a protocol attached the hooks keep their per-page order:
+        ``on_compute_fetch`` for every page before any insert (Figure 9
+        lines 3-10: the memory side adjusts ``t_mm`` before replying), then
+        per page its insert, ``on_compute_evict`` for each of its victims
+        and the sanitizer's fetch check.
+        """
         cost = memkernel.ensure_resident_range(vpn, npages, write=False)
         cost += self.network.pages_in_ns(npages, batched=True)
-        if self.protocol is not None:
-            # Figure 9 lines 3-10: the memory-side handler invalidates or
-            # downgrades the temporary context's mapping before replying.
-            for fetched in range(vpn, vpn + npages):
-                self.protocol.on_compute_fetch(fetched, write)
-        for fetched in range(vpn, vpn + npages):
-            cost += self._insert(fetched, write)
+        protocol = self.protocol
+        if protocol is None:
+            victims = self.cache.insert_run(vpn, npages, write, dirty=write)
+        else:
+            pages = range(vpn, vpn + npages)
+            for fetched in pages:
+                protocol.on_compute_fetch(fetched, write)
+            sanitizers = self.platform.sanitizers
+            victims = []
+            for fetched in pages:
+                evicted = self.cache.insert(fetched, write, dirty=write)
+                for victim_vpn, _dirty in evicted:
+                    protocol.on_compute_evict(victim_vpn)
+                if sanitizers is not None:
+                    # The fetch transition is complete only once the page
+                    # is in the cache.
+                    sanitizers.swmr_transition(protocol, "compute_fetch", fetched)
+                victims += evicted
+        if not victims:
+            return cost
+        self.stats.cache_evictions += len(victims)
+        dirty = 0
+        for _vpn, was_dirty in victims:
+            if was_dirty:
+                dirty += 1
+        if dirty:
+            self.stats.dirty_writebacks += dirty
+            writeback = self.network.page_writebacks_ns(dirty)
+            for _ in range(dirty):
+                cost += writeback
         return cost
 
-    def _insert(self, vpn, write):
-        """Admit a fetched page, writing back any dirty victim."""
-        cost = 0.0
-        for victim_vpn, victim_dirty in self.cache.insert(vpn, writable=write, dirty=write):
-            self.stats.cache_evictions += 1
-            if victim_dirty:
-                self.stats.dirty_writebacks += 1
-                cost += self.network.pages_out_ns(1)
-            if self.protocol is not None:
-                self.protocol.on_compute_evict(victim_vpn)
-        if self.protocol is not None and self.platform.sanitizers is not None:
-            # The fetch transition is complete only once the page is in the
-            # cache (on_compute_fetch adjusted t_mm before the reply).
-            self.platform.sanitizers.swmr_transition(
-                self.protocol, "compute_fetch", vpn
-            )
+    def _stream_absent(self, memkernel, start_vpn, npages, write, now, cost):
+        """Stream ``npages`` pages, none of them cached, as :meth:`_fetch`
+        batches would; returns ``cost`` plus the batches' costs.
+
+        Only valid without a protocol: no hook or sanitizer check runs per
+        page. The run is exact in closed form because its pages are
+        distinct and absent, so none can be hit, or evicted and fetched
+        again, within it. The cache's victims are its oldest entries in LRU
+        order, then the run's own earliest pages (dirty exactly when the
+        stream writes); the j-th victim is evicted by the run's
+        (free + j)-th insert. Each batch still calls the memory pool and
+        the network, in order, and its cost is built from the same float
+        additions as in :meth:`_fetch` before it joins the stream's total.
+        """
+        cache = self.cache
+        degree = self.config.prefetch_degree
+        tracer = self.platform.tracer
+        free = cache.capacity_pages - len(cache)
+        old_victims, run_evicted = cache.insert_absent_run(start_vpn, npages, write, dirty=write)
+        dirty = sum(1 for _vpn, was_dirty in old_victims if was_dirty)
+        if write:
+            dirty += run_evicted
+        self.stats.cache_evictions += len(old_victims) + run_evicted
+        self.stats.dirty_writebacks += dirty
+        self.stats.cache_misses += -(-npages // degree)
+        writeback = self.network.page_writebacks_ns(dirty)
+        victim_dirty = chain(
+            (was_dirty for _vpn, was_dirty in old_victims), repeat(write, run_evicted)
+        )
+        for offset in range(0, npages, degree):
+            batch = min(degree, npages - offset)
+            batch_vpn = start_vpn + offset
+            if tracer.enabled:
+                tracer.emit(now + cost, "fault", vpn=batch_vpn, npages=batch, write=write)
+            batch_cost = memkernel.ensure_resident_range(batch_vpn, batch, write=False)
+            batch_cost += self.network.pages_in_ns(batch, batched=True)
+            victims = max(0, offset + batch - free) - max(0, offset - free)
+            for _ in range(sum(islice(victim_dirty, victims))):
+                batch_cost += writeback
+            cost += batch_cost
         return cost
 
     def _upgrade(self, vpn, entry, now):

@@ -56,24 +56,63 @@ class PageCache:
         """Look up a page without touching recency."""
         return self._entries.get(vpn)
 
+    def first_cached(self, start_vpn, end_vpn):
+        """Smallest cached vpn in [start_vpn, end_vpn), or ``end_vpn``."""
+        return next(filter(self._entries.__contains__, range(start_vpn, end_vpn)), end_vpn)
+
     def insert(self, vpn, writable, dirty=False):
         """Insert (or refresh) a page; return list of evicted (vpn, dirty).
 
         Evictions are exact LRU; dirty victims must be written back by the
         caller (the kernel charges the transfer).
         """
-        entry = self._entries.get(vpn)
-        if entry is not None:
-            entry.writable = entry.writable or writable
-            entry.dirty = entry.dirty or dirty
-            self._entries.move_to_end(vpn)
-            return []
-        self._entries[vpn] = CacheEntry(writable, dirty)
+        return self.insert_run(vpn, 1, writable, dirty)
+
+    def insert_run(self, start_vpn, npages, writable, dirty=False):
+        """Insert (or refresh) ``npages`` consecutive pages in order.
+
+        Returns the evicted (vpn, dirty) pairs in eviction order, exactly
+        as calling :meth:`insert` page by page would. A page of the run may
+        evict an earlier page of the same run when the run is longer than
+        the cache.
+        """
+        entries = self._entries
+        capacity = self.capacity_pages
         evicted = []
-        while len(self._entries) > self.capacity_pages:
-            victim_vpn, victim = self._entries.popitem(last=False)
-            evicted.append((victim_vpn, victim.dirty))
+        for vpn in range(start_vpn, start_vpn + npages):
+            entry = entries.get(vpn)
+            if entry is not None:
+                entry.writable = entry.writable or writable
+                entry.dirty = entry.dirty or dirty
+                entries.move_to_end(vpn)
+                continue
+            entries[vpn] = CacheEntry(writable, dirty)
+            if len(entries) > capacity:
+                victim_vpn, victim = entries.popitem(last=False)
+                evicted.append((victim_vpn, victim.dirty))
         return evicted
+
+    def insert_absent_run(self, start_vpn, npages, writable, dirty=False):
+        """Insert ``npages`` consecutive pages, none of them cached, in order.
+
+        The LRU order and victims are those of :meth:`insert_run`, but the
+        result is built in one step: the victims are the oldest entries in
+        LRU order, then the run's own earliest pages, and run pages that
+        the run itself evicts are never created. Returns the evicted
+        (vpn, dirty) pairs of the entries cached before the call, in
+        eviction order, and the number of run pages evicted (the first
+        ones; each had the flags given here).
+        """
+        entries = self._entries
+        overflow = len(entries) + npages - self.capacity_pages
+        old_victims = []
+        for _ in range(min(overflow, len(entries))):
+            victim_vpn, victim = entries.popitem(last=False)
+            old_victims.append((victim_vpn, victim.dirty))
+        run_evicted = max(0, overflow - len(old_victims))
+        for vpn in range(start_vpn + run_evicted, start_vpn + npages):
+            entries[vpn] = CacheEntry(writable, dirty)
+        return old_victims, run_evicted
 
     def invalidate(self, vpn):
         """Drop a page (coherence invalidation); return its entry or None."""

@@ -65,6 +65,19 @@ class Network:
             return self.config.page_writeback_ns(npages)
         return npages * self.config.page_writeback_ns(1)
 
+    def page_writebacks_ns(self, npages):
+        """Charge ``npages`` single-page write-backs, one message each.
+
+        Counts the traffic of ``npages`` calls of ``pages_out_ns(1)`` at
+        once and returns the cost of *one* of them. A caller adds it once
+        per page, so that its running total rounds exactly as those calls'
+        would.
+        """
+        self.stats.remote_pages_out += npages
+        self.stats.network_bytes += npages * self.config.page_size
+        self.stats.rpc_messages += npages
+        return self.config.page_writeback_ns(1)
+
     def coherence_message_ns(self, with_page=False):
         """Charge one coherence-protocol message (Section 4.1).
 

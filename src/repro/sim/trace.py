@@ -38,7 +38,8 @@ class Tracer:
 
     #: Recognised event kinds.
     KINDS = frozenset({
-        "fault",        # compute-pool page fault served remotely
+        "fault",        # compute-pool page fault served remotely (a
+                        # sequential stream emits one per prefetch batch)
         "coherence",    # protocol transition (invalidate/downgrade/tiebreak)
         "pushdown",     # pushdown lifecycle (begin/finish/cancel/abort)
         "syncmem",      # manual synchronisation calls

@@ -18,6 +18,7 @@ from repro.sim.config import DdcConfig
 from repro.sim.units import KIB
 from repro.teleport.coherence import CoherenceProtocol
 from repro.teleport.flags import ConsistencyMode
+from tests import reference_kernel
 
 N_PAGES = 48
 PAGE_ELEMENTS = 4 * KIB // 8
@@ -30,7 +31,8 @@ CONFIG = dict(
 
 
 def reference_cost(ctx, vpns, write):
-    """The per-access loop: every access goes through the pool machinery."""
+    """The per-access loop: every access goes through the pool machinery;
+    a compute-pool miss through the per-page reference kernel."""
     config = ctx.config
     cost = 0.0
     prev = None
@@ -39,7 +41,9 @@ def reference_cost(ctx, vpns, write):
         if ctx.pool is Pool.LOCAL:
             cost += ctx.platform.swap.touch(vpn, dirty=write)
         elif ctx.pool is Pool.COMPUTE:
-            cost += ctx.compkernel.touch_random(ctx.memkernel, vpn, write, now + cost)
+            cost += reference_kernel.touch_random(
+                ctx.compkernel, ctx.memkernel, vpn, write, now + cost
+            )
         else:
             cost += ctx.protocol.memory_touch(vpn, write, now + cost)
         cost += config.dram_line_ns if vpn == prev else config.dram_random_ns

@@ -13,6 +13,10 @@ OPS = st.lists(
     st.one_of(
         st.tuples(st.just("get"), VPNS),
         st.tuples(st.just("insert"), VPNS, st.booleans(), st.booleans()),
+        st.tuples(
+            st.sampled_from(["insert_run", "insert_absent_run", "first_cached"]),
+            VPNS, st.integers(1, 12), st.booleans(), st.booleans(),
+        ),
         st.tuples(st.just("invalidate"), VPNS),
         st.tuples(st.just("downgrade"), VPNS),
         st.tuples(st.just("mark_dirty"), VPNS),
@@ -80,6 +84,31 @@ def test_cache_matches_reference_model(capacity, ops):
             real_evicted = cache.insert(vpn, writable, dirty)
             model_evicted = model.insert(vpn, writable, dirty)
             assert real_evicted == model_evicted
+        elif kind == "insert_run":
+            _kind, vpn, npages, writable, dirty = op
+            expected = []
+            for page in range(vpn, vpn + npages):
+                expected += model.insert(page, writable, dirty)
+            assert cache.insert_run(vpn, npages, writable, dirty) == expected
+        elif kind == "insert_absent_run":
+            _kind, vpn, npages, writable, dirty = op
+            run = range(vpn, vpn + npages)
+            if any(page in model.entries for page in run):
+                continue
+            expected = []
+            for page in run:
+                expected += model.insert(page, writable, dirty)
+            old_victims = [victim for victim in expected if victim[0] not in run]
+            assert expected[len(old_victims):] == [
+                (page, dirty) for page in run[: len(expected) - len(old_victims)]
+            ]
+            assert cache.insert_absent_run(vpn, npages, writable, dirty) == (
+                old_victims, len(expected) - len(old_victims)
+            )
+        elif kind == "first_cached":
+            _kind, vpn, npages, _writable, _dirty = op
+            cached = [page for page in range(vpn, vpn + npages) if page in model.entries]
+            assert cache.first_cached(vpn, vpn + npages) == min(cached, default=vpn + npages)
         elif kind == "invalidate":
             cache.invalidate(vpn)
             model.invalidate(vpn)

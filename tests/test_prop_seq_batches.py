@@ -1,0 +1,167 @@
+"""Property test: batch and closed-form fault charging is exact.
+
+``ComputeKernel`` admits each prefetch batch in one cache operation and,
+without a protocol, charges runs of uncached stream pages in closed form.
+Here it is compared with the per-page kernel kept in
+``tests/reference_kernel.py``, on two identical platforms fed the same
+random and sequential accesses: the returned costs must be bit-equal, the
+counters identical, and the compute cache (LRU order and flags) and the
+memory pool (LRU order) the same. The cases cover a cache smaller than a
+prefetch batch, streams over cached pages (including ones the stream
+evicts before reaching them), a memory pool that spills to storage, and no
+protocol or a live MESI, PSO or WEAK one, with the sanitizers armed.
+
+Under MESI the armed sanitizers can fire inside a batch (see
+``test_mesi_batch_that_evicts_its_own_page_breaks_swmr``); the two kernels
+must then raise the same violation after the same costs.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ddc import make_platform
+from repro.errors import SanitizerViolation
+from repro.sim.config import DdcConfig
+from repro.sim.units import KIB
+from repro.teleport.coherence import CoherenceProtocol
+from repro.teleport.flags import ConsistencyMode
+from tests import reference_kernel
+
+N_PAGES = 48
+PAGE_ELEMENTS = 4 * KIB // 8
+#: Compute-cache sizes in pages: below, near and above a prefetch batch.
+CACHE_PAGES = [3, 9, 20]
+MODES = [None, ConsistencyMode.MESI, ConsistencyMode.PSO, ConsistencyMode.WEAK]
+
+
+class NewKernel:
+    """The kernel under test, with the reference's call signatures."""
+
+    @staticmethod
+    def touch_random(kernel, memkernel, vpn, write, now):
+        return kernel.touch_random(memkernel, vpn, write, now)
+
+    @staticmethod
+    def touch_sequential(kernel, memkernel, vpn, npages, write, now):
+        return kernel.touch_sequential(memkernel, vpn, npages, write, now)
+
+
+def play(impl, cache_pages, degree, mode, warmup, ops):
+    """Run ``warmup`` without a protocol, attach one (if ``mode``), then run
+    ``ops``; return everything the two kernels must agree on."""
+    config = DdcConfig(
+        compute_cache_bytes=cache_pages * 4 * KIB,
+        memory_pool_bytes=24 * 4 * KIB,
+        prefetch_degree=degree,
+        sanitizers=True,
+    )
+    platform = make_platform("teleport", config)
+    process = platform.new_process()
+    region = process.alloc_array("data", np.zeros(N_PAGES * PAGE_ELEMENTS))
+    compute, memory = platform.kernels_for(process)
+    base = region.start_vpn
+    costs = []
+    now = 0.0
+
+    def run(steps):
+        nonlocal now
+        for kind, page, length, write in steps:
+            vpn = base + page
+            if kind == "seq":
+                npages = min(length, N_PAGES - page)
+                cost = impl.touch_sequential(compute, memory, vpn, npages, write, now)
+            elif kind == "mem" and compute.protocol is not None:
+                cost = compute.protocol.memory_touch(vpn, write, now)
+            else:
+                cost = impl.touch_random(compute, memory, vpn, write, now)
+            costs.append(cost)
+            now += cost
+
+    run(warmup)
+    if mode is not None:
+        protocol = CoherenceProtocol(platform, process, mode)
+        protocol.setup(compute.resident_snapshot())
+        compute.protocol = protocol
+    try:
+        run(ops)
+    except SanitizerViolation as exc:
+        # Both kernels must trip the same check on the same access; the
+        # counters of an aborted batch are not compared.
+        return {"costs": costs, "violation": str(exc)}
+    state = {
+        "costs": costs,
+        "stats": platform.stats.as_dict(),
+        "cache": [
+            (vpn, entry.writable, entry.dirty) for vpn, entry in compute.cache.resident_items()
+        ],
+        "memory_pool": list(memory.pool._resident.items()),
+    }
+    if compute.protocol is not None:
+        state["t_mm"] = sorted(
+            (vpn, pte.present, pte.writable, pte.dirty)
+            for vpn, pte in compute.protocol.t_mm.owned_entries()
+        )
+    return state
+
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["seq", "seq", "rand", "mem"]),
+        st.integers(0, N_PAGES - 1),
+        st.integers(1, N_PAGES),
+        st.booleans(),
+    ),
+    max_size=12,
+)
+
+
+def assert_same(cache_pages, degree, mode, warmup, ops):
+    expected = play(reference_kernel, cache_pages, degree, mode, warmup, ops)
+    actual = play(NewKernel, cache_pages, degree, mode, warmup, ops)
+    # Bit-equal, not approximately equal.
+    assert actual["costs"] == expected["costs"]
+    assert actual == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cache_pages=st.sampled_from(CACHE_PAGES),
+    degree=st.sampled_from([4, 8]),
+    mode=st.sampled_from(MODES),
+    warmup=OPS,
+    ops=OPS,
+)
+def test_batched_faults_match_per_page_kernel(cache_pages, degree, mode, warmup, ops):
+    assert_same(cache_pages, degree, mode, warmup, ops)
+
+
+def test_stream_evicts_cached_page_before_reaching_it():
+    """Page 10 is cached at the LRU front; a write stream from page 0
+    evicts it (dirty) on the way and then faults it in again."""
+    warmup = [("rand", 10, 1, True), ("rand", 30, 1, False), ("rand", 31, 1, True)]
+    ops = [("seq", 0, 24, True)]
+    for cache_pages in CACHE_PAGES:
+        assert_same(cache_pages, 8, None, warmup, ops)
+
+
+def test_closed_form_run_spills_memory_pool():
+    """A whole-region write stream on a cold cache: every page is in the
+    closed form, and the memory pool spills to storage on the way."""
+    state = play(NewKernel, 9, 8, None, [], [("seq", 0, N_PAGES, True)])
+    assert state["stats"]["storage_faults"] > 0
+    assert state["stats"]["dirty_writebacks"] == N_PAGES - 9
+    assert_same(9, 8, None, [], [("seq", 0, N_PAGES, True)])
+
+
+def test_mesi_batch_that_evicts_its_own_page_breaks_swmr():
+    """A known modelling gap that both kernels share: ``on_compute_fetch``
+    runs for the whole batch before any insert, so when an earlier insert
+    of the batch evicts a later page of it, ``on_compute_evict`` gives the
+    memory pool write access back and the later insert makes the page
+    writable on both sides."""
+    warmup = []
+    ops = [("seq", 0, 4, False), ("seq", 0, 2, True)]
+    state = play(reference_kernel, 3, 4, ConsistencyMode.MESI, warmup, ops)
+    assert "writable in compute pool but mapped in t_mm" in state["violation"]
+    assert_same(3, 4, ConsistencyMode.MESI, warmup, ops)

@@ -74,6 +74,29 @@ class TestPlatformIntegration:
         # Events carry causally increasing-ish vpn detail.
         assert all("vpn" in e.detail for e in platform.tracer.events)
 
+    def test_every_miss_is_one_fault_event(self):
+        """Random misses and sequential prefetch batches both emit one
+        ``fault`` event each; a batch's event says how many pages it
+        fetched."""
+        platform = make_platform("ddc", DdcConfig(compute_cache_bytes=64 * KIB))
+        platform.tracer.enable(kinds={"fault"})
+        process = platform.new_process()
+        region = alloc_floats(process, "a", 100_000)
+        ctx = platform.main_context(process)
+        idx = np.random.default_rng(1).integers(0, 100_000, size=200)
+        ctx.touch_random(region, idx)
+        ctx.touch_seq(region, 0, 40_000, write=True)
+        ctx.touch_random(region, idx, write=True)
+        ctx.load_slice(region, 30_000, 60_000)
+        faults = platform.tracer.of_kind("fault")
+        assert len(faults) == platform.stats.cache_misses
+        batches = [e.detail for e in faults if "npages" in e.detail]
+        assert batches and {e["npages"] for e in batches} <= set(
+            range(1, platform.config.prefetch_degree + 1)
+        )
+        times = [e.at_ns for e in faults]
+        assert times == sorted(times)
+
     def test_pushdown_lifecycle_traced(self):
         platform = make_platform("teleport", DdcConfig(compute_cache_bytes=1 * MIB))
         platform.tracer.enable(kinds={"pushdown"})
@@ -136,7 +159,11 @@ class TestPlatformIntegration:
             process = platform.new_process()
             region = alloc_floats(process, "a", 50_000)
             ctx = platform.main_context(process)
+            # Compute-pool streams around the pushdown: a cold write stream
+            # and a read stream over a partly cached region.
+            ctx.touch_seq(region, 0, 30_000, write=True)
             ctx.pushdown(lambda mctx: float(mctx.load_slice(region).sum()))
-            return ctx.now
+            ctx.load_slice(region, 20_000, 50_000)
+            return ctx.now, platform.stats.as_dict()
 
         assert run(False) == run(True)

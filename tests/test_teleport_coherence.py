@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.ddc import make_platform
+from repro.ddc import Pool, make_platform
+from repro.ddc.context import ExecutionContext
+from repro.ddc.thread import SimThread
 from repro.sim.config import DdcConfig
-from repro.sim.units import MIB
+from repro.sim.units import KIB, MIB
 from repro.teleport.coherence import CoherenceProtocol
 from repro.teleport.flags import ConsistencyMode
+
+PAGE_ELEMENTS = 4 * KIB // 8
 
 
 @pytest.fixture
@@ -303,6 +307,32 @@ class TestComputeSide:
         ctx = platform.main_context(process)
         ctx.clock.advance_to(write_at_ns)
         ctx.touch_seq(region, 0, 1, write=True)
+        assert platform.stats.coherence_tiebreaks == tiebreaks
+
+    @pytest.mark.parametrize(
+        "upgrade_at_ns, tiebreaks", [(5000.0, 1), (12_000.0, 1), (13_000.0, 0)]
+    )
+    def test_memory_sequential_write_upgrades_end_in_turn(self, env, upgrade_at_ns, tiebreaks):
+        """A memory-pool sequential write upgrades its pages one after the
+        other: under PSO each of four read-only compute copies costs a
+        3.2 us round trip, so the 4th upgrade is in flight until 12.8 us,
+        not 3.2 us, and a compute upgrade of that page before then loses
+        the tie-break."""
+        platform, process, region = env
+        compute, memory = platform.kernels_for(process)
+        vpns = range(region.start_vpn, region.start_vpn + 4)
+        for vpn in vpns:
+            compute.cache.insert(vpn, writable=False)
+        protocol = platform.teleport.acquire_protocol(process, ConsistencyMode.PSO)
+        protocol.setup(compute.resident_snapshot())
+        compute.protocol = protocol
+        mctx = ExecutionContext(
+            platform, SimThread(process, pool=Pool.MEMORY),
+            memkernel=memory, compkernel=compute, protocol=protocol,
+        )
+        mctx.touch_seq(region, 0, 4 * PAGE_ELEMENTS, write=True)
+        assert protocol.online_sync_ns == 4 * 2 * platform.config.coherence_msg_ns
+        compute.touch_random(memory, vpns[-1], write=True, now=upgrade_at_ns)
         assert platform.stats.coherence_tiebreaks == tiebreaks
 
 
