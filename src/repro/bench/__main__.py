@@ -6,11 +6,14 @@ Usage::
     python -m repro.bench fig13
     python -m repro.bench fig06 fig07 --effort full
     python -m repro.bench all --effort quick
+    python -m repro.bench fig07 fig21 --sanitize
 """
 
 import argparse
+import contextlib
 import sys
 
+from repro.analysis import sanitizers
 from repro.bench.registry import FIGURES, run_figure
 from repro.bench.timing import wall_timer
 
@@ -31,6 +34,12 @@ def main(argv=None):
         default="quick",
         help="workload sizing preset (default: quick)",
     )
+    parser.add_argument(
+        "--sanitize",
+        action="store_true",
+        help="run with the SWMR and leak sanitizers armed; a violation "
+        "raises, and the run fails if no SWMR check ran",
+    )
     args = parser.parse_args(argv)
 
     if args.figures == ["list"]:
@@ -39,11 +48,22 @@ def main(argv=None):
         return 0
 
     targets = sorted(FIGURES) if args.figures == ["all"] else args.figures
-    for figure_id in targets:
-        with wall_timer() as timer:
-            result = run_figure(figure_id, effort=args.effort)
-        print(result.format_table())
-        print(f"[{figure_id} completed in {timer.seconds:.1f}s wall]\n")
+    armed = sanitizers.sanitized() if args.sanitize else contextlib.nullcontext()
+    with armed as suite:
+        # Under an already-armed process (pytest --sanitize) count only this run.
+        checks_before = (suite.swmr_checks, suite.leak_checks) if suite else (0, 0)
+        for figure_id in targets:
+            with wall_timer() as timer:
+                result = run_figure(figure_id, effort=args.effort)
+            print(result.format_table())
+            print(f"[{figure_id} completed in {timer.seconds:.1f}s wall]\n")
+    if suite is not None:
+        swmr_checks = suite.swmr_checks - checks_before[0]
+        leak_checks = suite.leak_checks - checks_before[1]
+        print(f"[sanitizers: {swmr_checks} SWMR checks, {leak_checks} leak checks, no violation]")
+        if swmr_checks == 0:
+            print("no SWMR check ran: the sanitizers never fired", file=sys.stderr)
+            return 1
     return 0
 
 

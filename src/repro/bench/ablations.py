@@ -7,12 +7,10 @@ reports 20x), and the choice of coherence mode. Each ablation sweeps one
 of them with everything else fixed.
 """
 
-import numpy as np
-
 from repro.bench.results import FigureResult
 from repro.bench.workloads import effort_params, tpch_dataset, tpch_run
 from repro.ddc import make_platform
-from repro.micro import MicroSpec, run_micro
+from repro.micro import MicroSpec, run_micro, shared_space
 from repro.sim.config import scaled_config
 from repro.sim.units import MIB, MS, SEC
 
@@ -65,8 +63,8 @@ def run_ablation_rle(effort="quick"):
         config = scaled_config(space_bytes, cache_ratio=0.25, rle_compression=compression)
         platform = make_platform("teleport", config)
         process = platform.new_process()
-        rng = np.random.default_rng(config.seed)
-        region = process.alloc_array("space", rng.random(space_bytes // 8))
+        space, _rng = shared_space(config.seed, space_bytes // 8)
+        region = process.alloc_array("space", space)
         ctx = platform.main_context(process)
         ctx.touch_seq(region, 0, len(region.array))  # warm the cache
         ctx.pushdown(lambda mctx: None)

@@ -1,11 +1,9 @@
 """Figure runners for the microbenchmarks (Figures 6, 7, 17, 20, 21, 22)."""
 
-import numpy as np
-
 from repro.bench.results import FigureResult
 from repro.bench.workloads import effort_params
 from repro.ddc import make_platform
-from repro.micro import MicroSpec, parallel_aggregation_speedups, run_micro
+from repro.micro import MicroSpec, parallel_aggregation_speedups, run_micro, shared_space
 from repro.sim.config import DdcConfig, scaled_config
 from repro.sim.units import MIB, MS, SEC
 from repro.teleport.flags import SyncMethod
@@ -61,7 +59,7 @@ def run_fig06_sync_ablation(effort="quick"):
 def run_fig07_false_sharing(effort="quick"):
     """Figure 7: manual syncmem vs the coherence protocol under false
     sharing (paper: 4.6x vs 11x over base DDC)."""
-    spec = _micro_spec(effort, contention_rate=0.01, false_sharing=True)
+    spec = _micro_spec(effort, contention_rate=0.01)
     config = _micro_config(spec)
     modes = [
         ("Local execution", "local"),
@@ -127,8 +125,8 @@ def run_fig20_sync_breakdown(effort="quick"):
         config = scaled_config(space_bytes, cache_ratio=0.02)
         platform = make_platform("teleport", config)
         process = platform.new_process()
-        rng = np.random.default_rng(config.seed)
-        region = process.alloc_array("space", rng.random(space_bytes // 8))
+        space, _rng = shared_space(config.seed, space_bytes // 8)
+        region = process.alloc_array("space", space)
         ctx = platform.main_context(process)
         # Warm the cache with dirty pages, as in a running application.
         ctx.touch_seq(region, 0, len(region.array), write=True)

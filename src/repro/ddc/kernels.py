@@ -37,8 +37,7 @@ class MemoryKernel:
         over capacity the displaced pages pay their fault cost when (and
         if) they are touched again.
         """
-        for vpn in region.all_vpns():
-            self.pool.admit_new(vpn)
+        self.pool.admit_new_range(region.start_vpn, region.npages)
 
     def on_free(self, region):
         """Freed pages vacate pool DRAM immediately (no write-back)."""

@@ -32,15 +32,32 @@ class SwapDevice:
     def resident_pages(self):
         return len(self._resident)
 
-    def admit_new(self, vpn):
-        """Admit a freshly allocated (anonymous) page without a device read.
+    def admit_new_range(self, start_vpn, npages):
+        """Admit ``npages`` freshly allocated (anonymous) pages without a
+        device read.
 
         Used at allocation time: new pages are DRAM-resident and dirty with
         respect to storage. Eviction side effects still apply, but no fault
         is counted and no cost is returned — allocation is setup, and the
         cost of any displaced pages is paid when they fault back in.
+
+        The victims are those of admitting the pages one at a time: the
+        LRU's oldest pages, then the range's own earliest pages (dirty), so
+        pages the range itself would evict are never inserted. That holds
+        only when none of the pages is already resident; a range that
+        overlaps resident pages is admitted page by page.
         """
-        self._admit(vpn, dirty=True)
+        vpns = range(start_vpn, start_vpn + npages)
+        resident = self._resident
+        if not resident.keys().isdisjoint(vpns):
+            for vpn in vpns:
+                self._admit(vpn, dirty=True)
+            return
+        kept = min(npages, self.capacity_pages)
+        self._evict_down_to(self.capacity_pages - kept)
+        self.stats.storage_pages_out += npages - kept
+        for vpn in vpns[npages - kept:]:
+            resident[vpn] = True
 
     def touch(self, vpn, dirty=False):
         """Access one page; return the fault cost (0.0 on a DRAM hit)."""
@@ -90,8 +107,12 @@ class SwapDevice:
     def _admit(self, vpn, dirty):
         """Insert a page, evicting LRU victims; returns dirty-writeback cost."""
         self._resident[vpn] = dirty
+        return self._evict_down_to(self.capacity_pages)
+
+    def _evict_down_to(self, npages):
+        """Evict LRU victims until ``npages`` remain; returns dirty-writeback cost."""
         cost = 0.0
-        while len(self._resident) > self.capacity_pages:
+        while len(self._resident) > npages:
             _victim, victim_dirty = self._resident.popitem(last=False)
             if victim_dirty:
                 # A dirty victim must be flushed to the device before its

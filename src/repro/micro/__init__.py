@@ -14,11 +14,12 @@ aggregation experiment behind Figure 17.
 
 from repro.micro.parallel import parallel_aggregation_speedups
 from repro.micro.spec import MicroResult, MicroSpec
-from repro.micro.workloads import run_micro
+from repro.micro.workloads import run_micro, shared_space
 
 __all__ = [
     "MicroResult",
     "MicroSpec",
     "parallel_aggregation_speedups",
     "run_micro",
+    "shared_space",
 ]

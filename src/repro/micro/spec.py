@@ -13,6 +13,11 @@ class MicroSpec:
     The paper's instance uses a 50 GB memory space; the default here is a
     scaled-down space with the same cache-to-space ratio left to the
     caller's config.
+
+    There is no false-sharing switch: coherence is page-granular, so two
+    threads writing disjoint variables on one page (Figure 7's false
+    sharing) cost exactly what true sharing of that page costs. Figure 7
+    is the contended run (``contention_rate > 0``) as it stands.
     """
 
     #: Size of the memory-intensive thread's space (paper: 50 GB).
@@ -31,9 +36,6 @@ class MicroSpec:
     contention_rate: float = 0.0
     #: Number of shared pages the contending writes cycle over.
     shared_pages: int = 8
-    #: False sharing: the threads write *disjoint* variables that happen to
-    #: live on the same pages (Figure 7).
-    false_sharing: bool = False
     #: Operations per scheduler step (interleaving granularity).
     step_size: int = 1000
 

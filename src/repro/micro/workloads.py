@@ -18,6 +18,8 @@ Modes (Figure 6 bar names in parentheses):
   the shared data (the false-sharing remedy of Figure 7).
 """
 
+import copy
+
 from repro.ddc import make_platform
 from repro.errors import ReproError
 from repro.micro.spec import MicroResult
@@ -39,6 +41,39 @@ MODES = (
 #: Steps between manual syncmem calls in teleport_syncmem mode.
 _SYNCMEM_EVERY = 8
 
+#: The last space drawn from an int seed: ``((seed, n_floats), space, rng)``,
+#: with ``rng`` as it stood right after the draw. One entry, so at most one
+#: space is ever held.
+_space_memo = None
+
+
+def shared_space(seed, n_floats):
+    """The space ``make_rng(seed).random(n_floats)`` and a generator that
+    continues from right after that draw.
+
+    Every cell of a sweep (each mode and contention rate) draws the same
+    space, and the workloads only read it, so an ``int`` seed's draw is
+    memoised and shared: the array is read-only, so a workload that writes
+    into it raises instead of corrupting the next cell. Each call returns
+    its own copy of the generator, so what a caller draws next is bit-for-bit
+    what a fresh ``make_rng(seed)`` would give after the space. Any other
+    seed bypasses the memo: drawing from a :class:`numpy.random.Generator`
+    consumes its state, so its space is drawn and returned unshared.
+    """
+    global _space_memo
+    if not isinstance(seed, int):
+        rng = make_rng(seed)
+        return rng.random(n_floats), rng
+    key = (seed, n_floats)
+    if _space_memo is None or _space_memo[0] != key:
+        _space_memo = None  # release the old space before drawing the next
+        rng = make_rng(seed)
+        space = rng.random(n_floats)
+        space.flags.writeable = False
+        _space_memo = (key, space, rng)
+    _key, space, rng = _space_memo
+    return space, copy.deepcopy(rng)
+
 
 def run_micro(spec, config, mode):
     """Run the microbenchmark; returns a :class:`MicroResult`."""
@@ -56,8 +91,8 @@ class _Runner:
         self.platform = make_platform(kind, config)
         self.process = self.platform.new_process()
         n_floats = max(1, spec.mem_space_bytes // 8)
-        rng = make_rng(config.seed)
-        self.big = self.process.alloc_array("micro.space", rng.random(n_floats))
+        space, rng = shared_space(config.seed, n_floats)
+        self.big = self.process.alloc_array("micro.space", space)
         self.shared = self.process.alloc(
             "micro.shared", spec.shared_pages * config.page_size
         )

@@ -50,6 +50,17 @@ def test_cli_runs_figure(capsys):
     assert "completed" in out
 
 
+def test_cli_sanitize_reports_checks(capsys):
+    assert bench_main(["fig20", "--sanitize"]) == 0
+    assert "SWMR checks, " in capsys.readouterr().out
+
+
+def test_cli_sanitize_fails_when_no_swmr_check_ran(capsys):
+    # fig11 is a static table: no coherence protocol ever runs.
+    assert bench_main(["fig11", "--sanitize"]) == 1
+    assert "no SWMR check ran" in capsys.readouterr().err
+
+
 def test_effort_params_validation():
     assert effort_params("quick")["tpch_sf"] > 0
     assert effort_params("full")["tpch_sf"] > effort_params("quick")["tpch_sf"]

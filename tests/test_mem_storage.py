@@ -15,7 +15,7 @@ def make_device(capacity_pages, **overrides):
 
 def test_admit_new_makes_page_resident_for_free():
     device, stats = make_device(10)
-    device.admit_new(1)
+    device.admit_new_range(1, 1)
     assert 1 in device
     assert stats.storage_faults == 0
     assert device.touch(1) == 0.0

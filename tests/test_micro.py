@@ -1,9 +1,14 @@
 """Tests for the microbenchmark package (Figures 6, 7, 17, 21, 22)."""
 
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ReproError
-from repro.micro import MicroSpec, parallel_aggregation_speedups, run_micro
+from repro.micro import MicroSpec, parallel_aggregation_speedups, run_micro, shared_space
+from repro.micro import workloads
+from repro.micro.workloads import MODES, _Runner
 from repro.serve.scheduler import interleave
 from repro.sim.clock import VirtualClock
 from repro.sim.config import DdcConfig, scaled_config
@@ -141,12 +146,80 @@ class TestFalseSharing:
             compute_ops=SMALL.compute_ops,
             step_size=SMALL.step_size,
             contention_rate=0.01,
-            false_sharing=True,
         )
         coherence = run_micro(spec, config, "teleport_coherence")
         syncmem = run_micro(spec, config, "teleport_syncmem")
         assert syncmem.total_ns < coherence.total_ns
         assert syncmem.coherence_messages == 0
+
+
+class TestSharedSpace:
+    """Every cell of a sweep shares one read-only draw of the space."""
+
+    CONTENDED = MicroSpec(
+        mem_space_bytes=2 * MIB,
+        n_accesses=6_000,
+        ops_per_access=350,
+        compute_ops=3_300_000,
+        step_size=500,
+        contention_rate=0.001,
+    )
+
+    def unshared_checksum(self, spec, seed):
+        """The memory thread's checksum from a private, unshared draw."""
+        rng = np.random.default_rng(seed)
+        n_floats = spec.mem_space_bytes // 8
+        space = rng.random(n_floats)
+        indices = rng.integers(0, n_floats, size=spec.n_accesses)
+        checksum = 0.0
+        for lo in range(0, spec.n_accesses, spec.step_size):
+            checksum += float(space[indices[lo: lo + spec.step_size]].sum())
+        return checksum
+
+    def test_runners_with_same_seed_and_size_share_the_space(self):
+        config = small_config()
+        first = _Runner(SMALL, config, "local")
+        second = _Runner(SMALL, config, "teleport_coherence")
+        assert first.big.array is second.big.array
+        np.testing.assert_array_equal(first.indices, second.indices)
+
+    def test_shared_space_is_read_only(self):
+        space, _rng = shared_space(2022, 1024)
+        with pytest.raises(ValueError):
+            space[0] = 0.5
+
+    def test_other_seed_or_size_redraws_and_releases_the_old_space(self):
+        space, _rng = shared_space(7, 4096)
+        for seed, n_floats in ((8, 4096), (8, 2048)):
+            old = weakref.ref(space)
+            space, _rng = shared_space(seed, n_floats)
+            assert old() is None
+            np.testing.assert_array_equal(
+                space, np.random.default_rng(seed).random(n_floats)
+            )
+
+    def test_generator_seed_bypasses_the_memo(self):
+        shared, _rng = shared_space(2022, 1024)
+        memo = workloads._space_memo
+        rng = np.random.default_rng(2022)
+        space, rest = shared_space(rng, 1024)
+        assert rest is rng
+        assert space is not shared and space.flags.writeable
+        assert workloads._space_memo is memo
+        np.testing.assert_array_equal(space, shared)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_memoised_run_matches_a_cold_run(self, mode, monkeypatch):
+        config = small_config()
+        monkeypatch.setattr(workloads, "_space_memo", None)
+        cold = _Runner(self.CONTENDED, config, mode)
+        cold_result = cold.run()
+        warm = _Runner(self.CONTENDED, config, mode)
+        warm_result = warm.run()
+        assert warm.big.array is cold.big.array
+        assert warm_result == cold_result
+        expected = self.unshared_checksum(self.CONTENDED, config.seed)
+        assert cold.results["checksum"] == warm.results["checksum"] == expected
 
 
 class TestFigure17:
