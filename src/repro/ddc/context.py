@@ -162,13 +162,12 @@ class ExecutionContext:
     def _random_cost(self, vpns, write):
         """Cost of a batch of random page touches.
 
-        Very large batches are simulated by deterministic stride sampling:
-        every k-th access runs through the exact cache/coherence machinery
-        and cost plus counters are scaled back up. This keeps multi-million
-        access workloads tractable while preserving hit rates and shapes.
-        Smaller batches (and each sample) take the exact path, which
-        simulates each run of repeated pages once
-        (:meth:`_random_cost_exact`).
+        Batches over ``access_sample_threshold`` are stride-sampled: every
+        k-th access runs through the exact cache/coherence machinery, and
+        the cost and counters are scaled back up. This is an approximation
+        that moves results (with it off, the quick fig12 projection, fig01b
+        and Q3 rows change; ROADMAP item 1). Smaller batches, and each
+        sample, take the exact path (:meth:`_random_cost_exact`).
         """
         n = len(vpns)
         if n > self.config.access_sample_threshold:
@@ -182,7 +181,7 @@ class ExecutionContext:
         return self._random_cost_exact(vpns, write)
 
     def _random_cost_exact(self, vpns, write):
-        """Exact simulation of every access, one pool call per run.
+        """Exact simulation of every access, one pool access per run.
 
         Per-access DRAM cost depends on locality: an access to the same
         page as the previous one is a row-buffer hit (``dram_line_ns``); a
@@ -196,43 +195,74 @@ class ExecutionContext:
         exactly ``dram_line_ns`` and change nothing but the compute cache's
         hit counter. The repeats are charged as k-1 separate additions so
         that the total is the per-access loop's, bit for bit.
+
+        Where no head's cost depends on the virtual time, the pool serves
+        all heads in one batch call and returns their fault costs: the
+        local swap always, the compute cache when no protocol is attached
+        and the tracer is off. The memory pool serves the heads that
+        change nothing in one batch call when no sanitizer is armed and the
+        tracer is off; every other head is one protocol call at its time.
         """
         pool = self.pool
-        line_ns = self.config.dram_line_ns
-        random_ns = self.config.dram_random_ns
-        cost = 0.0
+        heads, repeats = _page_runs(vpns)
+        tracer = self.platform.tracer
         if pool is Pool.LOCAL:
-            swap = self.platform.swap
-            for vpn, repeats in _page_runs(vpns):
-                cost += swap.touch(vpn, dirty=write)
-                cost += random_ns
-                for _ in range(repeats):
-                    cost += line_ns
-            return cost
+            return self._runs_cost(self.platform.swap.touch_pages(heads, dirty=write), repeats)
         if pool is Pool.COMPUTE:
             kernel = self.compkernel
+            self.stats.cache_hits += sum(repeats)
+            if kernel.protocol is None and not tracer.enabled:
+                return self._runs_cost(kernel.touch_pages(self.memkernel, heads, write), repeats)
+            line_ns = self.config.dram_line_ns
+            random_ns = self.config.dram_random_ns
             memkernel = self.memkernel
-            stats = self.stats
             now = self.now
-            for vpn, repeats in _page_runs(vpns):
+            cost = 0.0
+            for vpn, run_repeats in zip(heads, repeats):
                 cost += kernel.touch_random(memkernel, vpn, write, now + cost)
                 cost += random_ns
-                if repeats:
-                    stats.cache_hits += repeats
-                    for _ in range(repeats):
-                        cost += line_ns
+                for _ in range(run_repeats):
+                    cost += line_ns
             return cost
         if pool is Pool.MEMORY:
             protocol = self.protocol
+            if protocol.sanitizer is None and not tracer.enabled:
+                served = protocol.quiet_touches(heads, write)
+            else:
+                served = [False] * len(heads)
+            line_ns = self.config.dram_line_ns
+            random_ns = self.config.dram_random_ns
+            touch = protocol.memory_touch
             now = self.now
-            for vpn, repeats in _page_runs(vpns):
-                cost += protocol.memory_touch(vpn, write, now + cost)
+            cost = 0.0
+            for vpn, run_repeats, quiet in zip(heads, repeats, served):
+                if not quiet:
+                    cost += touch(vpn, write, now + cost)
                 cost += random_ns
-                for _ in range(repeats):
+                for _ in range(run_repeats):
                     cost += line_ns
             self.stats.memory_side_page_touches += len(vpns)
             return cost
         raise ReproError(f"unknown pool {pool!r}")
+
+    def _runs_cost(self, faults, repeats):
+        """Total cost of a batch's runs, given each head's fault cost.
+
+        Each run adds its head's fault cost, ``dram_random_ns`` and one
+        ``dram_line_ns`` per repeat, in order. A hit's fault cost of 0.0 is
+        not added: ``x + 0.0 == x`` for every non-negative ``x``.
+        """
+        line_ns = self.config.dram_line_ns
+        random_ns = self.config.dram_random_ns
+        cost = 0.0
+        for fault, run_repeats in zip(faults, repeats):
+            if fault:
+                cost += fault
+            cost += random_ns
+            if run_repeats:
+                for _ in range(run_repeats):
+                    cost += line_ns
+        return cost
 
     # ------------------------------------------------------------------
     # TELEPORT surface (overridden behaviour on TeleportPlatform)
@@ -280,11 +310,11 @@ def _run_heads(vpns):
 
 
 def _page_runs(vpns):
-    """(vpn, repeats) for each run of equal consecutive vpns in a batch:
-    the run's page and how many accesses after its first one it holds."""
+    """The runs of equal consecutive vpns in a batch, as two lists: each
+    run's page, and how many accesses after its first one it holds."""
     if len(vpns) <= 1:
-        return [(int(vpn), 0) for vpn in vpns]
+        return [int(vpn) for vpn in vpns], [0] * len(vpns)
     vpns = np.asarray(vpns)
     starts = np.flatnonzero(_run_heads(vpns))
     repeats = np.diff(starts, append=len(vpns)) - 1
-    return zip(vpns[starts].tolist(), repeats.tolist())
+    return vpns[starts].tolist(), repeats.tolist()

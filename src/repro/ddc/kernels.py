@@ -14,7 +14,7 @@ Single-Writer-Multiple-Reader invariant holds across the pools.
 
 from itertools import chain, islice, repeat
 
-from repro.mem.cache import PageCache
+from repro.mem.cache import HIT, MISS_EVICTED_CLEAN, MISS_EVICTED_DIRTY, PageCache
 from repro.mem.storage import SwapDevice
 
 
@@ -55,6 +55,16 @@ class MemoryKernel:
     def ensure_resident_range(self, start_vpn, npages, write=False):
         """Bring a run of pages into pool DRAM (readahead applies)."""
         return self.pool.touch_range(start_vpn, npages, dirty=write)
+
+    def ensure_resident_pages(self, vpns):
+        """Bring pages into pool DRAM one after another, each as a
+        one-page :meth:`ensure_resident_range`; returns each page's
+        storage-fault cost."""
+        return self.pool.touch_pages(vpns)
+
+    def resident_prefix(self, vpns):
+        """How many of ``vpns``, from the first, are in pool DRAM."""
+        return self.pool.resident_prefix(vpns)
 
 
 class ComputeKernel:
@@ -102,6 +112,43 @@ class ComputeKernel:
         if self.platform.tracer.enabled:
             self.platform.tracer.emit(now, "fault", vpn=vpn, write=write)
         return self._fetch(memkernel, vpn, npages=1, write=write)
+
+    def touch_pages(self, memkernel, vpns, write):
+        """:meth:`touch_random` of each page in order, with no protocol
+        attached and the tracer off; returns each touch's fault cost.
+
+        The cache serves the whole batch in one pass
+        (:meth:`PageCache.access_pages`), the memory pool then brings the
+        missed pages in, in order, and the counters and traffic are
+        charged once for the batch. The two passes commute because without
+        a protocol the cache and the memory pool share no state. A miss
+        costs its storage fault plus ``remote_fault_ns(1)``, plus
+        ``page_writeback_ns(1)`` if it evicted a dirty page, added in that
+        order as in :meth:`_fetch`; a hit costs 0.0 (an upgrade to
+        writable is silent).
+        """
+        outcomes = self.cache.access_pages(vpns, write)
+        hits = outcomes.count(HIT)
+        evicted_clean = outcomes.count(MISS_EVICTED_CLEAN)
+        dirty = outcomes.count(MISS_EVICTED_DIRTY)
+        misses = len(outcomes) - hits
+        self.stats.cache_hits += hits
+        self.stats.cache_misses += misses
+        self.stats.cache_evictions += evicted_clean + dirty
+        self.stats.dirty_writebacks += dirty
+        fault = self.network.page_faults_ns(misses)
+        writeback = self.network.page_writebacks_ns(dirty)
+        by_outcome = (0.0, fault, fault, fault + writeback)
+        costs = [by_outcome[outcome] for outcome in outcomes]
+        missed = [i for i, outcome in enumerate(outcomes) if outcome != HIT]
+        storage = memkernel.ensure_resident_pages([vpns[i] for i in missed])
+        for i, storage_ns in zip(missed, storage):
+            if storage_ns:
+                cost = storage_ns + fault
+                if outcomes[i] == MISS_EVICTED_DIRTY:
+                    cost += writeback
+                costs[i] = cost
+        return costs
 
     def touch_sequential(self, memkernel, start_vpn, npages, write, now=0.0):
         """Stream ``npages`` consecutive pages through the cache.
@@ -164,11 +211,14 @@ class ComputeKernel:
         in its own message; its cost is added to the batch's one page at a
         time, as charging the victims one by one would round.
 
-        With a protocol attached the hooks keep their per-page order:
-        ``on_compute_fetch`` for every page before any insert (Figure 9
-        lines 3-10: the memory side adjusts ``t_mm`` before replying), then
-        per page its insert, ``on_compute_evict`` for each of its victims
-        and the sanitizer's fetch check.
+        With a protocol attached the batch is admitted page by page: per
+        page ``on_compute_fetch`` (Figure 9 lines 3-10: the memory side
+        adjusts ``t_mm`` before replying), its insert, ``on_compute_evict``
+        for each of its victims and the sanitizer's fetch check. Running
+        each page's fetch hook just before its own insert matters when an
+        earlier insert of the batch evicts a later page of it: the evict
+        hook gives ``t_mm`` write access back, and the later page's fetch
+        hook must then take it away again.
         """
         cost = memkernel.ensure_resident_range(vpn, npages, write=False)
         cost += self.network.pages_in_ns(npages, batched=True)
@@ -176,12 +226,10 @@ class ComputeKernel:
         if protocol is None:
             victims = self.cache.insert_run(vpn, npages, write, dirty=write)
         else:
-            pages = range(vpn, vpn + npages)
-            for fetched in pages:
-                protocol.on_compute_fetch(fetched, write)
             sanitizers = self.platform.sanitizers
             victims = []
-            for fetched in pages:
+            for fetched in range(vpn, vpn + npages):
+                protocol.on_compute_fetch(fetched, write)
                 evicted = self.cache.insert(fetched, write, dirty=write)
                 for victim_vpn, _dirty in evicted:
                     protocol.on_compute_evict(victim_vpn)

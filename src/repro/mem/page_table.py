@@ -122,6 +122,44 @@ class PageTableSnapshot:
             self._owned[vpn] = entry
         return entry
 
+    def quiet_reads(self, vpns, writable_only):
+        """For each page, whether a read of it finds a present PTE (and a
+        writable one, if ``writable_only``); copies nothing."""
+        owned = self._owned.get
+        shared = self._entries.get
+        quiet = []
+        append = quiet.append
+        for vpn in vpns:
+            pte = owned(vpn)
+            if pte is None:
+                pte = shared(vpn)
+            append(pte is not None and pte.present and (pte.writable or not writable_only))
+        return quiet
+
+    def quiet_writes(self, vpns):
+        """For each page, whether its PTE is present and writable, so that
+        a write only sets its dirty bit; sets it on those PTEs, copying a
+        PTE not yet owned first (as :meth:`ensure` would)."""
+        owned = self._owned
+        shared = self._entries.get
+        quiet = []
+        append = quiet.append
+        for vpn in vpns:
+            pte = owned.get(vpn)
+            if pte is None:
+                pte = shared(vpn)
+                if pte is None or not (pte.present and pte.writable):
+                    append(False)
+                    continue
+                owned[vpn] = PageTableEntry(True, True, True)
+                append(True)
+            elif pte.present and pte.writable:
+                pte.dirty = True
+                append(True)
+            else:
+                append(False)
+        return quiet
+
     def owned_entries(self):
         """(vpn, PTE) pairs of the PTEs copied so far."""
         return self._owned.items()

@@ -8,6 +8,7 @@ full device + software path each time).
 """
 
 from collections import OrderedDict
+from itertools import takewhile
 
 
 class SwapDevice:
@@ -68,6 +69,34 @@ class SwapDevice:
                 self._resident[vpn] = True
             return 0.0
         return self._fault_in(vpn, dirty)
+
+    def touch_pages(self, vpns, dirty=False):
+        """:meth:`touch` each page in order; return the fault costs.
+
+        A DRAM hit is served here (LRU move, and the dirty bit for a
+        write) and costs 0.0; a miss goes through :meth:`touch`. For one
+        page, :meth:`touch` and ``touch_range(vpn, 1)`` are the same fault.
+        """
+        resident = self._resident
+        get = resident.get
+        move_to_end = resident.move_to_end
+        costs = []
+        append = costs.append
+        for vpn in vpns:
+            entry_dirty = get(vpn)
+            if entry_dirty is None:
+                append(self.touch(vpn, dirty))
+                continue
+            move_to_end(vpn)
+            if dirty and not entry_dirty:
+                resident[vpn] = True
+            append(0.0)
+        return costs
+
+    def resident_prefix(self, vpns):
+        """How many of ``vpns``, from the first, are DRAM-resident; no LRU
+        change."""
+        return len(list(takewhile(self._resident.__contains__, vpns)))
 
     def touch_range(self, start_vpn, npages, dirty=False):
         """Access consecutive pages; returns total fault cost.

@@ -13,14 +13,20 @@ default to the paper's values and are individually adjustable.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.errors import ConfigError
 from repro.sim.units import GIB, MIB
 
 
-@dataclass
+@dataclass(frozen=True)
 class DdcConfig:
-    """Configuration of the simulated disaggregated data center."""
+    """Configuration of the simulated disaggregated data center.
+
+    Frozen: a config is validated once, and the per-fault constants
+    derived from it (:attr:`single_fault_ns`, :attr:`single_writeback_ns`)
+    are computed once and cached. Use :meth:`with_overrides` for a variant.
+    """
 
     # ------------------------------------------------------------------
     # Memory layout
@@ -152,9 +158,10 @@ class DdcConfig:
     # Simulation fidelity
     # ------------------------------------------------------------------
     #: Random-access batches larger than this are cost-simulated by
-    #: deterministic stride sampling (every k-th access exact, results
-    #: scaled), keeping huge graph/shuffle workloads tractable without
-    #: changing cost shapes.
+    #: deterministic stride sampling (every k-th access exact, costs and
+    #: counters scaled back up). This is an approximation, not
+    #: shape-neutral: with it off, the quick fig12 projection, fig01b and
+    #: Q3 rows move (ROADMAP item 1).
     access_sample_threshold: int = 32768
     #: Number of exact accesses simulated per sampled batch.
     access_sample_target: int = 16384
@@ -270,6 +277,16 @@ class DdcConfig:
         """Cost of evicting dirty pages from the compute cache."""
         transfer = npages * self.page_size / self.net_bandwidth_bytes_per_ns
         return self.net_message_ns() + transfer
+
+    @cached_property
+    def single_fault_ns(self):
+        """``remote_fault_ns(1)``: one single-page compute-pool fault."""
+        return self.remote_fault_ns(1)
+
+    @cached_property
+    def single_writeback_ns(self):
+        """``page_writeback_ns(1)``: one single-page dirty write-back."""
+        return self.page_writeback_ns(1)
 
     def ssd_fault_ns(self, npages=1, sequential=False):
         """Cost of faulting pages in from (or out to) the storage pool."""

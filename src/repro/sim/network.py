@@ -53,7 +53,19 @@ class Network:
         self.stats.rpc_messages += 2 if batched else 2 * npages
         if batched:
             return self.config.remote_fault_ns(npages)
-        return npages * self.config.remote_fault_ns(1)
+        return npages * self.config.single_fault_ns
+
+    def page_faults_ns(self, npages):
+        """Charge ``npages`` single-page fetches, one request each.
+
+        Counts the traffic of ``npages`` calls of ``pages_in_ns(1)`` at
+        once and returns the cost of *one* of them, for the caller to add
+        once per page (as :meth:`page_writebacks_ns` does).
+        """
+        self.stats.remote_pages_in += npages
+        self.stats.network_bytes += npages * self.config.page_size
+        self.stats.rpc_messages += 2 * npages
+        return self.config.single_fault_ns
 
     def pages_out_ns(self, npages, batched=True):
         """Charge writing ``npages`` back from compute pool to memory pool."""
@@ -63,7 +75,7 @@ class Network:
         self.stats.rpc_messages += 1 if batched else npages
         if batched:
             return self.config.page_writeback_ns(npages)
-        return npages * self.config.page_writeback_ns(1)
+        return npages * self.config.single_writeback_ns
 
     def page_writebacks_ns(self, npages):
         """Charge ``npages`` single-page write-backs, one message each.
@@ -76,7 +88,7 @@ class Network:
         self.stats.remote_pages_out += npages
         self.stats.network_bytes += npages * self.config.page_size
         self.stats.rpc_messages += npages
-        return self.config.page_writeback_ns(1)
+        return self.config.single_writeback_ns
 
     def coherence_message_ns(self, with_page=False):
         """Charge one coherence-protocol message (Section 4.1).

@@ -126,19 +126,51 @@ class CoherenceProtocol:
             self.sanitizer.swmr_transition(self, "memory_touch", vpn)
         return cost
 
+    def quiet_touches(self, vpns, write):
+        """Serve the touches of a batch that :meth:`memory_touch` would
+        return from at no cost and with no change but a dirty bit; return,
+        per touch, whether it was served.
+
+        Those are the reads of a resident page that ``t_mm`` maps present
+        (and writable, in WEAK/OFF), and the writes to a resident page that
+        ``t_mm`` maps present and writable, which only set the dirty bit of
+        its owned PTE (copying the PTE first if it is not owned yet). The
+        caller must run every other touch through :meth:`memory_touch`, in
+        order. Each is classified on the state before the batch, which is
+        exact: a touch changes only its own page's PTE and cache entry, so a
+        page's touches are all served or all not, and only a true fault can
+        change another page's residency (by evicting it from the memory
+        pool), so no touch after the first non-resident page is served.
+        Without sanitizers only: they check each touch.
+        """
+        resident = self.memkernel.resident_prefix(vpns)
+        unserved = [False] * (len(vpns) - resident)
+        t_mm = self.t_mm
+        if t_mm is None:
+            return [True] * resident + unserved
+        if resident < len(vpns):
+            vpns = vpns[:resident]
+        if write:
+            return t_mm.quiet_writes(vpns) + unserved
+        relaxed = self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF)
+        return t_mm.quiet_reads(vpns, writable_only=relaxed) + unserved
+
     def _memory_touch(self, vpn, write, now):
         cost = 0.0
         t_mm = self.t_mm
         # 'True' page fault: the page is not in memory-pool DRAM at all —
         # fault to storage and map it in both mm and t_mm (lines 14-15).
+        # If the compute pool still caches the page (the memory pool
+        # spilled its own copy), ``t_mm`` already holds the permission the
+        # protocol left it, and the access continues as on a resident page.
         if not self.memkernel.is_resident(vpn):
             cost += self.memkernel.ensure_resident(vpn, write=write)
-            if t_mm is not None:
+            if t_mm is not None and vpn not in self.cache:
                 pte = t_mm.ensure(vpn)
                 pte.present = True
                 pte.writable = True
                 pte.dirty = pte.dirty or write
-            return cost
+                return cost
         if t_mm is None:
             # No temporary context (coherence fully off): plain local access.
             return cost

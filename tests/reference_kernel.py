@@ -64,13 +64,13 @@ def touch_sequential(kernel, memkernel, start_vpn, npages, write, now=0.0):
 
 
 def fetch(kernel, memkernel, vpn, npages, write):
-    """Fault ``npages`` in from the memory pool, inserting page by page."""
+    """Fault ``npages`` in from the memory pool, inserting page by page;
+    each page's fetch hook runs just before its own insert."""
     cost = memkernel.ensure_resident_range(vpn, npages, write=False)
     cost += kernel.network.pages_in_ns(npages, batched=True)
-    if kernel.protocol is not None:
-        for fetched in range(vpn, vpn + npages):
-            kernel.protocol.on_compute_fetch(fetched, write)
     for fetched in range(vpn, vpn + npages):
+        if kernel.protocol is not None:
+            kernel.protocol.on_compute_fetch(fetched, write)
         cost += insert(kernel, fetched, write)
     return cost
 

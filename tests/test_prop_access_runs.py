@@ -7,13 +7,28 @@ the reference) on two identical platforms: the returned cost must be
 bit-equal, the counters identical and the caches in the same LRU order,
 for the local pool, the compute pool (with and without a live protocol)
 and the memory pool under MESI, PSO and WEAK.
+
+Without a protocol, sanitizer or tracer, each pool serves a batch's run
+heads in one batch call. The same batches replayed with the tracer on,
+which takes the per-head path, must give the same results bit for bit,
+and while the batch path runs, the per-head calls raise on any touch the
+batch path should have served.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import sanitizers
 from repro.ddc import Pool, make_platform
+from repro.ddc.context import ExecutionContext
+from repro.ddc.kernels import ComputeKernel
+from repro.errors import PushdownUserError
+from repro.mem.storage import SwapDevice
 from repro.sim.config import DdcConfig
 from repro.sim.units import KIB
 from repro.teleport.coherence import CoherenceProtocol
@@ -68,22 +83,37 @@ def expand(runs, start_vpn):
     )
 
 
-def play(kind, where, mode, warmup, batches, cost_fn, line_ns=4.0):
+def play(kind, where, mode, warmup, batches, cost_fn, line_ns=4.0, traced=False,
+         fault_ns=2500.0):
     """Run warm-up accesses, then ``batches`` through ``cost_fn``; return
-    everything the two paths must agree on."""
-    platform = make_platform(kind, DdcConfig(dram_line_ns=line_ns, **CONFIG))
+    everything the two paths must agree on. ``traced`` turns the tracer
+    on, which sends every batch down the per-head path."""
+    config = DdcConfig(dram_line_ns=line_ns, fault_software_ns=fault_ns, **CONFIG)
+    platform = make_platform(kind, config)
+    if traced:
+        platform.tracer.enable()
     process = platform.new_process()
     region = process.alloc_array("data", np.zeros(N_PAGES * PAGE_ELEMENTS))
     ctx = platform.main_context(process)
     for page, write in warmup:
         ctx.touch_page(region.start_vpn + page, write=write)
     costs = []
+    t_mm = []
 
     def run_batches(c):
+        protocol = c.protocol or getattr(c.compkernel, "protocol", None)
         for runs, write in batches:
             cost = cost_fn(c, expand(runs, region.start_vpn), write)
             costs.append(cost)
             c.charge_ns(cost)
+            if protocol is not None:
+                # The temporary context's PTEs after each batch (a later
+                # batch may overwrite a wrong bit; the pushdown's end
+                # drops them).
+                t_mm.append(sorted(
+                    (vpn, pte.present, pte.writable, pte.dirty)
+                    for vpn, pte in protocol.t_mm.owned_entries()
+                ))
 
     if where == "memory":
         ctx.pushdown(run_batches, consistency=mode)
@@ -96,7 +126,7 @@ def play(kind, where, mode, warmup, batches, cost_fn, line_ns=4.0):
     else:
         run_batches(ctx)
 
-    state = {"costs": costs, "now": ctx.now, "stats": platform.stats.as_dict()}
+    state = {"costs": costs, "now": ctx.now, "stats": platform.stats.as_dict(), "t_mm": t_mm}
     if kind == "local":
         state["swap"] = list(platform.swap._resident.items())
     else:
@@ -106,13 +136,14 @@ def play(kind, where, mode, warmup, batches, cost_fn, line_ns=4.0):
         ]
         state["memory_pool"] = list(memory.pool._resident.items())
         state["dirty"] = sorted(process.address_space.full_table.dirty_vpns())
-        if compute.protocol is not None:
-            state["t_mm"] = sorted(
-                (vpn, pte.present, pte.writable, pte.dirty)
-                for vpn, pte in compute.protocol.t_mm.owned_entries()
-            )
     return state
 
+
+#: Fault software costs. At 2499.9 ns, a compute-pool miss on a page the
+#: memory pool spilled to storage (a random fault) that also writes back a
+#: dirty victim rounds differently if the write-back is added before the
+#: remote fault.
+FAULT_NS = [2500.0, 2499.9]
 
 SCENARIOS = [
     ("local", "local", None),
@@ -133,11 +164,12 @@ SCENARIOS = [
     # A line cost that is not a small dyadic number makes every addition
     # round, so charging k-1 repeats in one step would show.
     line_ns=st.sampled_from([4.0, 4.1]),
+    fault_ns=st.sampled_from(FAULT_NS),
 )
-def test_collapsed_runs_match_per_access_loop(scenario, warmup, batches, line_ns):
+def test_collapsed_runs_match_per_access_loop(scenario, warmup, batches, line_ns, fault_ns):
     kind, where, mode = scenario
-    expected = play(kind, where, mode, warmup, batches, reference_cost, line_ns)
-    actual = play(kind, where, mode, warmup, batches, collapsed_cost, line_ns)
+    expected = play(kind, where, mode, warmup, batches, reference_cost, line_ns, fault_ns=fault_ns)
+    actual = play(kind, where, mode, warmup, batches, collapsed_cost, line_ns, fault_ns=fault_ns)
     # Bit-equal, not approximately equal.
     assert actual["costs"] == expected["costs"]
     assert actual == expected
@@ -150,3 +182,147 @@ def test_repeats_count_as_compute_cache_hits():
     ]
     assert states[0]["stats"]["cache_hits"] == 4
     assert states[0] == states[1]
+
+
+@contextmanager
+def per_head_calls_raise_on_hits():
+    """Make the per-head calls fail on a touch that the batch path serves
+    itself: a swap or compute-cache hit, or a memory-side touch that
+    changes nothing but a dirty bit. The memory pool classifies its
+    touches on the state before the batch, and not with sanitizers armed,
+    so these memory-side touches are exempt: with sanitizers armed; of a
+    page an earlier touch of the batch already sent through
+    ``memory_touch``; and after a true fault of the batch, which may have
+    evicted pages from the memory pool."""
+    swap_touch = SwapDevice.touch
+    compute_touch = ComputeKernel.touch_random
+    memory_touch = CoherenceProtocol.memory_touch
+    random_cost_exact = ExecutionContext._random_cost_exact
+    batch = {}
+
+    def tracked_random_cost_exact(self, vpns, write):
+        batch.update(storage_faults=self.stats.storage_faults, touched=set())
+        return random_cost_exact(self, vpns, write)
+
+    def checked_swap_touch(self, vpn, dirty=False):
+        assert vpn not in self, f"a hit on page {vpn} went through SwapDevice.touch"
+        return swap_touch(self, vpn, dirty)
+
+    def checked_compute_touch(self, memkernel, vpn, write, now=0.0):
+        assert vpn not in self.cache, f"a hit on page {vpn} went through touch_random"
+        return compute_touch(self, memkernel, vpn, write, now)
+
+    def checked_memory_touch(self, vpn, write, now):
+        pte = self.t_mm.peek(vpn)
+        relaxed = self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF)
+        quiet = (
+            self.memkernel.is_resident(vpn)
+            and pte is not None
+            and pte.present
+            and (pte.writable or not (write or relaxed))
+        )
+        exempt = (
+            self.sanitizer is not None
+            or vpn in batch["touched"]
+            or self.stats.storage_faults != batch["storage_faults"]
+        )
+        assert exempt or not quiet, f"a quiet touch of page {vpn} went through memory_touch"
+        batch["touched"].add(vpn)
+        return memory_touch(self, vpn, write, now)
+
+    with mock.patch.object(SwapDevice, "touch", checked_swap_touch), \
+            mock.patch.object(ComputeKernel, "touch_random", checked_compute_touch), \
+            mock.patch.object(CoherenceProtocol, "memory_touch", checked_memory_touch), \
+            mock.patch.object(ExecutionContext, "_random_cost_exact", tracked_random_cost_exact):
+        yield
+
+
+#: The scenarios whose batches take a batch path (no protocol on the
+#: compute pool; no sanitizer).
+BATCH_SCENARIOS = [scenario for scenario in SCENARIOS if scenario[1] != "compute+protocol"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scenario=st.sampled_from(BATCH_SCENARIOS),
+    warmup=WARMUP,
+    batches=BATCHES,
+    line_ns=st.sampled_from([4.0, 4.1]),
+    fault_ns=st.sampled_from(FAULT_NS),
+)
+def test_batch_path_matches_traced_per_head_path(scenario, warmup, batches, line_ns, fault_ns):
+    kind, where, mode = scenario
+    args = (kind, where, mode, warmup, batches)
+    per_head = play(*args, collapsed_cost, line_ns, traced=True, fault_ns=fault_ns)
+    with per_head_calls_raise_on_hits():
+        batch = play(*args, collapsed_cost, line_ns, fault_ns=fault_ns)
+    assert batch["costs"] == per_head["costs"]
+    assert batch == per_head
+    assert batch == play(*args, reference_cost, line_ns, fault_ns=fault_ns)
+
+
+def test_spilled_miss_adds_write_back_after_remote_fault():
+    """Compute-pool misses on pages the memory pool spilled (random
+    storage faults), each evicting a dirty page: a miss costs (storage +
+    remote fault) + write-back, and at this fault cost the other order
+    rounds differently. One miss per batch, so that a later addition
+    cannot round the difference away."""
+    warmup = [(page, True) for page in range(20, 32)]
+    batches = [([(0, 1)], False), ([(2, 1)], False), ([(4, 2)], False)]
+    args = ("ddc", "compute", None, warmup, batches)
+    expected = play(*args, reference_cost, fault_ns=2499.9)
+    with per_head_calls_raise_on_hits():
+        actual = play(*args, collapsed_cost, fault_ns=2499.9)
+    assert actual["stats"]["storage_faults"] == 3
+    assert actual["stats"]["dirty_writebacks"] == 3
+    assert actual["costs"] == expected["costs"]
+    assert actual == expected
+
+
+def test_guard_catches_hits_on_the_per_head_path():
+    """With the tracer on, hits take the per-head calls, and the guard
+    above fails the run."""
+    warmup = [(3, False)]
+    batches = [([(3, 2), (5, 1), (3, 1)], False)]
+    cases = [("ddc", "compute", None)]
+    if sanitizers.active() is None:
+        # Armed sanitizers exempt the memory pool from the guard.
+        cases.append(("teleport", "memory", ConsistencyMode.MESI))
+    for kind, where, mode in cases:
+        with per_head_calls_raise_on_hits():
+            try:
+                play(kind, where, mode, warmup, batches, collapsed_cost, traced=True)
+            except (AssertionError, PushdownUserError) as exc:
+                assert "went through" in str(exc)
+            else:
+                raise AssertionError(f"{where}: no hit reached a per-head call")
+
+
+@pytest.mark.parametrize("line_ns", [4.0, 4.1])
+@pytest.mark.parametrize("mode", [ConsistencyMode.MESI, ConsistencyMode.PSO, ConsistencyMode.WEAK])
+def test_memory_reads_and_writes_over_shared_and_owned_ptes(mode, line_ns):
+    """Within one pushdown: reads and writes of pages whose ``t_mm`` PTE is
+    still shared, then of the same pages once owned, around pages the
+    compute pool holds (read-only or writable) and pages the memory pool
+    spilled."""
+    warmup = [(page, page % 3 == 0) for page in range(0, 24, 2)]
+    shared = [(page, 1 + page % 3) for page in range(30, 40)]
+    cached = [(page, 2) for page in range(0, 24, 4)]
+    batches = [
+        (shared, False),
+        (shared, True),
+        (shared, True),
+        (shared + cached, False),
+        (cached + shared, True),
+        ([(page, 1) for page in range(N_PAGES)], False),
+        ([(page, 1) for page in range(N_PAGES)], True),
+    ]
+    expected = play("teleport", "memory", mode, warmup, batches, reference_cost, line_ns)
+    per_head = play(
+        "teleport", "memory", mode, warmup, batches, collapsed_cost, line_ns, traced=True
+    )
+    with per_head_calls_raise_on_hits():
+        batch = play("teleport", "memory", mode, warmup, batches, collapsed_cost, line_ns)
+    assert batch["costs"] == expected["costs"]
+    assert batch == expected
+    assert batch == per_head

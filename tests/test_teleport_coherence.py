@@ -220,6 +220,30 @@ class TestMemoryTouch:
         assert tiny.stats.storage_faults >= 1
         assert tiny.stats.coherence_messages == 0
 
+    @pytest.mark.parametrize("write", [False, True])
+    def test_spilled_page_cached_by_compute_keeps_swmr(self, write):
+        """The memory pool spilled a page the compute pool caches writable.
+        A memory-side touch faults it in from storage and still runs the
+        coherence exchange: the compute copy is downgraded (read) or
+        invalidated (write), so the page is never writable on both sides."""
+        tiny = make_platform(
+            "teleport",
+            DdcConfig(compute_cache_bytes=1 * MIB, memory_pool_bytes=1 * MIB),
+        )
+        process = tiny.new_process()
+        big = process.alloc_array("big", np.zeros(1_000_000, dtype=np.float64))
+        compute, memory = tiny.kernels_for(process)
+        vpn = big.start_vpn
+        assert not memory.is_resident(vpn)
+        compute.cache.insert(vpn, writable=True, dirty=True)
+        protocol = make_protocol(tiny, process)
+        protocol.setup(compute.resident_snapshot())
+        protocol.memory_touch(vpn, write=write, now=0.0)
+        protocol.check_swmr()
+        assert tiny.stats.storage_faults >= 1
+        assert tiny.stats.coherence_messages == 2
+        assert protocol.state_of(vpn) == (("0", "W") if write else ("R", "R"))
+
     def test_dirty_transfer_costs_more_than_clean_invalidate(self, env):
         platform, process, region = env
         compute, _memory = platform.kernels_for(process)

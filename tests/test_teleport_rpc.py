@@ -18,7 +18,8 @@ def make_server(instances=1, cores=1, penalty=0.12):
 
 def test_requires_at_least_one_instance():
     config = DdcConfig()
-    config.teleport_instances = 0  # bypass dataclass validation
+    # The config is frozen; set the field directly to bypass its validation.
+    object.__setattr__(config, "teleport_instances", 0)
     with pytest.raises(ConfigError):
         RpcServer(config)
 
