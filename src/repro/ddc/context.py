@@ -160,28 +160,8 @@ class ExecutionContext:
         raise ReproError(f"unknown pool {pool!r}")
 
     def _random_cost(self, vpns, write):
-        """Cost of a batch of random page touches.
-
-        Batches over ``access_sample_threshold`` are stride-sampled: every
-        k-th access runs through the exact cache/coherence machinery, and
-        the cost and counters are scaled back up. This is an approximation
-        that moves results (with it off, the quick fig12 projection, fig01b
-        and Q3 rows change; ROADMAP item 1). Smaller batches, and each
-        sample, take the exact path (:meth:`_random_cost_exact`).
-        """
-        n = len(vpns)
-        if n > self.config.access_sample_threshold:
-            stride = max(1, int(np.ceil(n / self.config.access_sample_target)))
-            sample = np.asarray(vpns)[::stride]
-            factor = n / len(sample)
-            before = self.stats.snapshot()
-            cost = self._random_cost_exact(sample, write)
-            self.stats.scale_since(before, factor)
-            return cost * factor
-        return self._random_cost_exact(vpns, write)
-
-    def _random_cost_exact(self, vpns, write):
-        """Exact simulation of every access, one pool access per run.
+        """Cost of a batch of random page touches: every access simulated
+        exactly, one pool access per run.
 
         Per-access DRAM cost depends on locality: an access to the same
         page as the previous one is a row-buffer hit (``dram_line_ns``); a
@@ -201,7 +181,8 @@ class ExecutionContext:
         local swap always, the compute cache when no protocol is attached
         and the tracer is off. The memory pool serves the heads that
         change nothing in one batch call when no sanitizer is armed and the
-        tracer is off; every other head is one protocol call at its time.
+        tracer is off; every other head is one protocol call at its time,
+        and after it the page's later heads change nothing.
         """
         pool = self.pool
         heads, repeats = _page_runs(vpns)

@@ -155,18 +155,6 @@ class DdcConfig:
     context_switch_penalty: float = 0.12
 
     # ------------------------------------------------------------------
-    # Simulation fidelity
-    # ------------------------------------------------------------------
-    #: Random-access batches larger than this are cost-simulated by
-    #: deterministic stride sampling (every k-th access exact, costs and
-    #: counters scaled back up). This is an approximation, not
-    #: shape-neutral: with it off, the quick fig12 projection, fig01b and
-    #: Q3 rows move (ROADMAP item 1).
-    access_sample_threshold: int = 32768
-    #: Number of exact accesses simulated per sampled batch.
-    access_sample_target: int = 16384
-
-    # ------------------------------------------------------------------
     # Reproducibility
     # ------------------------------------------------------------------
     #: Seed for all data generators in a run.
@@ -204,6 +192,10 @@ class DdcConfig:
             "coherence_msg_ns": self.coherence_msg_ns,
             "contention_backoff_ns": self.contention_backoff_ns,
             "context_switch_penalty": self.context_switch_penalty,
+            "dram_random_ns": self.dram_random_ns,
+            "dram_line_ns": self.dram_line_ns,
+            "ssd_random_fault_ns": self.ssd_random_fault_ns,
+            "ssd_swap_software_ns": self.ssd_swap_software_ns,
         }
         for name, value in non_negative.items():
             if value < 0:

@@ -112,18 +112,6 @@ class Stats:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
-    def scale_since(self, baseline, factor):
-        """Scale all counters accumulated since ``baseline`` by ``factor``.
-
-        Used by the stride-sampling fast path: a sampled batch's counter
-        deltas are extrapolated to the full batch size.
-        """
-        for f in fields(self):
-            base = getattr(baseline, f.name)
-            delta = getattr(self, f.name) - base
-            setattr(self, f.name, base + round(delta * factor))
-        return self
-
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

@@ -132,16 +132,20 @@ class CoherenceProtocol:
         per touch, whether it was served.
 
         Those are the reads of a resident page that ``t_mm`` maps present
-        (and writable, in WEAK/OFF), and the writes to a resident page that
+        (and writable, in WEAK/OFF), the writes to a resident page that
         ``t_mm`` maps present and writable, which only set the dirty bit of
-        its owned PTE (copying the PTE first if it is not owned yet). The
-        caller must run every other touch through :meth:`memory_touch`, in
-        order. Each is classified on the state before the batch, which is
-        exact: a touch changes only its own page's PTE and cache entry, so a
-        page's touches are all served or all not, and only a true fault can
-        change another page's residency (by evicting it from the memory
-        pool), so no touch after the first non-resident page is served.
-        Without sanitizers only: they check each touch.
+        its owned PTE (copying the PTE first if it is not owned yet), and
+        every touch of a resident page after that page's first touch that
+        is not one of these. The caller must run every other touch through
+        :meth:`memory_touch`, in order. This is exact. No touch before the
+        first non-resident page true-faults, so none changes memory-pool
+        residency; a touch changes only its own page's PTE and cache entry;
+        and every branch of :meth:`memory_touch` on a resident page leaves
+        the PTE present (writable in WEAK/OFF) and, for a write, writable
+        and dirty, so the page's later touches change nothing. A true fault
+        may evict other pages from the memory pool, so no touch after the
+        first non-resident page is served. Without sanitizers only: they
+        check each touch.
         """
         resident = self.memkernel.resident_prefix(vpns)
         unserved = [False] * (len(vpns) - resident)

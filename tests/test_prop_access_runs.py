@@ -1,6 +1,6 @@
 """Property test: the run-collapsed random-access path is exact.
 
-``ExecutionContext._random_cost_exact`` sends each run of repeated pages
+``ExecutionContext._random_cost`` sends each run of repeated pages
 through the pool machinery once and charges the repeats as row-buffer
 hits. Here it is compared with the plain per-access loop (kept below as
 the reference) on two identical platforms: the returned cost must be
@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import sanitizers
@@ -69,7 +69,7 @@ def reference_cost(ctx, vpns, write):
 
 
 def collapsed_cost(ctx, vpns, write):
-    return ctx._random_cost_exact(vpns, write)
+    return ctx._random_cost(vpns, write)
 
 
 RUNS = st.lists(st.tuples(st.integers(0, N_PAGES - 1), st.integers(1, 6)), min_size=1, max_size=20)
@@ -188,21 +188,20 @@ def test_repeats_count_as_compute_cache_hits():
 def per_head_calls_raise_on_hits():
     """Make the per-head calls fail on a touch that the batch path serves
     itself: a swap or compute-cache hit, or a memory-side touch that
-    changes nothing but a dirty bit. The memory pool classifies its
-    touches on the state before the batch, and not with sanitizers armed,
-    so these memory-side touches are exempt: with sanitizers armed; of a
-    page an earlier touch of the batch already sent through
-    ``memory_touch``; and after a true fault of the batch, which may have
-    evicted pages from the memory pool."""
+    changes nothing but a dirty bit, including a later touch of a page an
+    earlier touch of the batch sent through ``memory_touch``. The memory
+    pool does not serve touches with sanitizers armed, nor after a true
+    fault of the batch, which may have evicted pages from the memory pool,
+    so those memory-side touches are exempt."""
     swap_touch = SwapDevice.touch
     compute_touch = ComputeKernel.touch_random
     memory_touch = CoherenceProtocol.memory_touch
-    random_cost_exact = ExecutionContext._random_cost_exact
+    random_cost = ExecutionContext._random_cost
     batch = {}
 
-    def tracked_random_cost_exact(self, vpns, write):
-        batch.update(storage_faults=self.stats.storage_faults, touched=set())
-        return random_cost_exact(self, vpns, write)
+    def tracked_random_cost(self, vpns, write):
+        batch["storage_faults"] = self.stats.storage_faults
+        return random_cost(self, vpns, write)
 
     def checked_swap_touch(self, vpn, dirty=False):
         assert vpn not in self, f"a hit on page {vpn} went through SwapDevice.touch"
@@ -223,17 +222,15 @@ def per_head_calls_raise_on_hits():
         )
         exempt = (
             self.sanitizer is not None
-            or vpn in batch["touched"]
             or self.stats.storage_faults != batch["storage_faults"]
         )
         assert exempt or not quiet, f"a quiet touch of page {vpn} went through memory_touch"
-        batch["touched"].add(vpn)
         return memory_touch(self, vpn, write, now)
 
     with mock.patch.object(SwapDevice, "touch", checked_swap_touch), \
             mock.patch.object(ComputeKernel, "touch_random", checked_compute_touch), \
             mock.patch.object(CoherenceProtocol, "memory_touch", checked_memory_touch), \
-            mock.patch.object(ExecutionContext, "_random_cost_exact", tracked_random_cost_exact):
+            mock.patch.object(ExecutionContext, "_random_cost", tracked_random_cost):
         yield
 
 
@@ -249,6 +246,16 @@ BATCH_SCENARIOS = [scenario for scenario in SCENARIOS if scenario[1] != "compute
     batches=BATCHES,
     line_ns=st.sampled_from([4.0, 4.1]),
     fault_ns=st.sampled_from(FAULT_NS),
+)
+# Page 3 is cached writable by the compute pool, so its first read in the
+# pushdown downgrades that copy; its second read, after one of page 20
+# (resident in the memory pool, so no true fault), must then be served.
+@example(
+    scenario=("teleport", "memory", ConsistencyMode.MESI),
+    warmup=[(3, True)],
+    batches=[([(3, 1), (20, 1), (3, 1)], False)],
+    line_ns=4.0,
+    fault_ns=2500.0,
 )
 def test_batch_path_matches_traced_per_head_path(scenario, warmup, batches, line_ns, fault_ns):
     kind, where, mode = scenario
@@ -296,6 +303,29 @@ def test_guard_catches_hits_on_the_per_head_path():
                 assert "went through" in str(exc)
             else:
                 raise AssertionError(f"{where}: no hit reached a per-head call")
+
+
+@pytest.mark.parametrize("write", [False, True])
+@pytest.mark.parametrize("scenario", [
+    ("local", "local", None),
+    ("ddc", "compute", None),
+    ("teleport", "memory", ConsistencyMode.MESI),
+])
+def test_large_batch_matches_per_access_loop(scenario, write):
+    """One batch of about 40 000 accesses in runs of 1-3 over all pages,
+    on the local, compute and memory pools, is as exact as a small one."""
+    rng = np.random.default_rng(7)
+    pages = rng.integers(0, N_PAGES, 20_000).tolist()
+    runs = list(zip(pages, rng.integers(1, 4, 20_000).tolist()))
+    assert sum(length for _page, length in runs) > 32_768
+    warmup = [(page, page % 3 == 0) for page in range(0, N_PAGES, 2)]
+    kind, where, mode = scenario
+    args = (kind, where, mode, warmup, [(runs, write)])
+    expected = play(*args, reference_cost, 4.1)
+    with per_head_calls_raise_on_hits():
+        actual = play(*args, collapsed_cost, 4.1)
+    assert actual["costs"] == expected["costs"]
+    assert actual == expected
 
 
 @pytest.mark.parametrize("line_ns", [4.0, 4.1])

@@ -83,6 +83,17 @@ def test_invalid_values_rejected():
         DdcConfig(memory_pool_cores=0)
 
 
+@pytest.mark.parametrize(
+    "field", ["dram_random_ns", "dram_line_ns", "ssd_random_fault_ns", "ssd_swap_software_ns"]
+)
+def test_negative_latencies_rejected(field):
+    """The batch cost path skips a hit's ``+ 0.0``, which is exact only
+    because no cost is negative."""
+    with pytest.raises(ConfigError, match=field):
+        DdcConfig(**{field: -1})
+    assert getattr(DdcConfig(**{field: 0}), field) == 0
+
+
 def test_with_overrides_returns_new_config():
     config = DdcConfig()
     throttled = config.with_overrides(memory_clock_ghz=0.4)
