@@ -1,7 +1,8 @@
 """The splitkernel's compute-side and memory-side components.
 
-The :class:`MemoryKernel` owns the process's full page table and the memory
-pool's DRAM (an LRU over the pool capacity, spilling to the storage pool).
+The :class:`MemoryKernel` owns the memory pool's DRAM (an LRU over the pool
+capacity, spilling to the storage pool); the process's full page table,
+which also lives in the memory pool, is kept on its address space.
 The :class:`ComputeKernel` owns the compute pool's local page cache and
 serves application accesses, forwarding misses over the fabric — exactly
 the recursive-fault flow described in Section 2.1 of the paper.
@@ -19,14 +20,13 @@ from repro.mem.storage import SwapDevice
 
 
 class MemoryKernel:
-    """Memory-pool component: full page table + pool DRAM + storage spill."""
+    """Memory-pool component: pool DRAM + storage spill."""
 
     def __init__(self, platform, process):
         self.platform = platform
         self.config = platform.config
         self.stats = platform.stats
         self.process = process
-        self.full_table = process.address_space.full_table
         self.pool = SwapDevice(self.config, self.stats, self.config.memory_pool_pages)
 
     def on_alloc(self, region):

@@ -42,6 +42,7 @@ class Process:
 
     def free(self, region):
         """Release a region."""
+        self.address_space.check_live(region)
         self.platform.on_free(self, region)
         self.address_space.free(region)
 

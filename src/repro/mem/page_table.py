@@ -6,13 +6,41 @@ temporary context works on that table as of the pushdown's start
 virtual page number (vpn) to :class:`~repro.mem.page.PageTableEntry`; the
 temporary context's is a :class:`PageTableSnapshot` taken from it, which
 copies a PTE only when the protocol first reads it for update.
+
+A freshly mapped page is *born*: present, writable and clean, the state
+almost every page keeps for its whole life. Rather than one PTE per page,
+:meth:`PageTable.map_range` maps a region's vpns to one shared, read-only
+:data:`_BORN` entry; the table builds a page's own PTE the first time
+:meth:`PageTable.get` or :meth:`PageTable.ensure` returns it, since only
+those hand out PTEs that may be updated.
 """
+
+from itertools import repeat
 
 from repro.mem.page import PageTableEntry
 
 
+class _BornEntry(PageTableEntry):
+    """The state of a freshly mapped page, shared by every page still in it.
+
+    With no slots of its own, the class attributes below shadow the
+    inherited slots, so assigning to any of them raises AttributeError.
+    """
+
+    __slots__ = ()
+    present = True
+    writable = True
+    dirty = False
+
+    def __init__(self):
+        pass
+
+
+_BORN = _BornEntry()
+
+
 class PageTable:
-    """Sparse vpn -> PTE mapping."""
+    """Sparse vpn -> PTE mapping; freshly mapped vpns share :data:`_BORN`."""
 
     __slots__ = ("_entries",)
 
@@ -26,8 +54,12 @@ class PageTable:
         return vpn in self._entries
 
     def get(self, vpn):
-        """Return the PTE for ``vpn`` or None if never mapped."""
-        return self._entries.get(vpn)
+        """Return the PTE for ``vpn`` or None if never mapped; a born page
+        gets its own PTE here."""
+        entry = self._entries.get(vpn)
+        if entry is _BORN:
+            entry = self._entries[vpn] = PageTableEntry(True, True)
+        return entry
 
     def ensure(self, vpn):
         """Return the PTE for ``vpn``, creating an absent one if needed."""
@@ -35,12 +67,14 @@ class PageTable:
         if entry is None:
             entry = PageTableEntry()
             self._entries[vpn] = entry
+        elif entry is _BORN:
+            entry = self._entries[vpn] = PageTableEntry(True, True)
         return entry
 
-    def map_range(self, start_vpn, npages, present=True, writable=True, dirty=False):
-        """Map ``npages`` consecutive pages with uniform permissions."""
-        for vpn in range(start_vpn, start_vpn + npages):
-            self._entries[vpn] = PageTableEntry(present, writable, dirty)
+    def map_range(self, start_vpn, npages):
+        """Map ``npages`` consecutive pages present, writable and clean,
+        without building a PTE per page."""
+        self._entries.update(zip(range(start_vpn, start_vpn + npages), repeat(_BORN)))
 
     def unmap_range(self, start_vpn, npages):
         """Remove mappings for a freed region."""
@@ -49,10 +83,6 @@ class PageTable:
 
     def vpns(self):
         return self._entries.keys()
-
-    def present_vpns(self):
-        """All vpns whose pages are currently present."""
-        return [vpn for vpn, pte in self._entries.items() if pte.present]
 
     def dirty_vpns(self):
         """All vpns whose pages are present and dirty."""
@@ -75,7 +105,13 @@ class PageTableSnapshot:
     up here. A PTE is copied into a private *owned* map the first time
     :meth:`get` or :meth:`ensure` returns it; only owned PTEs are ever
     changed. An owned copy starts clean (``dirty=False``), so its dirty bit
-    means "dirtied since the snapshot". :meth:`peek` reads without copying.
+    means "dirtied since the snapshot". :meth:`peek` reads without copying
+    and may return the shared born entry.
+
+    Born markers are copied with the map and read as present, writable and
+    clean, which is exact: the full table never changes a page's present or
+    writable bit after mapping, only its dirty bit, and an owned copy
+    starts clean either way.
     """
 
     __slots__ = ("_entries", "_owned")

@@ -107,7 +107,7 @@ class AddressSpace:
         region = Region(name, self._next_vpn, npages, array, self.page_size)
         self._next_vpn += npages + self._GUARD_PAGES
         self.regions[name] = region
-        self.full_table.map_range(region.start_vpn, npages, present=True, writable=True)
+        self.full_table.map_range(region.start_vpn, npages)
         self._allocated_bytes += array.nbytes
         return region
 
@@ -121,13 +121,19 @@ class AddressSpace:
         """Allocate an uninitialised region of ``count`` elements."""
         return self.alloc_array(name, np.zeros(count, dtype=dtype))
 
+    def check_live(self, region):
+        """Raise AllocationError unless ``region`` is the live region of its
+        name (a handle kept past its free is not, even if the name was
+        allocated again)."""
+        if self.regions.get(region.name) is not region:
+            raise AllocationError(f"region {region.name!r} is not allocated")
+
     def free(self, region):
         """Release a region; its pages are unmapped everywhere."""
-        stored = self.regions.pop(region.name, None)
-        if stored is None:
-            raise AllocationError(f"region {region.name!r} is not allocated")
+        self.check_live(region)
+        del self.regions[region.name]
         self.full_table.unmap_range(region.start_vpn, region.npages)
-        self._allocated_bytes -= stored.nbytes
+        self._allocated_bytes -= region.nbytes
 
     def region_of_vpn(self, vpn):
         """Find the region containing ``vpn`` (diagnostics only)."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ddc import DdcPlatform, LocalPlatform, Pool, TeleportPlatform, make_platform
-from repro.errors import ConfigError
+from repro.errors import AllocationError, ConfigError
 from repro.sim.config import DdcConfig
 
 
@@ -82,3 +82,19 @@ def test_free_releases_region():
     region = process.alloc("tmp", 8192)
     process.free(region)
     assert "tmp" not in process.address_space.regions
+
+
+def test_freeing_a_stale_handle_leaves_the_live_region_alone():
+    platform = make_platform("ddc")
+    process = platform.new_process()
+    space = process.address_space
+    stale = process.alloc("a", 8192)
+    process.free(stale)
+    live = process.alloc("a", 8192)
+    with pytest.raises(AllocationError):
+        process.free(stale)
+    assert space.regions["a"] is live
+    assert space.allocated_bytes == live.nbytes
+    assert space.full_table.get(live.start_vpn).present
+    _compute, memory = platform.kernels_for(process)
+    assert memory.is_resident(live.start_vpn)

