@@ -173,77 +173,21 @@ class ExecutionContext:
         that access the page is resident, most recently used and, for a
         write, writable and dirty, so each of the k-1 repeats would cost
         exactly ``dram_line_ns`` and change nothing but the compute cache's
-        hit counter. The repeats are charged as k-1 separate additions so
-        that the total is the per-access loop's, bit for bit.
-
-        Where no head's cost depends on the virtual time, the pool serves
-        all heads in one batch call and returns their fault costs: the
-        local swap always, the compute cache when no protocol is attached
-        and the tracer is off. The memory pool serves the heads that
-        change nothing in one batch call when no sanitizer is armed and the
-        tracer is off; every other head is one protocol call at its time,
-        and after it the page's later heads change nothing.
+        hit counter. Each pool's ``touch_runs`` serves the heads in order,
+        in one pass over live state, and adds each head's fault cost, then
+        ``dram_random_ns`` and the repeats one ``dram_line_ns`` at a time,
+        so that the total is the per-access loop's, bit for bit.
         """
         pool = self.pool
         heads, repeats = _page_runs(vpns)
-        tracer = self.platform.tracer
         if pool is Pool.LOCAL:
-            return self._runs_cost(self.platform.swap.touch_pages(heads, dirty=write), repeats)
+            return self.platform.swap.touch_runs(heads, repeats, write)
         if pool is Pool.COMPUTE:
-            kernel = self.compkernel
-            self.stats.cache_hits += sum(repeats)
-            if kernel.protocol is None and not tracer.enabled:
-                return self._runs_cost(kernel.touch_pages(self.memkernel, heads, write), repeats)
-            line_ns = self.config.dram_line_ns
-            random_ns = self.config.dram_random_ns
-            memkernel = self.memkernel
-            now = self.now
-            cost = 0.0
-            for vpn, run_repeats in zip(heads, repeats):
-                cost += kernel.touch_random(memkernel, vpn, write, now + cost)
-                cost += random_ns
-                for _ in range(run_repeats):
-                    cost += line_ns
-            return cost
+            return self.compkernel.touch_runs(self.memkernel, heads, repeats, write, self.now)
         if pool is Pool.MEMORY:
-            protocol = self.protocol
-            if protocol.sanitizer is None and not tracer.enabled:
-                served = protocol.quiet_touches(heads, write)
-            else:
-                served = [False] * len(heads)
-            line_ns = self.config.dram_line_ns
-            random_ns = self.config.dram_random_ns
-            touch = protocol.memory_touch
-            now = self.now
-            cost = 0.0
-            for vpn, run_repeats, quiet in zip(heads, repeats, served):
-                if not quiet:
-                    cost += touch(vpn, write, now + cost)
-                cost += random_ns
-                for _ in range(run_repeats):
-                    cost += line_ns
             self.stats.memory_side_page_touches += len(vpns)
-            return cost
+            return self.protocol.touch_runs(heads, repeats, write, self.now)
         raise ReproError(f"unknown pool {pool!r}")
-
-    def _runs_cost(self, faults, repeats):
-        """Total cost of a batch's runs, given each head's fault cost.
-
-        Each run adds its head's fault cost, ``dram_random_ns`` and one
-        ``dram_line_ns`` per repeat, in order. A hit's fault cost of 0.0 is
-        not added: ``x + 0.0 == x`` for every non-negative ``x``.
-        """
-        line_ns = self.config.dram_line_ns
-        random_ns = self.config.dram_random_ns
-        cost = 0.0
-        for fault, run_repeats in zip(faults, repeats):
-            if fault:
-                cost += fault
-            cost += random_ns
-            if run_repeats:
-                for _ in range(run_repeats):
-                    cost += line_ns
-        return cost
 
     # ------------------------------------------------------------------
     # TELEPORT surface (overridden behaviour on TeleportPlatform)

@@ -15,7 +15,7 @@ Single-Writer-Multiple-Reader invariant holds across the pools.
 
 from itertools import chain, islice, repeat
 
-from repro.mem.cache import HIT, MISS_EVICTED_CLEAN, MISS_EVICTED_DIRTY, PageCache
+from repro.mem.cache import CacheEntry, PageCache
 from repro.mem.storage import SwapDevice
 
 
@@ -56,16 +56,6 @@ class MemoryKernel:
         """Bring a run of pages into pool DRAM (readahead applies)."""
         return self.pool.touch_range(start_vpn, npages, dirty=write)
 
-    def ensure_resident_pages(self, vpns):
-        """Bring pages into pool DRAM one after another, each as a
-        one-page :meth:`ensure_resident_range`; returns each page's
-        storage-fault cost."""
-        return self.pool.touch_pages(vpns)
-
-    def resident_prefix(self, vpns):
-        """How many of ``vpns``, from the first, are in pool DRAM."""
-        return self.pool.resident_prefix(vpns)
-
 
 class ComputeKernel:
     """Compute-pool component: local page cache + fault forwarding."""
@@ -89,66 +79,83 @@ class ComputeKernel:
     # ------------------------------------------------------------------
     # Access paths (cost only; data lives in the region's numpy buffer)
     # ------------------------------------------------------------------
-    def touch_random(self, memkernel, vpn, write, now=0.0):
-        """One random-access page touch from the compute pool.
+    def touch_runs(self, memkernel, heads, repeats, write, now):
+        """The cost of a batch of random runs of page accesses from the
+        compute pool.
 
-        Returns the fault-path cost in ns (zero on a plain hit); the DRAM
-        access itself is charged by the execution context, which knows the
-        access locality. A miss pays the remote fault (plus a storage
-        fault if the memory pool spilled the page, plus dirty-eviction
-        writeback).
+        Each run's first access (its head) is served at ``now`` plus the
+        cost charged before it; the run then adds ``dram_random_ns`` and
+        one ``dram_line_ns`` per repeat, and its repeats are cache hits.
+        A hit moves the page to the MRU end; a write hit makes it writable
+        (silently without a protocol, by :meth:`_upgrade` with one) and
+        dirty. A miss is a one-page fetch with its ``fault`` trace event:
+        through :meth:`_fetch` and its hooks with a protocol, inline
+        without one. An inline fetch costs (storage fault +
+        ``single_fault_ns``) [+ ``single_writeback_ns`` for a dirty
+        victim], added in :meth:`_fetch`'s order, and its counters and
+        traffic are charged once per batch.
         """
-        entry = self.cache.get(vpn)
-        if entry is not None:
-            if write and not entry.writable:
-                cost = self._upgrade(vpn, entry, now)
+        entries = self.cache._entries
+        get = entries.get
+        move_to_end = entries.move_to_end
+        capacity = self.cache.capacity_pages
+        protocol = self.protocol
+        tracer = self.platform.tracer
+        tracing = tracer.enabled
+        pool = memkernel.pool
+        in_pool = pool._resident
+        pool_move_to_end = in_pool.move_to_end
+        config = self.config
+        fault_ns = config.single_fault_ns
+        writeback_ns = config.single_writeback_ns
+        random_ns = config.dram_random_ns
+        line_ns = config.dram_line_ns
+        misses = evictions = dirty = 0
+        cost = 0.0
+        for vpn, run_repeats in zip(heads, repeats):
+            entry = get(vpn)
+            if entry is not None:
+                move_to_end(vpn)
+                if write:
+                    if not entry.writable:
+                        if protocol is None:
+                            entry.writable = True
+                        else:
+                            cost += self._upgrade(vpn, entry, now + cost)
+                    entry.dirty = True
             else:
-                cost = 0.0
-            if write:
-                entry.dirty = True
-            self.stats.cache_hits += 1
-            return cost
-        self.stats.cache_misses += 1
-        if self.platform.tracer.enabled:
-            self.platform.tracer.emit(now, "fault", vpn=vpn, write=write)
-        return self._fetch(memkernel, vpn, npages=1, write=write)
-
-    def touch_pages(self, memkernel, vpns, write):
-        """:meth:`touch_random` of each page in order, with no protocol
-        attached and the tracer off; returns each touch's fault cost.
-
-        The cache serves the whole batch in one pass
-        (:meth:`PageCache.access_pages`), the memory pool then brings the
-        missed pages in, in order, and the counters and traffic are
-        charged once for the batch. The two passes commute because without
-        a protocol the cache and the memory pool share no state. A miss
-        costs its storage fault plus ``remote_fault_ns(1)``, plus
-        ``page_writeback_ns(1)`` if it evicted a dirty page, added in that
-        order as in :meth:`_fetch`; a hit costs 0.0 (an upgrade to
-        writable is silent).
-        """
-        outcomes = self.cache.access_pages(vpns, write)
-        hits = outcomes.count(HIT)
-        evicted_clean = outcomes.count(MISS_EVICTED_CLEAN)
-        dirty = outcomes.count(MISS_EVICTED_DIRTY)
-        misses = len(outcomes) - hits
-        self.stats.cache_hits += hits
-        self.stats.cache_misses += misses
-        self.stats.cache_evictions += evicted_clean + dirty
-        self.stats.dirty_writebacks += dirty
-        fault = self.network.page_faults_ns(misses)
-        writeback = self.network.page_writebacks_ns(dirty)
-        by_outcome = (0.0, fault, fault, fault + writeback)
-        costs = [by_outcome[outcome] for outcome in outcomes]
-        missed = [i for i, outcome in enumerate(outcomes) if outcome != HIT]
-        storage = memkernel.ensure_resident_pages([vpns[i] for i in missed])
-        for i, storage_ns in zip(missed, storage):
-            if storage_ns:
-                cost = storage_ns + fault
-                if outcomes[i] == MISS_EVICTED_DIRTY:
-                    cost += writeback
-                costs[i] = cost
-        return costs
+                misses += 1
+                if tracing:
+                    tracer.emit(now + cost, "fault", vpn=vpn, write=write)
+                if protocol is None:
+                    if vpn in in_pool:
+                        pool_move_to_end(vpn)
+                        fault = fault_ns
+                    else:
+                        fault = pool.touch(vpn) + fault_ns
+                    entries[vpn] = CacheEntry(write, write)
+                    if len(entries) > capacity:
+                        evictions += 1
+                        if entries.popitem(last=False)[1].dirty:
+                            dirty += 1
+                            fault += writeback_ns
+                    cost += fault
+                else:
+                    cost += self._fetch(memkernel, vpn, 1, write)
+            cost += random_ns
+            if run_repeats:
+                for _ in range(run_repeats):
+                    cost += line_ns
+        stats = self.stats
+        stats.cache_hits += len(heads) - misses + sum(repeats)
+        stats.cache_misses += misses
+        if protocol is None:
+            # The inline fetches' traffic; their costs are added above.
+            self.network.page_faults_ns(misses)
+            self.network.page_writebacks_ns(dirty)
+            stats.cache_evictions += evictions
+            stats.dirty_writebacks += dirty
+        return cost
 
     def touch_sequential(self, memkernel, start_vpn, npages, write, now=0.0):
         """Stream ``npages`` consecutive pages through the cache.

@@ -60,17 +60,18 @@ class FaultSpec:
     def __post_init__(self):
         if not isinstance(self.kind, FaultKind):
             raise ConfigError(f"kind must be a FaultKind, got {self.kind!r}")
-        if self.start_ns < 0:
+        # Each check is written so that NaN fails it.
+        if not self.start_ns >= 0:
             raise ConfigError(f"start_ns must be non-negative, got {self.start_ns}")
-        if self.end_ns <= self.start_ns:
+        if not self.end_ns > self.start_ns:
             raise ConfigError(
                 f"fault window is empty: [{self.start_ns}, {self.end_ns})"
             )
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigError(f"probability must be in [0, 1], got {self.probability}")
-        if self.delay_ns < 0:
+        if not self.delay_ns >= 0:
             raise ConfigError(f"delay_ns must be non-negative, got {self.delay_ns}")
-        if self.factor < 1.0:
+        if not self.factor >= 1.0:
             raise ConfigError(f"degrade factor must be >= 1, got {self.factor}")
         if self.kind is FaultKind.DELAY and self.delay_ns <= 0:
             raise ConfigError("DELAY faults need a positive delay_ns")

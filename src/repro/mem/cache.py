@@ -13,12 +13,6 @@ from collections import OrderedDict
 from repro.errors import ConfigError
 
 
-#: Outcomes of one access in :meth:`PageCache.access_pages`: a hit, or a
-#: miss that inserted the page and evicted no page, a clean one or a dirty
-#: one.
-HIT, MISS, MISS_EVICTED_CLEAN, MISS_EVICTED_DIRTY = range(4)
-
-
 class CacheEntry:
     """Residency record for one cached page."""
 
@@ -43,6 +37,8 @@ class PageCache:
         if capacity_pages < 1:
             raise ConfigError(f"cache capacity must be >= 1 page, got {capacity_pages}")
         self.capacity_pages = capacity_pages
+        #: vpn -> CacheEntry, in LRU order. ``ComputeKernel.touch_runs``
+        #: reads and updates it directly, so that a hit costs it no call.
         self._entries = OrderedDict()
 
     def __len__(self):
@@ -61,39 +57,6 @@ class PageCache:
     def peek(self, vpn):
         """Look up a page without touching recency."""
         return self._entries.get(vpn)
-
-    def access_pages(self, vpns, write):
-        """Access pages one after another, inserting each miss; return the
-        outcome of each access (:data:`HIT`, :data:`MISS`, ...).
-
-        This is :meth:`get` per page and, for a write hit, setting the
-        entry writable and dirty; a miss is an :meth:`insert` of the page
-        (writable and dirty for a write), which evicts at most one LRU
-        victim. It is the compute pool's random access with no coherence
-        protocol attached, where an upgrade to writable is silent.
-        """
-        entries = self._entries
-        get = entries.get
-        move_to_end = entries.move_to_end
-        capacity = self.capacity_pages
-        outcomes = []
-        append = outcomes.append
-        for vpn in vpns:
-            entry = get(vpn)
-            if entry is not None:
-                move_to_end(vpn)
-                if write:
-                    entry.writable = True
-                    entry.dirty = True
-                append(HIT)
-                continue
-            entries[vpn] = CacheEntry(write, write)
-            if len(entries) > capacity:
-                _victim_vpn, victim = entries.popitem(last=False)
-                append(MISS_EVICTED_DIRTY if victim.dirty else MISS_EVICTED_CLEAN)
-            else:
-                append(MISS)
-        return outcomes
 
     def first_cached(self, start_vpn, end_vpn):
         """Smallest cached vpn in [start_vpn, end_vpn), or ``end_vpn``."""
@@ -171,11 +134,6 @@ class PageCache:
         entry.writable = False
         entry.dirty = False
         return was_dirty
-
-    def mark_dirty(self, vpn):
-        entry = self._entries.get(vpn)
-        if entry is not None:
-            entry.dirty = True
 
     def dirty_vpns(self):
         return [vpn for vpn, entry in self._entries.items() if entry.dirty]

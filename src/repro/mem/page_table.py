@@ -118,6 +118,9 @@ class PageTableSnapshot:
 
     def __init__(self, entries):
         self._entries = dict(entries)
+        #: vpn -> owned PTE. ``CoherenceProtocol.touch_runs`` reads both
+        #: maps directly, as :meth:`peek` does, and adds an owned copy as
+        #: :meth:`ensure` would, so that a quiet touch costs it no call.
         self._owned = {}
 
     def __len__(self):
@@ -157,56 +160,6 @@ class PageTableSnapshot:
                 entry = PageTableEntry(shared.present, shared.writable)
             self._owned[vpn] = entry
         return entry
-
-    def quiet_reads(self, vpns, writable_only):
-        """For each read of a batch, whether it is quiet: it finds a
-        present PTE (and a writable one, if ``writable_only``), or an
-        earlier read of its page in ``vpns`` did not. The caller sends that
-        earlier read through the protocol, which leaves the PTE so. Copies
-        nothing."""
-        owned = self._owned.get
-        shared = self._entries.get
-        loud = set()
-        quiet = []
-        append = quiet.append
-        for vpn in vpns:
-            pte = owned(vpn)
-            if pte is None:
-                pte = shared(vpn)
-            if pte is not None and pte.present and (pte.writable or not writable_only):
-                append(True)
-            else:
-                append(vpn in loud)
-                loud.add(vpn)
-        return quiet
-
-    def quiet_writes(self, vpns):
-        """For each write of a batch, whether it is quiet: its PTE is
-        present and writable, so that the write only sets its dirty bit
-        (set here, copying a PTE not yet owned first, as :meth:`ensure`
-        would), or an earlier write of its page in ``vpns`` was not quiet.
-        The caller sends that earlier write through the protocol, which
-        leaves the PTE present, writable and dirty."""
-        owned = self._owned
-        shared = self._entries.get
-        loud = set()
-        quiet = []
-        append = quiet.append
-        for vpn in vpns:
-            pte = owned.get(vpn)
-            if pte is None:
-                pte = shared(vpn)
-                if pte is not None and pte.present and pte.writable:
-                    owned[vpn] = PageTableEntry(True, True, True)
-                    append(True)
-                    continue
-            elif pte.present and pte.writable:
-                pte.dirty = True
-                append(True)
-                continue
-            append(vpn in loud)
-            loud.add(vpn)
-        return quiet
 
     def owned_entries(self):
         """(vpn, PTE) pairs of the PTEs copied so far."""

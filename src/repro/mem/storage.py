@@ -8,7 +8,6 @@ full device + software path each time).
 """
 
 from collections import OrderedDict
-from itertools import takewhile
 
 
 class SwapDevice:
@@ -23,6 +22,9 @@ class SwapDevice:
         self.config = config
         self.stats = stats
         self.capacity_pages = max(1, capacity_pages)
+        #: vpn -> dirty, in LRU order. ``ComputeKernel.touch_runs`` and
+        #: ``CoherenceProtocol.touch_runs`` use it directly, so that a
+        #: resident page costs them no call.
         self._resident = OrderedDict()
         self._last_fault_vpn = None
 
@@ -70,33 +72,34 @@ class SwapDevice:
             return 0.0
         return self._fault_in(vpn, dirty)
 
-    def touch_pages(self, vpns, dirty=False):
-        """:meth:`touch` each page in order; return the fault costs.
+    def touch_runs(self, heads, repeats, write):
+        """The cost of a batch of random runs of page accesses.
 
-        A DRAM hit is served here (LRU move, and the dirty bit for a
-        write) and costs 0.0; a miss goes through :meth:`touch`. For one
-        page, :meth:`touch` and ``touch_range(vpn, 1)`` are the same fault.
+        Each run touches its page (its head) as :meth:`touch` would, then
+        adds ``dram_random_ns`` and one ``dram_line_ns`` per repeat, in run
+        order. A DRAM hit is served inline (LRU move, and the dirty bit for
+        a write) and adds no fault cost; a miss goes through
+        :meth:`_fault_in`.
         """
         resident = self._resident
         get = resident.get
         move_to_end = resident.move_to_end
-        costs = []
-        append = costs.append
-        for vpn in vpns:
+        random_ns = self.config.dram_random_ns
+        line_ns = self.config.dram_line_ns
+        cost = 0.0
+        for vpn, run_repeats in zip(heads, repeats):
             entry_dirty = get(vpn)
             if entry_dirty is None:
-                append(self.touch(vpn, dirty))
-                continue
-            move_to_end(vpn)
-            if dirty and not entry_dirty:
-                resident[vpn] = True
-            append(0.0)
-        return costs
-
-    def resident_prefix(self, vpns):
-        """How many of ``vpns``, from the first, are DRAM-resident; no LRU
-        change."""
-        return len(list(takewhile(self._resident.__contains__, vpns)))
+                cost += self._fault_in(vpn, write)
+            else:
+                move_to_end(vpn)
+                if write and not entry_dirty:
+                    resident[vpn] = True
+            cost += random_ns
+            if run_repeats:
+                for _ in range(run_repeats):
+                    cost += line_ns
+        return cost
 
     def touch_range(self, start_vpn, npages, dirty=False):
         """Access consecutive pages; returns total fault cost.
@@ -153,7 +156,3 @@ class SwapDevice:
     def drop(self, vpn):
         """Forget a page entirely (its region was freed); no write-back."""
         self._resident.pop(vpn, None)
-
-    def writeback_cost_ns(self, npages=1):
-        """Cost of flushing ``npages`` dirty pages out to the device."""
-        return self.config.ssd_fault_ns(npages, sequential=npages > 1)

@@ -21,8 +21,10 @@ class VirtualClock:
     __slots__ = ("_now",)
 
     def __init__(self, start_ns=0.0):
-        if start_ns < 0:
-            raise ConfigError(f"clock cannot start at negative time: {start_ns}")
+        if not 0 <= start_ns < _INF:
+            raise ConfigError(
+                f"clock cannot start at negative or non-finite time: {start_ns!r}"
+            )
         self._now = float(start_ns)
 
     @property

@@ -180,8 +180,9 @@ class DdcConfig:
             "teleport_instances": self.teleport_instances,
             "rle_compression": self.rle_compression,
         }
+        # Each check is written so that NaN fails it.
         for name, value in positive.items():
-            if value <= 0:
+            if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
         non_negative = {
             "net_latency_ns": self.net_latency_ns,
@@ -198,19 +199,19 @@ class DdcConfig:
             "ssd_swap_software_ns": self.ssd_swap_software_ns,
         }
         for name, value in non_negative.items():
-            if value < 0:
+            if not value >= 0:
                 raise ConfigError(f"{name} must be non-negative, got {value}")
-        if self.prefetch_degree < 1:
+        if not self.prefetch_degree >= 1:
             raise ConfigError("prefetch_degree must be at least 1")
-        if self.ssd_readahead_pages < 1:
+        if not self.ssd_readahead_pages >= 1:
             raise ConfigError("ssd_readahead_pages must be at least 1")
-        if self.heartbeat_miss_threshold < 1:
+        if not self.heartbeat_miss_threshold >= 1:
             raise ConfigError("heartbeat_miss_threshold must be at least 1")
-        if self.retry_max_attempts < 1:
+        if not self.retry_max_attempts >= 1:
             raise ConfigError("retry_max_attempts must be at least 1")
-        if self.breaker_failure_threshold < 1:
+        if not self.breaker_failure_threshold >= 1:
             raise ConfigError("breaker_failure_threshold must be at least 1")
-        if self.retry_backoff_multiplier < 1.0:
+        if not self.retry_backoff_multiplier >= 1.0:
             raise ConfigError("retry_backoff_multiplier must be at least 1")
         if not 0.0 <= self.retry_jitter < 1.0:
             raise ConfigError("retry_jitter must be in [0, 1)")
@@ -220,7 +221,7 @@ class DdcConfig:
             "retry_backoff_max_ns": self.retry_backoff_max_ns,
             "breaker_cooldown_ns": self.breaker_cooldown_ns,
         }.items():
-            if value < 0:
+            if not value >= 0:
                 raise ConfigError(f"{name} must be non-negative, got {value}")
 
     # ------------------------------------------------------------------

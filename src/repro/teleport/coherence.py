@@ -28,6 +28,7 @@ The protocol preserves the Single-Writer-Multiple-Reader invariant, which
 """
 
 from repro.errors import CoherenceViolation
+from repro.mem.page import PageTableEntry
 from repro.teleport.flags import ConsistencyMode
 
 
@@ -126,38 +127,50 @@ class CoherenceProtocol:
             self.sanitizer.swmr_transition(self, "memory_touch", vpn)
         return cost
 
-    def quiet_touches(self, vpns, write):
-        """Serve the touches of a batch that :meth:`memory_touch` would
-        return from at no cost and with no change but a dirty bit; return,
-        per touch, whether it was served.
+    def touch_runs(self, heads, repeats, write, now):
+        """The cost of a batch of random runs of page accesses from the
+        temporary context.
 
-        Those are the reads of a resident page that ``t_mm`` maps present
-        (and writable, in WEAK/OFF), the writes to a resident page that
-        ``t_mm`` maps present and writable, which only set the dirty bit of
-        its owned PTE (copying the PTE first if it is not owned yet), and
-        every touch of a resident page after that page's first touch that
-        is not one of these. The caller must run every other touch through
-        :meth:`memory_touch`, in order. This is exact. No touch before the
-        first non-resident page true-faults, so none changes memory-pool
-        residency; a touch changes only its own page's PTE and cache entry;
-        and every branch of :meth:`memory_touch` on a resident page leaves
-        the PTE present (writable in WEAK/OFF) and, for a write, writable
-        and dirty, so the page's later touches change nothing. A true fault
-        may evict other pages from the memory pool, so no touch after the
-        first non-resident page is served. Without sanitizers only: they
-        check each touch.
+        Each run's first access (its head) is a :meth:`memory_touch` at
+        ``now`` plus the cost charged before it; the run then adds
+        ``dram_random_ns`` and one ``dram_line_ns`` per repeat. A quiet
+        head is served inline: a page in memory-pool DRAM whose ``t_mm``
+        PTE is present, and writable for a write or in WEAK/OFF. On such a
+        page :meth:`memory_touch` costs nothing and changes nothing but a
+        write's dirty bit, set here on the owned PTE (copied first if not
+        yet owned, as ``ensure`` does); the sanitizer still checks it.
         """
-        resident = self.memkernel.resident_prefix(vpns)
-        unserved = [False] * (len(vpns) - resident)
+        in_pool = self.memkernel.pool._resident
         t_mm = self.t_mm
-        if t_mm is None:
-            return [True] * resident + unserved
-        if resident < len(vpns):
-            vpns = vpns[:resident]
-        if write:
-            return t_mm.quiet_writes(vpns) + unserved
-        relaxed = self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF)
-        return t_mm.quiet_reads(vpns, writable_only=relaxed) + unserved
+        # Without a temporary context no head is quiet: all go through
+        # memory_touch.
+        owned, shared = ({}, {}) if t_mm is None else (t_mm._owned, t_mm._entries)
+        owned_get = owned.get
+        shared_get = shared.get
+        writable_only = write or self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF)
+        sanitizer = self.sanitizer
+        touch = self.memory_touch
+        random_ns = self.config.dram_random_ns
+        line_ns = self.config.dram_line_ns
+        cost = 0.0
+        for vpn, run_repeats in zip(heads, repeats):
+            pte = owned_get(vpn) or shared_get(vpn)
+            if (pte is not None and pte.present and (pte.writable or not writable_only)
+                    and vpn in in_pool):
+                if write:
+                    if vpn in owned:
+                        pte.dirty = True
+                    else:
+                        owned[vpn] = PageTableEntry(True, True, True)
+                if sanitizer is not None:
+                    sanitizer.swmr_transition(self, "memory_touch", vpn)
+            else:
+                cost += touch(vpn, write, now + cost)
+            cost += random_ns
+            if run_repeats:
+                for _ in range(run_repeats):
+                    cost += line_ns
+        return cost
 
     def _memory_touch(self, vpn, write, now):
         cost = 0.0

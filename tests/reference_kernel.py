@@ -38,6 +38,8 @@ def touch_random(kernel, memkernel, vpn, write, now=0.0):
         kernel.stats.cache_hits += 1
         return cost
     kernel.stats.cache_misses += 1
+    if kernel.platform.tracer.enabled:
+        kernel.platform.tracer.emit(now, "fault", vpn=vpn, write=write)
     return fetch(kernel, memkernel, vpn, 1, write)
 
 

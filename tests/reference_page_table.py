@@ -77,30 +77,5 @@ class ReferenceSnapshot:
             self.entries[vpn] = PageTableEntry()
         return self.get(vpn)
 
-    def quiet_reads(self, vpns, writable_only):
-        loud = set()
-        quiet = []
-        for vpn in vpns:
-            pte = self.peek(vpn)
-            if pte is not None and pte.present and (pte.writable or not writable_only):
-                quiet.append(True)
-            else:
-                quiet.append(vpn in loud)
-                loud.add(vpn)
-        return quiet
-
-    def quiet_writes(self, vpns):
-        loud = set()
-        quiet = []
-        for vpn in vpns:
-            pte = self.peek(vpn)
-            if pte is not None and pte.present and pte.writable:
-                self.get(vpn).dirty = True
-                quiet.append(True)
-            else:
-                quiet.append(vpn in loud)
-                loud.add(vpn)
-        return quiet
-
     def owned_entries(self):
         return self.owned.items()

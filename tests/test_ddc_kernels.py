@@ -23,20 +23,20 @@ class TestComputeKernel:
     def test_miss_then_hit(self, kernels):
         platform, _process, region, compute, memory = kernels
         vpn = region.start_vpn
-        miss_cost = compute.touch_random(memory, vpn, write=False)
-        assert miss_cost > 0
+        miss_cost = compute.touch_runs(memory, [vpn], [0], False, 0.0)
+        assert miss_cost > platform.config.dram_random_ns
         assert platform.stats.cache_misses == 1
-        hit_cost = compute.touch_random(memory, vpn, write=False)
-        assert hit_cost == 0.0
+        hit_cost = compute.touch_runs(memory, [vpn], [0], False, 0.0)
+        assert hit_cost == platform.config.dram_random_ns
         assert platform.stats.cache_hits == 1
 
     def test_silent_upgrade_without_protocol(self, kernels):
-        _platform, _process, region, compute, memory = kernels
+        platform, _process, region, compute, memory = kernels
         vpn = region.start_vpn
-        compute.touch_random(memory, vpn, write=False)
+        compute.touch_runs(memory, [vpn], [0], False, 0.0)
         assert not compute.cache.peek(vpn).writable
-        cost = compute.touch_random(memory, vpn, write=True)
-        assert cost == 0.0  # no other sharer: silent upgrade
+        cost = compute.touch_runs(memory, [vpn], [0], True, 0.0)
+        assert cost == platform.config.dram_random_ns  # no other sharer: silent upgrade
         assert compute.cache.peek(vpn).writable
         assert compute.cache.peek(vpn).dirty
 
@@ -90,8 +90,8 @@ class TestComputeKernel:
 
     def test_resident_snapshot_permissions(self, kernels):
         _platform, _process, region, compute, memory = kernels
-        compute.touch_random(memory, region.start_vpn, write=False)
-        compute.touch_random(memory, region.start_vpn + 1, write=True)
+        compute.touch_runs(memory, [region.start_vpn], [0], False, 0.0)
+        compute.touch_runs(memory, [region.start_vpn + 1], [0], True, 0.0)
         snapshot = dict(compute.resident_snapshot())
         assert snapshot[region.start_vpn] is False
         assert snapshot[region.start_vpn + 1] is True
@@ -133,8 +133,8 @@ class TestMemoryKernel:
         big = alloc_floats(process, "big", 400_000)
         compute, memory = platform.kernels_for(process)
         assert not memory.is_resident(big.start_vpn)
-        cost = compute.touch_random(memory, big.start_vpn, write=False)
+        cost = compute.touch_runs(memory, [big.start_vpn], [0], False, 0.0)
         # Paid both the storage fault and the network fault.
-        assert cost > platform.config.remote_fault_ns(1)
+        assert cost > platform.config.remote_fault_ns(1) + platform.config.dram_random_ns
         assert platform.stats.storage_faults >= 1
         assert big.start_vpn in compute.cache

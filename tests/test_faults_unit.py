@@ -52,6 +52,12 @@ class TestFaultSpec:
         with pytest.raises(ConfigError):
             FaultSpec(FaultKind.DEGRADE, factor=0.5)
 
+    @pytest.mark.parametrize("field", ["start_ns", "end_ns", "delay_ns", "factor"])
+    def test_nan_rejected(self, field):
+        """A NaN bound would make a window that never arms."""
+        with pytest.raises(ConfigError):
+            FaultSpec(FaultKind.DELAY, **{"delay_ns": 1.0, field: float("nan")})
+
     def test_plan_rejects_non_specs(self):
         with pytest.raises(ConfigError):
             FaultPlan(specs=("drop",))

@@ -79,8 +79,7 @@ def test_invalidate_removes_and_returns_entry():
 
 def test_downgrade_clears_write_and_reports_dirty():
     cache = PageCache(4)
-    cache.insert(1, writable=True)
-    cache.mark_dirty(1)
+    cache.insert(1, writable=True, dirty=True)
     assert cache.downgrade(1) is True
     entry = cache.peek(1)
     assert not entry.writable

@@ -90,11 +90,6 @@ def test_resident_pages_bounded_by_capacity():
     assert device.resident_pages <= 8
 
 
-def test_writeback_cost_positive():
-    device, _ = make_device(4)
-    assert device.writeback_cost_ns(4) > 0
-
-
 def test_capacity_minimum_is_one():
     device, _ = make_device(0)
     assert device.capacity_pages == 1

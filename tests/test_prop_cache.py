@@ -19,7 +19,6 @@ OPS = st.lists(
         ),
         st.tuples(st.just("invalidate"), VPNS),
         st.tuples(st.just("downgrade"), VPNS),
-        st.tuples(st.just("mark_dirty"), VPNS),
     ),
     max_size=60,
 )
@@ -59,10 +58,6 @@ class ModelCache:
         if vpn in self.entries:
             self.entries[vpn][0] = False
             self.entries[vpn][1] = False
-
-    def mark_dirty(self, vpn):
-        if vpn in self.entries:
-            self.entries[vpn][1] = True
 
 
 @given(capacity=st.integers(min_value=1, max_value=8), ops=OPS)
@@ -115,9 +110,6 @@ def test_cache_matches_reference_model(capacity, ops):
         elif kind == "downgrade":
             cache.downgrade(vpn)
             model.downgrade(vpn)
-        elif kind == "mark_dirty":
-            cache.mark_dirty(vpn)
-            model.mark_dirty(vpn)
         # Invariants after every step.
         assert len(cache) == len(model.entries)
         assert len(cache) <= capacity

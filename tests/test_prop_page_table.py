@@ -34,8 +34,6 @@ OPS = st.lists(
             st.sampled_from(["read", "invalidate", "downgrade", "dirty"]),
         ),
         st.tuples(st.just("snap_ensure"), VPNS),
-        st.tuples(st.just("quiet_writes"), st.lists(VPNS, max_size=8)),
-        st.tuples(st.just("quiet_reads"), st.lists(VPNS, max_size=8), st.booleans()),
         st.tuples(st.just("finish")),
     ),
     max_size=50,
@@ -117,10 +115,6 @@ def apply(op, table, snap, regions, next_vpn):
             update(pte, op[2])
     elif kind == "snap_ensure":
         result = flags(snap.ensure(op[1]))
-    elif kind == "quiet_writes":
-        result = snap.quiet_writes(op[1])
-    elif kind == "quiet_reads":
-        result = snap.quiet_reads(op[1], op[2])
     elif kind == "finish":
         finish(table, snap)
         snap = None

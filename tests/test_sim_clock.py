@@ -19,6 +19,12 @@ def test_negative_start_rejected():
         VirtualClock(-1.0)
 
 
+@pytest.mark.parametrize("ns", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_start_rejected(ns):
+    with pytest.raises(ConfigError):
+        VirtualClock(ns)
+
+
 def test_advance_accumulates():
     clock = VirtualClock()
     clock.advance(10)

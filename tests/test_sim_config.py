@@ -94,6 +94,17 @@ def test_negative_latencies_rejected(field):
     assert getattr(DdcConfig(**{field: 0}), field) == 0
 
 
+@pytest.mark.parametrize("field", [
+    "page_size", "net_bandwidth_bytes_per_ns", "memory_clock_ghz", "pte_clone_ns",
+    "dram_line_ns", "prefetch_degree", "retry_backoff_multiplier", "retry_backoff_ns",
+])
+def test_nan_rejected(field):
+    """NaN fails every comparison, so a plain ``value <= 0`` guard lets it
+    through; each check must be written so that NaN fails it."""
+    with pytest.raises(ConfigError, match=field):
+        DdcConfig(**{field: float("nan")})
+
+
 def test_with_overrides_returns_new_config():
     config = DdcConfig()
     throttled = config.with_overrides(memory_clock_ghz=0.4)

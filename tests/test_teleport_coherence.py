@@ -356,7 +356,7 @@ class TestComputeSide:
         )
         mctx.touch_seq(region, 0, 4 * PAGE_ELEMENTS, write=True)
         assert protocol.online_sync_ns == 4 * 2 * platform.config.coherence_msg_ns
-        compute.touch_random(memory, vpns[-1], write=True, now=upgrade_at_ns)
+        compute.touch_runs(memory, [vpns[-1]], [0], True, upgrade_at_ns)
         assert platform.stats.coherence_tiebreaks == tiebreaks
 
 
