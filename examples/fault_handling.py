@@ -25,7 +25,7 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, drop_requests, partition
 from repro.sim.config import scaled_config
-from repro.sim.units import MIB
+from repro.sim.units import MIB, to_ns, to_ps
 from repro.teleport import TimeoutAction
 
 
@@ -74,10 +74,10 @@ def timeout_and_fallback():
 
 def watchdog_kill():
     platform, _region, ctx = fresh_platform()
-    watchdog = platform.config.watchdog_timeout_ns
+    watchdog = platform.config.watchdog_timeout_ps
 
     def wedged(mctx):
-        mctx.charge_ns(watchdog * 3)  # never returns in time
+        mctx.charge_ps(watchdog * 3)  # never returns in time
 
     try:
         ctx.pushdown(wedged)
@@ -155,7 +155,7 @@ def circuit_breaker():
         f"failures; call served from the compute pool ({result:.2f})"
     )
     # After the cooldown (and the fault window) a probe closes it again.
-    ctx.charge_ns(platform.config.breaker_cooldown_ns + 10e6)
+    ctx.charge_ps(to_ps(platform.config.breaker_cooldown_ns + 10e6))
     ctx.pushdown(summarize, region)
     print(f"   probe succeeded after cooldown -> breaker {breaker.state}")
 
@@ -168,12 +168,12 @@ def partition_suspicion_and_recovery():
     platform.inject_faults(
         FaultPlan(specs=(partition(0.9 * interval, 2.5 * interval),))
     )
-    ctx.charge_ns(1.1 * interval)  # one heartbeat already missed
+    ctx.charge_ps(to_ps(1.1 * interval))  # one heartbeat already missed
     result = ctx.pushdown(summarize, region)
     print(
         f"8. transient partition: {platform.stats.heartbeat_suspicions} "
         f"suspicion, {platform.stats.heartbeat_recoveries} lease recovery, "
-        f"result {result:.2f} at t={ctx.now / 1e6:.1f}ms (no panic)"
+        f"result {result:.2f} at t={to_ns(ctx.now) / 1e6:.1f}ms (no panic)"
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.ddc import make_platform
 from repro.sim.config import scaled_config
-from repro.sim.units import MIB, MS
+from repro.sim.units import MIB, MS, to_ns
 
 
 def filtered_sum(ctx, region, threshold):
@@ -41,7 +41,7 @@ def run(kind, use_pushdown):
         result = ctx.pushdown(filtered_sum, region, 0.5)
     else:
         result = filtered_sum(ctx, region, 0.5)
-    return result, (ctx.now - start) / MS
+    return result, to_ns(ctx.now - start) / MS
 
 
 def main():

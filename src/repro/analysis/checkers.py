@@ -156,7 +156,7 @@ class UnseededRngChecker(Checker):
 class DiscardedCostChecker(Checker):
     """LNT103: cost-model results must be charged, not dropped.
 
-    The cost model's methods (``Network.message_ns`` and friends) *return*
+    The cost model's methods (``Network.message_ps`` and friends) *return*
     virtual time; the caller must advance a clock by it. A bare expression
     statement discards the cost — the message was sent for free, which is
     exactly the accounting bug the virtual-clock discipline exists to

@@ -143,9 +143,9 @@ CONCURRENCY_ROOTS = frozenset({
 #: *return* a virtual-time cost. Discarding the return value means the
 #: work happened for free — a determinism/accounting bug (LNT103).
 COST_RETURNING_METHODS = frozenset({
-    "message_ns", "roundtrip_ns", "pages_in_ns", "pages_out_ns",
-    "coherence_message_ns", "net_message_ns", "net_roundtrip_ns",
-    "remote_fault_ns", "page_writeback_ns", "ssd_fault_ns", "cpu_ns",
+    "message_ps", "roundtrip_ps", "pages_in_ps", "pages_out_ps",
+    "coherence_message_ps", "net_message_ps", "net_roundtrip_ps",
+    "remote_fault_ps", "page_writeback_ps", "ssd_fault_ps", "cpu_ps", "transfer_ps",
     "boundary_sync", "memory_touch", "compute_upgrade",
 })
 

@@ -21,8 +21,9 @@ Enablement:
 * scoped via the :func:`sanitized` context manager.
 
 All violations raise :class:`~repro.errors.SanitizerViolation`. Virtual
-time needs no sanitizer: :class:`~repro.sim.clock.VirtualClock` rejects
-negative and non-finite time itself.
+time needs no sanitizer: :class:`~repro.sim.clock.VirtualClock` accepts
+only non-negative ``int`` picoseconds, so NaN, infinities and every other
+float are rejected by type.
 """
 
 import contextlib
@@ -56,7 +57,7 @@ class SanitizerSuite:
             tracer = protocol.platform.tracer
             if tracer.enabled:
                 tracer.emit(
-                    0.0, "sanitizer", check="swmr", transition=transition, vpn=vpn,
+                    0, "sanitizer", check="swmr", transition=transition, vpn=vpn,
                 )
             raise SanitizerViolation(
                 f"SWMR violated after transition {transition!r}: {exc}"

@@ -6,9 +6,7 @@ from repro.bench.results import FigureResult
 from repro.bench.workloads import effort_params, tpch_dataset, tpch_run
 from repro.ddc import make_platform
 from repro.graph import GraphEngine, connected_components, reachability, social_graph, sssp
-from repro.graph import engine as graph_engine_module
 from repro.mapreduce import GrepJob, MapReduceEngine, WordCountJob, make_corpus
-from repro.mapreduce import engine as mr_engine_module
 from repro.db.operators import Aggregate, HashJoin, Projection, Selection
 from repro.graph import algorithms as graph_algorithms
 from repro.sim.config import scaled_config
@@ -223,6 +221,3 @@ def run_fig11_code_table(effort="quick"):
         )
     return result
 
-
-# Module references kept so the code table can cite them in docs.
-_CODE_TABLE_MODULES = (graph_engine_module, mr_engine_module)

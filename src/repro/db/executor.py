@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.db.plan import PhysicalPlan
 from repro.errors import ReproError
-from repro.sim.units import SEC
+from repro.sim.units import SEC, to_ns
 
 
 @dataclass
@@ -100,7 +100,7 @@ class QueryExecutor:
                 OperatorProfile(
                     label=op.label,
                     kind=op.kind,
-                    time_ns=ctx.now - t0,
+                    time_ns=to_ns(ctx.now - t0),
                     remote_pages=remote_pages,
                     remote_bytes=remote_pages * ctx.config.page_size,
                     storage_faults=delta.storage_faults,
@@ -111,7 +111,7 @@ class QueryExecutor:
         return QueryResult(
             plan_name=plan.name,
             value=value,
-            time_ns=ctx.now - start,
+            time_ns=to_ns(ctx.now - start),
             profiles=profiles,
             env=env,
         )

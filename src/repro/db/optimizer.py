@@ -21,6 +21,7 @@ best level of Figure 18's sweep.
 from dataclasses import dataclass
 
 from repro.errors import ReproError
+from repro.sim.units import to_ns
 
 
 @dataclass
@@ -57,8 +58,8 @@ class CostBasedOptimizer:
         (random fault) extremes.
         """
         config = self.config
-        batched = config.remote_fault_ns(config.prefetch_degree) / config.prefetch_degree
-        unbatched = config.remote_fault_ns(1)
+        batched = to_ns(config.remote_fault_ps(config.prefetch_degree)) / config.prefetch_degree
+        unbatched = to_ns(config.single_fault_ps)
         return (batched + unbatched) / 2.0
 
     def _pushdown_overhead_ns(self):
@@ -66,10 +67,10 @@ class CostBasedOptimizer:
         config = self.config
         resident_estimate = config.compute_cache_pages // 2
         request_bytes = config.page_list_message_bytes(resident_estimate)
-        return (
-            config.net_roundtrip_ns(request_bytes, 256)
-            + config.context_base_ns
-            + config.pte_clone_ns * resident_estimate
+        return to_ns(
+            config.net_roundtrip_ps(request_bytes, 256)
+            + config.context_base_ps
+            + config.pte_clone_ps * resident_estimate
         )
 
     def estimate(self, profile):

@@ -26,9 +26,6 @@ class PhysicalPlan:
     def __len__(self):
         return len(self.operators)
 
-    def operator_labels(self):
-        return [op.label for op in self.operators]
-
     def operator(self, label):
         for op in self.operators:
             if op.label == label:

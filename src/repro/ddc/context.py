@@ -46,11 +46,12 @@ class ExecutionContext:
 
     @property
     def now(self):
+        """This thread's virtual time, in picoseconds."""
         return self.thread.clock.now
 
-    def charge_ns(self, ns):
-        """Charge raw virtual time to this thread."""
-        self.thread.clock.advance(ns)
+    def charge_ps(self, ps):
+        """Charge raw virtual time (integer picoseconds) to this thread."""
+        self.thread.clock.advance(ps)
 
     def compute(self, ops):
         """Charge ``ops`` simple CPU operations at the executing pool's clock."""
@@ -60,7 +61,7 @@ class ExecutionContext:
             ghz = self.config.memory_clock_ghz
         else:
             ghz = self.config.compute_clock_ghz
-        self.thread.clock.advance(self.config.cpu_ns(ops, ghz) * self.thread.cpu_scale)
+        self.thread.clock.advance(self.config.cpu_ps(ops, ghz, self.thread.cpu_scale))
 
     # ------------------------------------------------------------------
     # Cost-only page touches
@@ -141,7 +142,7 @@ class ExecutionContext:
         pool = self.pool
         if pool is Pool.LOCAL:
             cost = self.platform.swap.touch_range(start_vpn, npages, dirty=write)
-            return cost + npages * self.config.dram_page_ns
+            return cost + npages * self.config.dram_page_ps
         if pool is Pool.COMPUTE:
             return self.compkernel.touch_sequential(
                 self.memkernel, start_vpn, npages, write, self.now
@@ -152,11 +153,11 @@ class ExecutionContext:
             # ends when that upgrade does.
             protocol = self.protocol
             now = self.now
-            cost = 0.0
+            cost = 0
             for vpn in range(start_vpn, start_vpn + npages):
                 cost += protocol.memory_touch(vpn, write, now + cost)
             self.stats.memory_side_page_touches += npages
-            return cost + npages * self.config.dram_page_ns
+            return cost + npages * self.config.dram_page_ps
         raise ReproError(f"unknown pool {pool!r}")
 
     def _random_cost(self, vpns, write):
@@ -164,19 +165,19 @@ class ExecutionContext:
         exactly, one pool access per run.
 
         Per-access DRAM cost depends on locality: an access to the same
-        page as the previous one is a row-buffer hit (``dram_line_ns``); a
-        page change pays full DRAM latency (``dram_random_ns``). Misses
+        page as the previous one is a row-buffer hit (``dram_line_ps``); a
+        page change pays full DRAM latency (``dram_random_ps``). Misses
         additionally pay the pool-specific fault path.
 
         A run of k accesses to one page goes through the pool's machinery
         (swap, compute cache, coherence protocol) once, at its head. After
         that access the page is resident, most recently used and, for a
         write, writable and dirty, so each of the k-1 repeats would cost
-        exactly ``dram_line_ns`` and change nothing but the compute cache's
+        exactly ``dram_line_ps`` and change nothing but the compute cache's
         hit counter. Each pool's ``touch_runs`` serves the heads in order,
-        in one pass over live state, and adds each head's fault cost, then
-        ``dram_random_ns`` and the repeats one ``dram_line_ns`` at a time,
-        so that the total is the per-access loop's, bit for bit.
+        in one pass over live state, and charges the runs' DRAM time as
+        products; time is integer, so the total is the per-access loop's
+        exactly.
         """
         pool = self.pool
         heads, repeats = _page_runs(vpns)

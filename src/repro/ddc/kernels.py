@@ -13,7 +13,7 @@ route the relevant transitions through the attached
 Single-Writer-Multiple-Reader invariant holds across the pools.
 """
 
-from itertools import chain, islice, repeat
+from itertools import accumulate
 
 from repro.mem.cache import CacheEntry, PageCache
 from repro.mem.storage import SwapDevice
@@ -83,17 +83,17 @@ class ComputeKernel:
         """The cost of a batch of random runs of page accesses from the
         compute pool.
 
-        Each run's first access (its head) is served at ``now`` plus the
-        cost charged before it; the run then adds ``dram_random_ns`` and
-        one ``dram_line_ns`` per repeat, and its repeats are cache hits.
-        A hit moves the page to the MRU end; a write hit makes it writable
-        (silently without a protocol, by :meth:`_upgrade` with one) and
-        dirty. A miss is a one-page fetch with its ``fault`` trace event:
-        through :meth:`_fetch` and its hooks with a protocol, inline
-        without one. An inline fetch costs (storage fault +
-        ``single_fault_ns``) [+ ``single_writeback_ns`` for a dirty
-        victim], added in :meth:`_fetch`'s order, and its counters and
-        traffic are charged once per batch.
+        A run costs ``dram_random_ps``, one ``dram_line_ps`` per repeat and
+        its first access's (its head's) fault cost; its repeats are cache
+        hits. Each head is served at ``now`` plus the cost of the runs
+        before it. A hit moves the page to the MRU end; a write hit makes
+        it writable (silently without a protocol, by :meth:`_upgrade` with
+        one) and dirty. A miss is a one-page fetch with its ``fault`` trace
+        event: through :meth:`_fetch` and its hooks with a protocol, inline
+        without one. An inline fetch costs its storage fault (if the memory
+        pool spilled the page) + ``single_fault_ps`` [+
+        ``single_writeback_ps`` for a dirty victim]; its counters, traffic
+        and fixed costs are charged once per batch.
         """
         entries = self.cache._entries
         get = entries.get
@@ -106,13 +106,19 @@ class ComputeKernel:
         in_pool = pool._resident
         pool_move_to_end = in_pool.move_to_end
         config = self.config
-        fault_ns = config.single_fault_ns
-        writeback_ns = config.single_writeback_ns
-        random_ns = config.dram_random_ns
-        line_ns = config.dram_line_ns
+        fault_ps = config.single_fault_ps
+        writeback_ps = config.single_writeback_ps
+        random_ps = config.dram_random_ps
+        line_ps = config.dram_line_ps
         misses = evictions = dirty = 0
-        cost = 0.0
-        for vpn, run_repeats in zip(heads, repeats):
+        # The DRAM time of the runs before head i, which only a protocol
+        # upgrade and a traced miss read, is i * random_ps + lines_before[i]
+        # * line_ps. The runs' DRAM time and the inline misses' fixed costs
+        # are added after the loop.
+        if protocol is not None or tracing:
+            lines_before = list(accumulate(repeats, initial=0))
+        cost = 0
+        for index, vpn in enumerate(heads):
             entry = get(vpn)
             if entry is not None:
                 move_to_end(vpn)
@@ -121,43 +127,39 @@ class ComputeKernel:
                         if protocol is None:
                             entry.writable = True
                         else:
-                            cost += self._upgrade(vpn, entry, now + cost)
+                            at = now + cost + index * random_ps + lines_before[index] * line_ps
+                            cost += self._upgrade(vpn, entry, at)
                     entry.dirty = True
-            else:
-                misses += 1
-                if tracing:
-                    tracer.emit(now + cost, "fault", vpn=vpn, write=write)
+                continue
+            if tracing:
+                at = now + cost + index * random_ps + lines_before[index] * line_ps
                 if protocol is None:
-                    if vpn in in_pool:
-                        pool_move_to_end(vpn)
-                        fault = fault_ns
-                    else:
-                        fault = pool.touch(vpn) + fault_ns
-                    entries[vpn] = CacheEntry(write, write)
-                    if len(entries) > capacity:
-                        evictions += 1
-                        if entries.popitem(last=False)[1].dirty:
-                            dirty += 1
-                            fault += writeback_ns
-                    cost += fault
-                else:
-                    cost += self._fetch(memkernel, vpn, 1, write)
-            cost += random_ns
-            if run_repeats:
-                for _ in range(run_repeats):
-                    cost += line_ns
+                    at += misses * fault_ps + dirty * writeback_ps
+                tracer.emit(at, "fault", vpn=vpn, write=write)
+            misses += 1
+            if protocol is not None:
+                cost += self._fetch(memkernel, vpn, 1, write)
+                continue
+            if vpn in in_pool:
+                pool_move_to_end(vpn)
+            else:
+                cost += pool.touch(vpn)
+            entries[vpn] = CacheEntry(write, write)
+            if len(entries) > capacity:
+                evictions += 1
+                if entries.popitem(last=False)[1].dirty:
+                    dirty += 1
         stats = self.stats
         stats.cache_hits += len(heads) - misses + sum(repeats)
         stats.cache_misses += misses
         if protocol is None:
-            # The inline fetches' traffic; their costs are added above.
-            self.network.page_faults_ns(misses)
-            self.network.page_writebacks_ns(dirty)
+            cost += self.network.pages_in_ps(misses, batched=False)
+            cost += self.network.pages_out_ps(dirty, batched=False)
             stats.cache_evictions += evictions
             stats.dirty_writebacks += dirty
-        return cost
+        return cost + len(heads) * random_ps + sum(repeats) * line_ps
 
-    def touch_sequential(self, memkernel, start_vpn, npages, write, now=0.0):
+    def touch_sequential(self, memkernel, start_vpn, npages, write, now=0):
         """Stream ``npages`` consecutive pages through the cache.
 
         Misses are served in prefetch-degree batches, modelling the
@@ -176,7 +178,7 @@ class ComputeKernel:
         cache = self.cache
         degree = self.config.prefetch_degree
         tracer = self.platform.tracer
-        cost = 0.0
+        cost = 0
         vpn = start_vpn
         end = start_vpn + npages
         while vpn < end:
@@ -203,7 +205,7 @@ class ComputeKernel:
                 tracer.emit(now + cost, "fault", vpn=vpn, npages=batch, write=write)
             cost += self._fetch(memkernel, vpn, batch, write)
             vpn += batch
-        return cost + npages * self.config.dram_page_ns
+        return cost + npages * self.config.dram_page_ps
 
     # ------------------------------------------------------------------
     # Fault machinery
@@ -215,8 +217,7 @@ class ComputeKernel:
         them from storage if it spilled them: the recursive fault of
         Section 2.1), one request carries them over the fabric, and the
         cache admits them in one step. Each dirty victim is written back
-        in its own message; its cost is added to the batch's one page at a
-        time, as charging the victims one by one would round.
+        in its own message.
 
         With a protocol attached the batch is admitted page by page: per
         page ``on_compute_fetch`` (Figure 9 lines 3-10: the memory side
@@ -228,7 +229,7 @@ class ComputeKernel:
         hook must then take it away again.
         """
         cost = memkernel.ensure_resident_range(vpn, npages, write=False)
-        cost += self.network.pages_in_ns(npages, batched=True)
+        cost += self.network.pages_in_ps(npages, batched=True)
         protocol = self.protocol
         if protocol is None:
             victims = self.cache.insert_run(vpn, npages, write, dirty=write)
@@ -245,19 +246,10 @@ class ComputeKernel:
                     # is in the cache.
                     sanitizers.swmr_transition(protocol, "compute_fetch", fetched)
                 victims += evicted
-        if not victims:
-            return cost
         self.stats.cache_evictions += len(victims)
-        dirty = 0
-        for _vpn, was_dirty in victims:
-            if was_dirty:
-                dirty += 1
-        if dirty:
-            self.stats.dirty_writebacks += dirty
-            writeback = self.network.page_writebacks_ns(dirty)
-            for _ in range(dirty):
-                cost += writeback
-        return cost
+        dirty = sum(1 for _vpn, was_dirty in victims if was_dirty)
+        self.stats.dirty_writebacks += dirty
+        return cost + self.network.pages_out_ps(dirty, batched=False)
 
     def _stream_absent(self, memkernel, start_vpn, npages, write, now, cost):
         """Stream ``npages`` pages, none of them cached, as :meth:`_fetch`
@@ -270,36 +262,34 @@ class ComputeKernel:
         order, then the run's own earliest pages (dirty exactly when the
         stream writes); the j-th victim is evicted by the run's
         (free + j)-th insert. Each batch still calls the memory pool and
-        the network, in order, and its cost is built from the same float
-        additions as in :meth:`_fetch` before it joins the stream's total.
+        the network, in order; the victims' write-backs are charged once.
+        A batch's ``fault`` trace event is at ``now`` plus the cost charged
+        before it, the write-backs of the victims its earlier batches
+        evicted included.
         """
         cache = self.cache
         degree = self.config.prefetch_degree
         tracer = self.platform.tracer
         free = cache.capacity_pages - len(cache)
         old_victims, run_evicted = cache.insert_absent_run(start_vpn, npages, write, dirty=write)
-        dirty = sum(1 for _vpn, was_dirty in old_victims if was_dirty)
-        if write:
-            dirty += run_evicted
+        old_dirty = [was_dirty for _vpn, was_dirty in old_victims]
+        dirty = sum(old_dirty) + (run_evicted if write else 0)
         self.stats.cache_evictions += len(old_victims) + run_evicted
         self.stats.dirty_writebacks += dirty
         self.stats.cache_misses += -(-npages // degree)
-        writeback = self.network.page_writebacks_ns(dirty)
-        victim_dirty = chain(
-            (was_dirty for _vpn, was_dirty in old_victims), repeat(write, run_evicted)
-        )
+        if tracer.enabled:
+            writeback_ps = self.config.single_writeback_ps
+            # written[j]: the dirty pages among the run's first j victims.
+            written = list(accumulate(old_dirty + [write] * run_evicted, initial=0))
         for offset in range(0, npages, degree):
             batch = min(degree, npages - offset)
             batch_vpn = start_vpn + offset
             if tracer.enabled:
-                tracer.emit(now + cost, "fault", vpn=batch_vpn, npages=batch, write=write)
-            batch_cost = memkernel.ensure_resident_range(batch_vpn, batch, write=False)
-            batch_cost += self.network.pages_in_ns(batch, batched=True)
-            victims = max(0, offset + batch - free) - max(0, offset - free)
-            for _ in range(sum(islice(victim_dirty, victims))):
-                batch_cost += writeback
-            cost += batch_cost
-        return cost
+                at = now + cost + written[max(0, offset - free)] * writeback_ps
+                tracer.emit(at, "fault", vpn=batch_vpn, npages=batch, write=write)
+            cost += memkernel.ensure_resident_range(batch_vpn, batch, write=False)
+            cost += self.network.pages_in_ps(batch, batched=True)
+        return cost + self.network.pages_out_ps(dirty, batched=False)
 
     def _upgrade(self, vpn, entry, now):
         """Upgrade a cached read-only page to writable.
@@ -309,7 +299,7 @@ class ComputeKernel:
         transition that may lose a tie-break to the memory pool
         (Section 4.1).
         """
-        cost = 0.0
+        cost = 0
         if self.protocol is not None:
             cost = self.protocol.compute_upgrade(vpn, now)
         entry.writable = True
@@ -343,28 +333,28 @@ class ComputeKernel:
                 entry.dirty = False
                 flushed += 1
         if not flushed:
-            return 0.0, 0
+            return 0, 0
         self.stats.dirty_writebacks += flushed
-        return self.network.pages_out_ns(flushed, batched=batched), flushed
+        return self.network.pages_out_ps(flushed, batched=batched), flushed
 
     def evict_all(self):
         """Drop the whole cache (full-process migration); returns cost.
 
         Dirty victims are flushed page by page — the strawman path.
         """
-        cost = 0.0
+        cost = 0
         dropped = self.cache.clear()
         dirty = sum(1 for _vpn, was_dirty in dropped if was_dirty)
         if dirty:
             self.stats.dirty_writebacks += dirty
-            cost += self.network.pages_out_ns(dirty, batched=False)
+            cost += self.network.pages_out_ps(dirty, batched=False)
         self.stats.cache_evictions += len(dropped)
         return cost
 
     def evict_regions(self, regions):
         """Flush + drop only the pages of the given regions (per-thread
         pushdown ablation of Figure 6); returns cost (page-by-page)."""
-        cost = 0.0
+        cost = 0
         dirty = 0
         dropped = 0
         for region in regions:
@@ -377,7 +367,7 @@ class ComputeKernel:
                     dirty += 1
         if dirty:
             self.stats.dirty_writebacks += dirty
-            cost += self.network.pages_out_ns(dirty, batched=False)
+            cost += self.network.pages_out_ps(dirty, batched=False)
         self.stats.cache_evictions += dropped
         return cost
 

@@ -25,7 +25,7 @@ def run_parallel(parent_ctx, tasks, name_prefix="worker"):
     results = []
     clocks = []
     for index, task in enumerate(tasks):
-        thread = platform.spawn_thread(process, name=f"{name_prefix}-{index}", start_ns=start)
+        thread = platform.spawn_thread(process, name=f"{name_prefix}-{index}", start_ps=start)
         ctx = platform.context_for(thread)
         results.append(task(ctx))
         clocks.append(thread.clock)

@@ -9,7 +9,7 @@ reduce/merge) whose times and remote traffic the paper reports per phase
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.sim.units import SEC
+from repro.sim.units import SEC, ns_property, to_ns
 
 
 @dataclass
@@ -17,10 +17,13 @@ class PhaseProfile:
     """Accumulated execution profile of one named phase."""
 
     name: str
-    time_ns: float = 0.0
+    #: Virtual time spent in the phase, in picoseconds.
+    time_ps: int = 0
     remote_pages: int = 0
     calls: int = 0
     pushed_down: bool = False
+
+    time_ns = ns_property("time_ps")
 
     @property
     def time_s(self):
@@ -62,7 +65,7 @@ class PhaseRunner:
             result = body(ctx, *args)
         delta = ctx.stats.delta(before)
         profile = self.profiles.setdefault(name, PhaseProfile(name))
-        profile.time_ns += ctx.now - t0
+        profile.time_ps += ctx.now - t0
         profile.remote_pages += delta.remote_pages_in + delta.remote_pages_out
         profile.calls += 1
         profile.pushed_down = push
@@ -74,4 +77,4 @@ class PhaseRunner:
         return self.profiles[name]
 
     def total_time_ns(self):
-        return sum(profile.time_ns for profile in self.profiles.values())
+        return to_ns(sum(profile.time_ps for profile in self.profiles.values()))

@@ -23,6 +23,9 @@ class Platform:
     """Base class for the three execution platforms."""
 
     kind = "abstract"
+    #: Vpns between the bases of a platform's processes, so that state keyed
+    #: by vpn alone (the local swap) never mixes two processes' pages.
+    PROCESS_VPN_SPAN = 1 << 36
 
     def __init__(self, config=None):
         self.config = config or DdcConfig()
@@ -34,12 +37,15 @@ class Platform:
         #: the process-wide suite under ``pytest --sanitize``, a private
         #: suite when ``config.sanitizers`` is set, else None.
         self.sanitizers = suite_for(self.config)
+        self._processes = 0
 
     def new_process(self):
-        return Process(self)
+        process = Process(self, base_vpn=self._processes * self.PROCESS_VPN_SPAN)
+        self._processes += 1
+        return process
 
-    def spawn_thread(self, process, name=None, start_ns=0.0):
-        thread = SimThread(process, name=name, pool=self._thread_pool(), start_ns=start_ns)
+    def spawn_thread(self, process, name=None, start_ps=0):
+        thread = SimThread(process, name=name, pool=self._thread_pool(), start_ps=start_ps)
         process.threads.append(thread)
         return thread
 

@@ -16,10 +16,10 @@ _pids = itertools.count(1)
 class Process:
     """A user process running on one of the simulated platforms."""
 
-    def __init__(self, platform):
+    def __init__(self, platform, base_vpn=0):
         self.pid = next(_pids)
         self.platform = platform
-        self.address_space = AddressSpace(platform.config.page_size)
+        self.address_space = AddressSpace(platform.config.page_size, base_vpn)
         self.threads = []
 
     def alloc_array(self, name, array):

@@ -19,15 +19,15 @@ class SimThread:
 
     __slots__ = ("tid", "name", "process", "pool", "clock", "cpu_scale")
 
-    def __init__(self, process, name=None, pool=Pool.COMPUTE, start_ns=0.0):
+    def __init__(self, process, name=None, pool=Pool.COMPUTE, start_ps=0):
         self.tid = next(_ids)
         self.name = name or f"thread-{self.tid}"
         self.process = process
         self.pool = pool
-        self.clock = VirtualClock(start_ns)
+        self.clock = VirtualClock(start_ps)
         #: CPU slowdown factor (>= 1.0) from oversubscribing memory-pool
         #: cores; set by the TELEPORT RPC server (Figure 17).
         self.cpu_scale = 1.0
 
     def __repr__(self):
-        return f"SimThread({self.name!r}, pool={self.pool.value}, now={self.clock.now:.0f}ns)"
+        return f"SimThread({self.name!r}, pool={self.pool.value}, now={self.clock.now}ps)"

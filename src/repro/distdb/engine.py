@@ -22,6 +22,7 @@ from repro.sim.clock import VirtualClock
 from repro.sim.config import DdcConfig
 from repro.sim.network import Network
 from repro.sim.stats import Stats
+from repro.sim.units import to_ns, to_ps
 
 #: Shapes of the TPC-H queries the paper averages over: number of
 #: pipeline stages and the fraction of scanned bytes exchanged.
@@ -113,11 +114,11 @@ class DistributedEngine:
                 & (quantity < 24)
             )
             partials.append(float((li["extendedprice"][mask][keep] * discount[keep]).sum()))
-            clock.advance(self._scan_ns(rows * bytes_per_row))
-            clock.advance(self.profile.stage_overhead_ns)
+            clock.advance(to_ps(self._scan_ns(rows * bytes_per_row)))
+            clock.advance(to_ps(self.profile.stage_overhead_ns))
         # Exchange: each worker ships its partial aggregate to the leader.
-        gather_ns = self.n_workers * self.network.message_ns(64)
-        distributed_ns = max(clock.now for clock in worker_clocks) + gather_ns
+        gather_ps = self.n_workers * self.network.message_ps(64)
+        distributed_ns = to_ns(max(clock.now for clock in worker_clocks) + gather_ps)
         distributed_ns += self.profile.stage_overhead_ns  # final stage
         local_ns = self._local_ns(n * bytes_per_row, stages=2)
         return float(sum(partials)), distributed_ns, local_ns
@@ -156,7 +157,7 @@ class DistributedEngine:
             distributed_ns += 2 * profile.materialization * per_worker / self.SCAN_RATE
             # Exchange: each worker sends/receives its repartition share.
             shuffle = volume * shape["shuffle_fraction"] * profile.shuffle_factor
-            distributed_ns += self.network.message_ns(shuffle / self.n_workers)
+            distributed_ns += to_ns(self.network.message_ps(shuffle / self.n_workers))
             distributed_ns += profile.stage_overhead_ns
         return distributed_ns, local_ns
 

@@ -16,7 +16,7 @@ class CircuitBreaker:
 
     def __init__(self, config, stats):
         self.threshold = config.breaker_failure_threshold
-        self.cooldown_ns = config.breaker_cooldown_ns
+        self.cooldown_ps = config.breaker_cooldown_ps
         self.stats = stats
         self.failures = 0
         self.opened_at = None
@@ -36,7 +36,7 @@ class CircuitBreaker:
             # A probe is already in flight (its record_* call will land
             # before the next allow() in the single-threaded simulation).
             return False
-        if now - self.opened_at >= self.cooldown_ns:
+        if now - self.opened_at >= self.cooldown_ps:
             self._probing = True
             return True
         return False

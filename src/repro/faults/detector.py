@@ -2,8 +2,8 @@
 
 The compute pool's heartbeat thread pings the memory pool every
 ``heartbeat_interval_ns``. Heartbeats are modelled on a global schedule
-(multiples of the interval); a partition or crash window swallows every
-heartbeat it covers. The detector distinguishes:
+(multiples of the interval, in virtual ps); a partition or crash window
+swallows every heartbeat it covers. The detector distinguishes:
 
 * **suspicion** — at least one heartbeat missed, fewer than ``k``
   (``heartbeat_miss_threshold``): pushdown syscalls stall until the
@@ -15,9 +15,8 @@ heartbeat it covers. The detector distinguishes:
   an already-confirmed panic and are not re-charged.
 """
 
-import math
-
 from repro.errors import KernelPanic
+from repro.sim.units import to_ns
 
 
 class HeartbeatDetector:
@@ -25,34 +24,33 @@ class HeartbeatDetector:
 
     def __init__(self, config, stats):
         self.config = config
-        self.interval = config.heartbeat_interval_ns
+        self.interval = config.heartbeat_interval_ps
         self.k = config.heartbeat_miss_threshold
         self.stats = stats
-        self._crash_ns = None
-        self._confirmed_ns = None
+        self._crash_ps = None
+        self._confirmed_ps = None
         self._detection_charged = False
         self._recovered_windows = set()
 
     # ------------------------------------------------------------------
     # State changes
     # ------------------------------------------------------------------
-    def crash(self, at_ns=0.0):
-        """Declare hard memory-pool death at ``at_ns``."""
-        at_ns = float(at_ns)
-        if self._crash_ns is None or at_ns < self._crash_ns:
-            self._crash_ns = at_ns
+    def crash(self, at_ps=0):
+        """Declare hard memory-pool death at ``at_ps``."""
+        if self._crash_ps is None or at_ps < self._crash_ps:
+            self._crash_ps = at_ps
 
     @property
     def pool_dead(self):
         """True once loss has been confirmed by ``k`` missed heartbeats."""
-        return self._confirmed_ns is not None
+        return self._confirmed_ps is not None
 
     # ------------------------------------------------------------------
     # Heartbeat schedule arithmetic
     # ------------------------------------------------------------------
-    def _first_missed(self, start_ns):
-        """First heartbeat instant strictly after ``start_ns``."""
-        return (math.floor(start_ns / self.interval) + 1) * self.interval
+    def _first_missed(self, start_ps):
+        """First heartbeat instant strictly after ``start_ps``."""
+        return (start_ps // self.interval + 1) * self.interval
 
     def _confirm_instant(self, unreachable_since):
         """When the k-th consecutive heartbeat goes missing."""
@@ -76,11 +74,11 @@ class HeartbeatDetector:
                 # The syscall blocks until the k-th miss confirms the loss;
                 # this latency is paid once, by the detecting caller.
                 self._detection_charged = True
-                self._confirmed_ns = confirm
+                self._confirmed_ps = confirm
                 ctx.thread.clock.advance_to(confirm)
             raise KernelPanic(
                 f"memory pool unreachable: {self.k} heartbeats missed "
-                f"(confirmed at {confirm:.0f}ns)"
+                f"(confirmed at {to_ns(confirm):.0f}ns)"
             )
         if injector is None:
             return
@@ -99,13 +97,13 @@ class HeartbeatDetector:
             self.stats.heartbeat_suspicions += 1
             self.stats.heartbeat_recoveries += 1
         ctx.thread.clock.advance_to(end)
-        ctx.charge_ns(self.config.net_roundtrip_ns(64, 64))
+        ctx.charge_ps(self.config.net_roundtrip_ps(64, 64))
 
     def _effective_crash(self, injector):
         """Earliest instant after which the pool never answers again."""
-        crash = self._crash_ns
+        crash = self._crash_ps
         if injector is not None:
-            declared = injector.crash_start_ns()
+            declared = injector.crash_start_ps()
             if declared is not None and (crash is None or declared < crash):
                 crash = declared
             # A partition long enough to swallow k heartbeats is

@@ -3,16 +3,25 @@
 One :class:`FaultInjector` is installed per TELEPORT runtime
 (:meth:`TeleportRuntime.install_faults`). The runtime and the network
 consult it at every decision point — request send, response send, message
-cost, instance dispatch — passing the current virtual time. Probabilistic
+cost, instance dispatch — passing the current virtual time (in ps; the
+plan's windows are in ns). Probabilistic
 faults draw from a single seeded RNG; since the simulation is
 single-threaded and deterministic, the draw sequence (and therefore every
 injected fault) is identical across runs with the same plan and seed.
 """
 
+import math
 from collections import Counter
 
 from repro.faults.plan import FaultKind
 from repro.sim.rng import make_rng
+from repro.sim.units import to_ns, to_ps
+
+
+def _window_ps(spec):
+    """A spec's ``[start, end)`` window in ps; an open end stays infinite."""
+    end = spec.end_ns if spec.end_ns == math.inf else to_ps(spec.end_ns)
+    return to_ps(spec.start_ns), end
 
 
 class FaultInjector:
@@ -43,6 +52,7 @@ class FaultInjector:
 
     def _message_blocked(self, now, drop_kinds):
         """Shared logic for request/response delivery decisions."""
+        now = to_ns(now)
         for spec in self.plan.specs:
             if spec.kind is FaultKind.PARTITION and spec.active_at(now):
                 self._record(FaultKind.PARTITION)
@@ -66,26 +76,27 @@ class FaultInjector:
         """Does a pushdown response sent at ``now`` reach the caller?"""
         return not self._message_blocked(now, (FaultKind.DROP_RESPONSE,))
 
-    def message_delay_ns(self, now):
+    def message_delay_ps(self, now):
         """Extra congestion latency for one message sent at ``now``.
 
         Messages without a known timestamp (``now=None``) only experience
         always-on delay specs (window ``[0, inf)``).
         """
-        extra = 0.0
+        extra = 0
         for spec in self.plan.of_kind(FaultKind.DELAY):
             if now is None:
-                armed = spec.start_ns <= 0.0 and spec.end_ns == float("inf")
+                armed = spec.start_ns <= 0.0 and spec.end_ns == math.inf
             else:
-                armed = spec.active_at(now)
+                armed = spec.active_at(to_ns(now))
             if armed and self._fires(spec):
                 self._record(FaultKind.DELAY)
-                extra += spec.delay_ns
+                extra += to_ps(spec.delay_ns)
         return extra
 
     def degrade_factor(self, now):
         """Clock-stretch multiplier of the memory pool at ``now`` (>= 1)."""
         factor = 1.0
+        now = to_ns(now)
         for spec in self.plan.of_kind(FaultKind.DEGRADE):
             if spec.active_at(now):
                 factor *= spec.factor
@@ -94,22 +105,20 @@ class FaultInjector:
         return factor
 
     def partition_window_at(self, now):
-        """The (start, end) of the partition covering ``now``, or None."""
+        """The (start, end) ps window of the partition covering ``now``, or None."""
+        now = to_ns(now)
         for spec in self.plan.of_kind(FaultKind.PARTITION):
             if spec.active_at(now):
-                return (spec.start_ns, spec.end_ns)
+                return _window_ps(spec)
         return None
 
     def partition_windows(self):
-        """All declared partition windows as (start, end) pairs."""
-        return [
-            (spec.start_ns, spec.end_ns)
-            for spec in self.plan.of_kind(FaultKind.PARTITION)
-        ]
+        """All declared partition windows as (start, end) ps pairs."""
+        return [_window_ps(spec) for spec in self.plan.of_kind(FaultKind.PARTITION)]
 
-    def crash_start_ns(self):
+    def crash_start_ps(self):
         """Earliest hard-death instant declared by the plan, or None."""
         crashes = self.plan.of_kind(FaultKind.CRASH)
         if not crashes:
             return None
-        return min(spec.start_ns for spec in crashes)
+        return to_ps(min(spec.start_ns for spec in crashes))

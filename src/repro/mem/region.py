@@ -57,8 +57,9 @@ class Region:
             )
         if lo == hi:
             return self.start_vpn, self.start_vpn
-        first = self.start_vpn + (lo * self.itemsize) // self.page_size
-        last = self.start_vpn + ((hi - 1) * self.itemsize) // self.page_size
+        # int(): costs derived from numpy vpns are numpy ints, which the clock rejects.
+        first = self.start_vpn + (int(lo) * self.itemsize) // self.page_size
+        last = self.start_vpn + (int(hi - 1) * self.itemsize) // self.page_size
         return first, last + 1
 
     def all_vpns(self):
@@ -77,21 +78,17 @@ class AddressSpace:
     #: Guard pages left between regions so off-by-one accesses fault loudly.
     _GUARD_PAGES = 1
 
-    def __init__(self, page_size):
+    def __init__(self, page_size, base_vpn=0):
         self.page_size = page_size
         self.full_table = PageTable()
         self.regions = {}
-        self._next_vpn = 0
+        self._next_vpn = base_vpn
         self._allocated_bytes = 0
 
     @property
     def allocated_bytes(self):
         """Total bytes of live allocations."""
         return self._allocated_bytes
-
-    @property
-    def allocated_pages(self):
-        return sum(region.npages for region in self.regions.values())
 
     def alloc_array(self, name, array):
         """Register a numpy array as a region of this address space.
@@ -134,13 +131,6 @@ class AddressSpace:
         del self.regions[region.name]
         self.full_table.unmap_range(region.start_vpn, region.npages)
         self._allocated_bytes -= region.nbytes
-
-    def region_of_vpn(self, vpn):
-        """Find the region containing ``vpn`` (diagnostics only)."""
-        for region in self.regions.values():
-            if region.start_vpn <= vpn < region.end_vpn:
-                return region
-        return None
 
     def unique_name(self, prefix):
         """Generate an unused region name with the given prefix."""

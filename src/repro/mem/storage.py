@@ -63,31 +63,29 @@ class SwapDevice:
             resident[vpn] = True
 
     def touch(self, vpn, dirty=False):
-        """Access one page; return the fault cost (0.0 on a DRAM hit)."""
+        """Access one page; return the fault cost in ps (0 on a DRAM hit)."""
         entry_dirty = self._resident.get(vpn)
         if entry_dirty is not None:
             self._resident.move_to_end(vpn)
             if dirty and not entry_dirty:
                 self._resident[vpn] = True
-            return 0.0
+            return 0
         return self._fault_in(vpn, dirty)
 
     def touch_runs(self, heads, repeats, write):
         """The cost of a batch of random runs of page accesses.
 
-        Each run touches its page (its head) as :meth:`touch` would, then
-        adds ``dram_random_ns`` and one ``dram_line_ns`` per repeat, in run
-        order. A DRAM hit is served inline (LRU move, and the dirty bit for
-        a write) and adds no fault cost; a miss goes through
-        :meth:`_fault_in`.
+        Each run touches its page (its head) as :meth:`touch` would and
+        costs ``dram_random_ps``, plus one ``dram_line_ps`` per repeat. A
+        DRAM hit is served inline (LRU move, and the dirty bit for a write)
+        and adds no fault cost; a miss goes through :meth:`_fault_in`.
         """
         resident = self._resident
         get = resident.get
         move_to_end = resident.move_to_end
-        random_ns = self.config.dram_random_ns
-        line_ns = self.config.dram_line_ns
-        cost = 0.0
-        for vpn, run_repeats in zip(heads, repeats):
+        config = self.config
+        cost = len(heads) * config.dram_random_ps + sum(repeats) * config.dram_line_ps
+        for vpn in heads:
             entry_dirty = get(vpn)
             if entry_dirty is None:
                 cost += self._fault_in(vpn, write)
@@ -95,10 +93,6 @@ class SwapDevice:
                 move_to_end(vpn)
                 if write and not entry_dirty:
                     resident[vpn] = True
-            cost += random_ns
-            if run_repeats:
-                for _ in range(run_repeats):
-                    cost += line_ns
         return cost
 
     def touch_range(self, start_vpn, npages, dirty=False):
@@ -106,7 +100,7 @@ class SwapDevice:
 
         Misses within the range are served with readahead-sized batches.
         """
-        total = 0.0
+        total = 0
         vpn = start_vpn
         end = start_vpn + npages
         while vpn < end:
@@ -118,7 +112,7 @@ class SwapDevice:
                 continue
             batch = min(self.config.ssd_readahead_pages, end - vpn)
             sequential = self._last_fault_vpn is not None and vpn == self._last_fault_vpn + 1
-            total += self.config.ssd_fault_ns(batch, sequential=sequential)
+            total += self.config.ssd_fault_ps(batch, sequential=sequential)
             self.stats.storage_faults += 1
             self.stats.storage_pages_in += batch
             for fetched in range(vpn, vpn + batch):
@@ -129,7 +123,7 @@ class SwapDevice:
 
     def _fault_in(self, vpn, dirty):
         sequential = self._last_fault_vpn is not None and vpn == self._last_fault_vpn + 1
-        cost = self.config.ssd_fault_ns(1, sequential=sequential)
+        cost = self.config.ssd_fault_ps(1, sequential=sequential)
         self.stats.storage_faults += 1
         self.stats.storage_pages_in += 1
         self._last_fault_vpn = vpn
@@ -142,16 +136,19 @@ class SwapDevice:
         return self._evict_down_to(self.capacity_pages)
 
     def _evict_down_to(self, npages):
-        """Evict LRU victims until ``npages`` remain; returns dirty-writeback cost."""
-        cost = 0.0
-        while len(self._resident) > npages:
-            _victim, victim_dirty = self._resident.popitem(last=False)
-            if victim_dirty:
-                # A dirty victim must be flushed to the device before its
-                # frame can be reused; sequential rate (swap-out batches).
-                self.stats.storage_pages_out += 1
-                cost += self.config.page_size / self.config.ssd_bandwidth_bytes_per_ns
-        return cost
+        """Evict LRU victims until ``npages`` remain; returns dirty-writeback cost.
+
+        A dirty victim must be flushed to the device before its frame can
+        be reused, at the sequential rate (swap-out batches).
+        """
+        resident = self._resident
+        dirty = 0
+        while len(resident) > npages:
+            if resident.popitem(last=False)[1]:
+                dirty += 1
+        self.stats.storage_pages_out += dirty
+        config = self.config
+        return config.transfer_ps(dirty * config.page_size, config.ssd_bandwidth_bytes_per_ns)
 
     def drop(self, vpn):
         """Forget a page entirely (its region was freed); no write-back."""

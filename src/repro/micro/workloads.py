@@ -25,6 +25,7 @@ from repro.errors import ReproError
 from repro.micro.spec import MicroResult
 from repro.serve.scheduler import interleave
 from repro.sim.rng import make_rng
+from repro.sim.units import to_ns
 from repro.teleport.flags import ConsistencyMode, PushdownOptions, SyncMethod
 
 MODES = (
@@ -172,13 +173,13 @@ class _Runner:
             "teleport_relaxed": self._run_session,
             "teleport_syncmem": self._run_session,
         }[self.mode]
-        compute_ns, memory_ns = driver()
+        compute_ps, memory_ps = driver()
         stats = self.platform.stats
         return MicroResult(
             mode=self.mode,
-            total_ns=max(compute_ns, memory_ns),
-            compute_thread_ns=compute_ns,
-            memory_thread_ns=memory_ns,
+            total_ns=to_ns(max(compute_ps, memory_ps)),
+            compute_thread_ns=to_ns(compute_ps),
+            memory_thread_ns=to_ns(memory_ps),
             coherence_messages=stats.coherence_messages,
             coherence_tiebreaks=stats.coherence_tiebreaks,
             remote_pages=stats.remote_pages_in + stats.remote_pages_out,

@@ -62,7 +62,7 @@ class OffloadRequest:
 
     __slots__ = (
         "name", "fn", "args", "regions", "payload_bytes", "options",
-        "pushed", "arrival_ns", "completed_ns",
+        "pushed", "arrival_ps",
     )
 
     def __init__(self, name, fn, args=(), regions=(), payload_bytes=0,
@@ -73,10 +73,9 @@ class OffloadRequest:
         self.regions = tuple(regions)
         self.payload_bytes = int(payload_bytes)
         self.options = options if options is not None else PushdownOptions.DEFAULT
-        #: Filled in by the serving layer.
+        #: Filled in by the serving layer (times in ps).
         self.pushed = False
-        self.arrival_ns = None
-        self.completed_ns = None
+        self.arrival_ps = None
 
     def touched_pages(self):
         return sum(len(_vpn_range(entry)) for entry in self.regions)
@@ -111,8 +110,8 @@ class OffloadController:
             return False
         if self.policy is OffloadPolicy.ALWAYS:
             return True
-        local = self.estimate_local_ns(ctx, request)
-        remote = self.estimate_pushdown_ns(ctx, request, pool)
+        local = self.estimate_local_ps(ctx, request)
+        remote = self.estimate_pushdown_ps(ctx, request, pool)
         return remote < local
 
     # ------------------------------------------------------------------
@@ -132,7 +131,7 @@ class OffloadController:
                     cached += 1
         return cached
 
-    def estimate_local_ns(self, ctx, request):
+    def estimate_local_ps(self, ctx, request):
         """Cost of running locally: faulting in every non-resident page.
 
         Sequential prefetching amortises the round trip over
@@ -144,10 +143,10 @@ class OffloadController:
         cached = self.cached_pages(ctx, request)
         misses = touched - cached
         degree = config.prefetch_degree
-        miss_cost = misses * (config.remote_fault_ns(degree) / degree)
-        return miss_cost + cached * config.dram_page_ns
+        miss_cost = misses * (config.remote_fault_ps(degree) / degree)
+        return miss_cost + cached * config.dram_page_ps
 
-    def estimate_pushdown_ns(self, ctx, request, pool=None):
+    def estimate_pushdown_ps(self, ctx, request, pool=None):
         """Cost of pushing down: fixed overheads, payload, queue, coherence.
 
         The memory pool streams the touched region at its own DRAM, so
@@ -160,12 +159,12 @@ class OffloadController:
         config = self.config
         cached = self.cached_pages(ctx, request)
         cost = (
-            config.context_base_ns
-            + config.net_roundtrip_ns()
-            + config.net_message_ns(request.payload_bytes)
-            + cached * config.coherence_msg_ns
-            + request.touched_pages() * config.dram_page_ns
+            config.context_base_ps
+            + config.net_roundtrip_ps()
+            + config.net_message_ps(request.payload_bytes)
+            + cached * config.coherence_msg_ps
+            + request.touched_pages() * config.dram_page_ps
         )
         if pool is not None:
-            cost += pool.estimated_wait_ns(ctx.now)
+            cost += pool.estimated_wait_ps(ctx.now)
         return cost

@@ -41,19 +41,20 @@ import dataclasses
 import enum
 
 from repro.errors import ConfigError, PushdownTimeout, ReproError
+from repro.sim.units import ns_property, to_ns, to_ps
 from repro.teleport.flags import TimeoutAction
 
 
-def _remaining_timeout(options, waited_ns):
+def _remaining_timeout(options, waited_ps):
     """The caller's timeout budget net of the queueing delay already paid.
 
     A request that waited in the admission queue must not get a fresh
     full timeout at dispatch — the deadline is measured from submission.
     """
-    if options is None or options.timeout_ns is None or waited_ns <= 0:
+    if options is None or options.timeout_ns is None or waited_ps <= 0:
         return options
     return dataclasses.replace(
-        options, timeout_ns=max(0.0, options.timeout_ns - waited_ns)
+        options, timeout_ns=max(0.0, options.timeout_ns - to_ns(waited_ps))
     )
 
 
@@ -76,7 +77,7 @@ class TenantShare:
     __slots__ = (
         "name", "weight", "priority",
         "submitted", "dispatched", "completed", "cancelled",
-        "queue_delay_ns", "service_ns",
+        "queue_delay_ps", "service_ps",
     )
 
     def __init__(self, name, weight=1.0, priority=0):
@@ -89,10 +90,13 @@ class TenantShare:
         self.dispatched = 0
         self.completed = 0
         self.cancelled = 0
-        #: Total virtual time this tenant's requests spent queued.
-        self.queue_delay_ns = 0.0
-        #: Total memory-pool slot time this tenant consumed.
-        self.service_ns = 0.0
+        #: Total virtual time (ps) this tenant's requests spent queued.
+        self.queue_delay_ps = 0
+        #: Total memory-pool slot time (ps) this tenant consumed.
+        self.service_ps = 0
+
+    queue_delay_ns = ns_property("queue_delay_ps")
+    service_ns = ns_property("service_ps")
 
     def __repr__(self):
         return (
@@ -106,7 +110,7 @@ class QueuedRequest:
 
     __slots__ = (
         "task", "ctx", "fn", "args", "options", "share", "name",
-        "arrival_ns", "dispatched_ns", "completed_ns", "seq",
+        "arrival_ps", "completed_ps", "seq",
         "on_complete", "resume_task",
     )
 
@@ -118,9 +122,8 @@ class QueuedRequest:
         self.options = options
         self.share = share
         self.name = name
-        self.arrival_ns = ctx.now
-        self.dispatched_ns = None
-        self.completed_ns = None
+        self.arrival_ps = ctx.now
+        self.completed_ps = None
         self.seq = -1  # assigned by the pool; deterministic tie-break
         #: Optional hook ``on_complete(request, result, error)`` fired at
         #: completion, fallback, or failure.
@@ -130,14 +133,14 @@ class QueuedRequest:
         #: (batch submission) resumes only when the whole batch is done.
         self.resume_task = True
 
-    def expiry_ns(self):
+    def expiry_ps(self):
         """When this request's queued wait times out (None: never)."""
         options = self.options
         if options is None or options.timeout_ns is None:
             return None
         if options.on_timeout is TimeoutAction.WAIT:
             return None
-        return self.arrival_ns + options.timeout_ns
+        return self.arrival_ps + to_ps(options.timeout_ns)
 
 
 class PoolScheduler:
@@ -145,7 +148,7 @@ class PoolScheduler:
 
     Installs itself on the platform's TELEPORT runtime; from then on every
     ``pushdown()`` waits for a free instance. Acts as the serving
-    scheduler's event source: ``next_event_ns``/``fire`` interleave queue
+    scheduler's event source: ``next_event_ps``/``fire`` interleave queue
     dispatches with tenant task steps in virtual-time order.
     """
 
@@ -199,18 +202,18 @@ class PoolScheduler:
             depth += self.rpc.busy(now)
         return depth
 
-    def estimated_wait_ns(self, now):
+    def estimated_wait_ps(self, now):
         """Deterministic estimate of the queueing delay a new arrival pays."""
-        backlog = max(0.0, self.rpc.earliest_free_ns() - now)
+        backlog = max(0, self.rpc.earliest_free_ps() - now)
         if self.queue:
-            backlog += len(self.queue) * self._mean_service_ns()
+            backlog += len(self.queue) * self._mean_service_ps()
         return backlog
 
-    def _mean_service_ns(self):
+    def _mean_service_ps(self):
         completed = sum(share.completed for share in self.shares.values())
         if completed == 0:
-            return self.config.context_base_ns
-        total = sum(share.service_ns for share in self.shares.values())
+            return self.config.context_base_ps
+        total = sum(share.service_ps for share in self.shares.values())
         return total / completed
 
     # ------------------------------------------------------------------
@@ -223,19 +226,19 @@ class PoolScheduler:
         request.share.submitted += 1
         self.queue.append(request)
         self._emit(
-            request.arrival_ns, "enqueue", tenant=request.share.name,
+            request.arrival_ps, "enqueue", tenant=request.share.name,
             request=request.name, depth=len(self.queue),
         )
         scheduler.block(request.task)
 
-    def next_event_ns(self):
+    def next_event_ps(self):
         """Virtual time of the earliest pending dispatch or queue expiry."""
         if not self.queue:
             return None
-        earliest_arrival = min(r.arrival_ns for r in self.queue)
-        event = max(self.rpc.earliest_free_ns(), earliest_arrival)
+        earliest_arrival = min(r.arrival_ps for r in self.queue)
+        event = max(self.rpc.earliest_free_ps(), earliest_arrival)
         for request in self.queue:
-            expiry = request.expiry_ns()
+            expiry = request.expiry_ps()
             if expiry is not None and expiry < event:
                 event = expiry
         return event
@@ -244,16 +247,16 @@ class PoolScheduler:
         """Handle the event at ``now``: cancel expired waits, dispatch one."""
         expired = sorted(
             (r for r in self.queue
-             if r.expiry_ns() is not None and r.expiry_ns() <= now),
-            key=lambda r: (r.expiry_ns(), r.seq),
+             if r.expiry_ps() is not None and r.expiry_ps() <= now),
+            key=lambda r: (r.expiry_ps(), r.seq),
         )
         for request in expired:
             self.queue.remove(request)
             self._deliver(scheduler, request, self._cancel_queued)
         if not self.queue:
             return
-        eligible = [r for r in self.queue if r.arrival_ns <= now]
-        if not eligible or self.rpc.earliest_free_ns() > now:
+        eligible = [r for r in self.queue if r.arrival_ps <= now]
+        if not eligible or self.rpc.earliest_free_ps() > now:
             return
         request = self._pick(eligible)
         self.queue.remove(request)
@@ -268,7 +271,7 @@ class PoolScheduler:
         except ReproError as exc:
             error = exc
         else:
-            request.completed_ns = request.ctx.now
+            request.completed_ps = request.ctx.now
         if request.on_complete is not None:
             request.on_complete(request, result, error)
         if not request.resume_task:
@@ -292,21 +295,22 @@ class PoolScheduler:
         # No task: a synchronous caller is never parked.
         request = QueuedRequest(None, ctx, fn, args, options, self.share_for(ctx), "inline")
         request.share.submitted += 1
-        arrival = request.arrival_ns
-        start = max(arrival, self.rpc.earliest_free_ns())
+        arrival = request.arrival_ps
+        start = max(arrival, self.rpc.earliest_free_ps())
         self._emit(
             arrival, "enqueue", tenant=request.share.name, request="inline",
             depth=self.queue_depth(arrival),
         )
-        if request.expiry_ns() is not None and start - arrival > options.timeout_ns:
+        expiry = request.expiry_ps()
+        if expiry is not None and start > expiry:
             return self._cancel_queued(request)
         return self._execute(request, start, verify)
 
     # ------------------------------------------------------------------
     # Shared internals
     # ------------------------------------------------------------------
-    def _execute(self, request, start_ns, verify=False):
-        """Dispatch ``request`` at ``start_ns`` onto the earliest free
+    def _execute(self, request, start_ps, verify=False):
+        """Dispatch ``request`` at ``start_ps`` onto the earliest free
         instance and run it; returns its result or raises its ReproError.
 
         The tenant is charged the instance time the RPC server recorded at
@@ -315,18 +319,17 @@ class PoolScheduler:
         """
         share = request.share
         ctx = request.ctx
-        waited = start_ns - request.arrival_ns
+        waited = start_ps - request.arrival_ps
         share.dispatched += 1
-        share.queue_delay_ns += waited
-        request.dispatched_ns = start_ns
-        ctx.thread.clock.advance_to(start_ns)
+        share.queue_delay_ps += waited
+        ctx.thread.clock.advance_to(start_ps)
         self._emit(
-            start_ns, "dispatch", tenant=share.name, request=request.name,
-            wait_ms=round(waited / 1e6, 6), depth=len(self.queue),
+            start_ps, "dispatch", tenant=share.name, request=request.name,
+            wait_ms=round(to_ns(waited) / 1e6, 6), depth=len(self.queue),
         )
         rpc = self.rpc
         dispatched = rpc.dispatched
-        end_ns = None
+        end_ps = None
         try:
             self.dispatching = True
             result = self.runtime.pushdown(
@@ -342,13 +345,13 @@ class PoolScheduler:
         finally:
             self.dispatching = False
             if rpc.dispatched > dispatched:
-                end_ns = rpc.last_end_ns
-                share.service_ns += end_ns - start_ns
+                end_ps = rpc.last_end_ps
+                share.service_ps += end_ps - start_ps
         share.completed += 1
+        service = (end_ps if end_ps is not None else ctx.now) - start_ps
         self._emit(
             ctx.now, "complete", tenant=share.name, request=request.name,
-            outcome="ok",
-            service_ms=round(((end_ns if end_ns is not None else ctx.now) - start_ns) / 1e6, 6),
+            outcome="ok", service_ms=round(to_ns(service) / 1e6, 6),
         )
         return result
 
@@ -361,9 +364,9 @@ class PoolScheduler:
         """
         share = request.share
         options = request.options
-        expiry = request.expiry_ns()
+        expiry = request.expiry_ps()
         share.cancelled += 1
-        share.queue_delay_ns += options.timeout_ns
+        share.queue_delay_ps += expiry - request.arrival_ps
         request.ctx.thread.clock.advance_to(expiry)
         self.stats.pushdown_timeouts += 1
         self.stats.pushdown_cancellations += 1
@@ -380,19 +383,19 @@ class PoolScheduler:
     def _pick(self, eligible):
         """The policy's choice among requests whose arrival has passed."""
         if self.policy is QueuePolicy.FIFO:
-            key = lambda r: (r.arrival_ns, r.seq)
+            key = lambda r: (r.arrival_ps, r.seq)
         elif self.policy is QueuePolicy.PRIORITY:
-            key = lambda r: (-r.share.priority, r.arrival_ns, r.seq)
+            key = lambda r: (-r.share.priority, r.arrival_ps, r.seq)
         elif self.policy is QueuePolicy.FAIR:
-            key = lambda r: (r.share.service_ns / r.share.weight, r.arrival_ns, r.seq)
+            key = lambda r: (r.share.service_ps / r.share.weight, r.arrival_ps, r.seq)
         else:
             raise ReproError(f"unknown queue policy {self.policy!r}")
         return min(eligible, key=key)
 
-    def _emit(self, at_ns, phase, **detail):
+    def _emit(self, at_ps, phase, **detail):
         tracer = self.platform.tracer
         if tracer.enabled:
-            tracer.emit(at_ns, "sched", phase=phase, **detail)
+            tracer.emit(at_ps, "sched", phase=phase, **detail)
 
     def __repr__(self):
         return (

@@ -9,9 +9,9 @@ consistent interleaving across any number of concurrent tenants.
 Beyond the microbenchmark version, tasks gain:
 
 * **names** — every task is addressable in traces and reports;
-* **arrival times** — a task does not run before ``arrival_ns``; its
+* **arrival times** — a task does not run before ``arrival_ps``; its
   clock starts there (open-loop multi-tenant arrival plans);
-* **completion callbacks** — ``on_complete(task, at_ns)`` fires when the
+* **completion callbacks** — ``on_complete(task, at_ps)`` fires when the
   generator finishes, which is how the serving layer records latencies;
 * **effects** — a step may ``yield`` an effect object (e.g. an
   :class:`~repro.serve.offload.OffloadRequest`); the scheduler hands it
@@ -44,18 +44,18 @@ class Task:
     """One named, clocked flow of execution driven by the scheduler."""
 
     __slots__ = (
-        "name", "clock", "gen", "arrival_ns", "on_complete", "payload",
+        "name", "clock", "gen", "arrival_ps", "on_complete", "payload",
         "state", "seq", "result", "_resume_value", "_throw_exc",
     )
 
-    def __init__(self, name, clock, gen, arrival_ns=0.0, on_complete=None,
+    def __init__(self, name, clock, gen, arrival_ps=0, on_complete=None,
                  payload=None):
-        if arrival_ns < 0:
-            raise ReproError(f"task {name!r}: arrival_ns must be >= 0")
+        if type(arrival_ps) is not int or arrival_ps < 0:
+            raise ReproError(f"task {name!r}: arrival_ps must be an int >= 0")
         self.name = name
         self.clock = clock
         self.gen = gen
-        self.arrival_ns = float(arrival_ns)
+        self.arrival_ps = arrival_ps
         self.on_complete = on_complete
         #: Arbitrary owner data (the serving layer stores the Tenant here).
         self.payload = payload
@@ -67,12 +67,12 @@ class Task:
         self._throw_exc = None
 
     @property
-    def ready_ns(self):
+    def ready_ps(self):
         """Virtual time at which this task could next be stepped."""
-        return max(self.clock.now, self.arrival_ns)
+        return max(self.clock.now, self.arrival_ps)
 
     def __repr__(self):
-        return f"Task({self.name!r}, {self.state}, now={self.clock.now:.0f}ns)"
+        return f"Task({self.name!r}, {self.state}, now={self.clock.now}ps)"
 
 
 class Scheduler:
@@ -82,7 +82,7 @@ class Scheduler:
     value a task yields; it must leave the task RUNNABLE (after calling
     :meth:`resume`) or BLOCKED (after calling :meth:`block`).
 
-    ``event_source`` is an optional object with ``next_event_ns()`` (the
+    ``event_source`` is an optional object with ``next_event_ps()`` (the
     virtual time of its earliest pending event, or None) and
     ``fire(now, scheduler)``; the loop interleaves these events with task
     steps in virtual-time order. Ties go to task steps so an event at
@@ -133,26 +133,26 @@ class Scheduler:
                 task for task in self.tasks
                 if task.state in (TaskState.PENDING, TaskState.RUNNABLE)
             ]
-            event_ns = (
-                self.event_source.next_event_ns()
+            event_ps = (
+                self.event_source.next_event_ps()
                 if self.event_source is not None else None
             )
-            if not runnable and event_ns is None:
+            if not runnable and event_ps is None:
                 blocked = [t.name for t in self.tasks if t.state == TaskState.BLOCKED]
                 if blocked:
                     raise ReproError(
                         f"deadlock: tasks {blocked} blocked with no pending event"
                     )
                 return self.tasks
-            task = min(runnable, key=lambda t: (t.ready_ns, t.seq)) if runnable else None
-            if task is None or (event_ns is not None and event_ns < task.ready_ns):
-                self.event_source.fire(event_ns, self)
+            task = min(runnable, key=lambda t: (t.ready_ps, t.seq)) if runnable else None
+            if task is None or (event_ps is not None and event_ps < task.ready_ps):
+                self.event_source.fire(event_ps, self)
                 continue
             self._step(task)
 
     def _step(self, task):
         if task.state == TaskState.PENDING:
-            task.clock.advance_to(task.arrival_ns)
+            task.clock.advance_to(task.arrival_ps)
             task.state = TaskState.RUNNABLE
         throw, value = task._throw_exc, task._resume_value
         task._throw_exc = None

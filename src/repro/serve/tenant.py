@@ -24,23 +24,24 @@ from repro.serve.offload import OffloadController, OffloadPolicy, OffloadRequest
 from repro.serve.pool import PoolScheduler, QueuedRequest, QueuePolicy
 from repro.serve.scheduler import Scheduler, Task
 from repro.sim.stats import p50 as _p50, p99 as _p99
+from repro.sim.units import ns_property, to_ns, to_ps
 
 
 class RequestRecord:
-    """Latency record of one completed serving request."""
+    """Latency record of one completed serving request (times in ps)."""
 
-    __slots__ = ("name", "tenant", "arrival_ns", "completed_ns", "pushed")
+    __slots__ = ("name", "tenant", "arrival_ps", "completed_ps", "pushed")
 
-    def __init__(self, name, tenant, arrival_ns, completed_ns, pushed):
+    def __init__(self, name, tenant, arrival_ps, completed_ps, pushed):
         self.name = name
         self.tenant = tenant
-        self.arrival_ns = arrival_ns
-        self.completed_ns = completed_ns
+        self.arrival_ps = arrival_ps
+        self.completed_ps = completed_ps
         self.pushed = pushed
 
     @property
     def latency_ns(self):
-        return self.completed_ns - self.arrival_ns
+        return to_ns(self.completed_ps - self.arrival_ps)
 
     def __repr__(self):
         return (
@@ -54,24 +55,26 @@ class Tenant:
 
     __slots__ = (
         "name", "ctx", "task", "share", "records",
-        "arrival_ns", "finished_ns",
+        "arrival_ps", "finished_ps",
     )
 
-    def __init__(self, name, ctx, arrival_ns):
+    def __init__(self, name, ctx, arrival_ps):
         self.name = name
         self.ctx = ctx
         self.task = None
         self.share = None
         self.records = []
-        self.arrival_ns = arrival_ns
-        self.finished_ns = None
+        self.arrival_ps = arrival_ps
+        self.finished_ps = None
 
     @property
-    def completion_ns(self):
+    def completion_ps(self):
         """Time from this tenant's arrival to its last request finishing."""
-        if self.finished_ns is None:
+        if self.finished_ps is None:
             raise ReproError(f"tenant {self.name!r} has not finished")
-        return self.finished_ns - self.arrival_ns
+        return self.finished_ps - self.arrival_ps
+
+    completion_ns = ns_property("completion_ps")
 
 
 class Server:
@@ -103,6 +106,7 @@ class Server:
     def admit(self, name, workload, arrival_ns=0.0, weight=1.0, priority=0):
         """Admit a tenant.
 
+        ``arrival_ns`` is the tenant's arrival in virtual ns.
         ``workload(ctx)`` is called now (setup runs on the tenant's own
         clock) and must return a generator that yields
         :class:`~repro.serve.offload.OffloadRequest` effects, one per
@@ -114,20 +118,20 @@ class Server:
             raise ConfigError(f"tenant {name!r} already admitted")
         ctx = self.platform.main_context(name=name)
         ctx.serve_tenant = name  # PoolScheduler.share_for keys on this
-        tenant = Tenant(name, ctx, float(arrival_ns))
+        tenant = Tenant(name, ctx, to_ps(arrival_ns))
         if self.pool is not None:
             tenant.share = self.pool.register(name, weight=weight,
                                               priority=priority)
         gen = workload(ctx)
         tenant.task = self.scheduler.add(Task(
-            name, ctx.thread.clock, gen, arrival_ns=arrival_ns,
+            name, ctx.thread.clock, gen, arrival_ps=tenant.arrival_ps,
             on_complete=self._tenant_done, payload=tenant,
         ))
         self.tenants.append(tenant)
         return tenant
 
-    def _tenant_done(self, task, at_ns):
-        task.payload.finished_ns = at_ns
+    def _tenant_done(self, task, at_ps):
+        task.payload.finished_ps = at_ps
 
     # ------------------------------------------------------------------
     # The offload decision, applied per yielded request
@@ -164,7 +168,7 @@ class Server:
                         scheduler.throw(task, error)
                     return
                 results[index] = result
-                self._record(tenant, request, queued.completed_ns)
+                self._record(tenant, request, queued.completed_ps)
                 state["pending"] -= 1
                 if state["pending"] == 0 and not state["failed"]:
                     deliver()
@@ -176,7 +180,7 @@ class Server:
                     f"tenant {task.name!r} yielded {request!r}; serving "
                     "tasks must yield OffloadRequest effects (or batches)"
                 )
-            request.arrival_ns = ctx.now
+            request.arrival_ps = ctx.now
             push = self.controller.decide(ctx, request, self.pool)
             request.pushed = push
             if not push:
@@ -194,10 +198,9 @@ class Server:
         if state["pending"] == 0:
             deliver()
 
-    def _record(self, tenant, effect, completed_ns):
-        effect.completed_ns = completed_ns
+    def _record(self, tenant, effect, completed_ps):
         tenant.records.append(RequestRecord(
-            effect.name, tenant.name, effect.arrival_ns, completed_ns,
+            effect.name, tenant.name, effect.arrival_ps, completed_ps,
             effect.pushed,
         ))
 
@@ -224,12 +227,12 @@ class ServeReport:
         self.records = [
             record for tenant in self.tenants for record in tenant.records
         ]
-        self.makespan_ns = max(
-            (t.finished_ns for t in self.tenants if t.finished_ns is not None),
-            default=0.0,
-        )
+        self.makespan_ns = to_ns(max(
+            (t.finished_ps for t in self.tenants if t.finished_ps is not None),
+            default=0,
+        ))
         #: Sum over tenants of (finish - arrival): the benchmark's headline.
-        self.total_completion_ns = sum(t.completion_ns for t in self.tenants)
+        self.total_completion_ns = to_ns(sum(t.completion_ps for t in self.tenants))
         self.pushed = sum(1 for r in self.records if r.pushed)
         self.kept_local = len(self.records) - self.pushed
 

@@ -7,46 +7,45 @@ clocks at a common start time and joining on the maximum.
 
 from repro.errors import ConfigError
 
-_INF = float("inf")
+
+def _reject(ps, what):
+    raise ConfigError(f"{what} must be a non-negative int of picoseconds, got {ps!r}")
 
 
 class VirtualClock:
-    """A monotonically advancing virtual clock, in nanoseconds.
+    """A monotonically advancing virtual clock, in integer picoseconds
+    (see :mod:`repro.sim.units`).
 
-    Time is always finite. NaN compares false against everything and would
-    silently poison every timestamp downstream, so the guards are range
-    checks that NaN fails, and they reject infinities too.
+    Every time it is given must be an ``int`` (``type()``, not
+    ``isinstance()``: a ``bool`` is rejected) and non-negative, so NaN,
+    infinities and every other float are rejected by type.
     """
 
     __slots__ = ("_now",)
 
-    def __init__(self, start_ns=0.0):
-        if not 0 <= start_ns < _INF:
-            raise ConfigError(
-                f"clock cannot start at negative or non-finite time: {start_ns!r}"
-            )
-        self._now = float(start_ns)
+    def __init__(self, start_ps=0):
+        if type(start_ps) is not int or start_ps < 0:
+            _reject(start_ps, "clock start")
+        self._now = start_ps
 
     @property
     def now(self):
-        """Current virtual time in nanoseconds."""
+        """Current virtual time in picoseconds."""
         return self._now
 
-    def advance(self, ns):
-        """Charge ``ns`` nanoseconds of work and return the new time."""
-        if not 0 <= ns < _INF:
-            raise ConfigError(
-                f"cannot advance clock by negative or non-finite time: {ns!r}"
-            )
-        self._now += ns
+    def advance(self, ps):
+        """Charge ``ps`` picoseconds of work and return the new time."""
+        if type(ps) is not int or ps < 0:
+            _reject(ps, "clock advance")
+        self._now += ps
         return self._now
 
-    def advance_to(self, ns):
+    def advance_to(self, ps):
         """Move the clock forward to an absolute time (no-op if in the past)."""
-        if not -_INF < ns < _INF:
-            raise ConfigError(f"cannot advance clock to non-finite time: {ns!r}")
-        if ns > self._now:
-            self._now = ns
+        if type(ps) is not int or ps < 0:
+            _reject(ps, "clock target")
+        if ps > self._now:
+            self._now = ps
         return self._now
 
     def fork(self):
@@ -64,4 +63,4 @@ class VirtualClock:
         return self._now
 
     def __repr__(self):
-        return f"VirtualClock(now={self._now:.1f}ns)"
+        return f"VirtualClock(now={self._now}ps)"

@@ -16,16 +16,24 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from repro.errors import ConfigError
-from repro.sim.units import GIB, MIB
+from repro.sim.units import GIB, MIB, to_ps
+
+
+def _in_ps(*names):
+    """A cached property: the sum of the ``names`` fields, durations in ns,
+    each in whole picoseconds."""
+    return cached_property(lambda self: sum(to_ps(getattr(self, name)) for name in names))
 
 
 @dataclass(frozen=True)
 class DdcConfig:
     """Configuration of the simulated disaggregated data center.
 
-    Frozen: a config is validated once, and the per-fault constants
-    derived from it (:attr:`single_fault_ns`, :attr:`single_writeback_ns`)
-    are computed once and cached. Use :meth:`with_overrides` for a variant.
+    Frozen: a config is validated once. Its durations are float ns (the
+    ``*_ns`` fields); the simulator charges integer picoseconds (see
+    :mod:`repro.sim.units`), so each cost constant is derived in ps once and
+    cached (the ``*_ps`` attributes), and each computed cost (a transfer,
+    CPU work) is rounded to ps once. Use :meth:`with_overrides` for a variant.
     """
 
     # ------------------------------------------------------------------
@@ -160,8 +168,8 @@ class DdcConfig:
     #: Seed for all data generators in a run.
     seed: int = 2022
     #: Arm the runtime invariant sanitizers (repro.analysis.sanitizers) on
-    #: platforms built from this config: per-transition SWMR checks,
-    #: clock-finiteness checks, and pushdown-session leak checks. The test
+    #: platforms built from this config: per-transition SWMR checks and
+    #: pushdown-session leak checks. The test
     #: suite's ``pytest --sanitize`` flag enables them process-wide instead.
     sanitizers: bool = False
 
@@ -246,15 +254,38 @@ class DdcConfig:
         """Number of pages covering ``nbytes``."""
         return (int(nbytes) + self.page_size - 1) // self.page_size
 
-    def net_message_ns(self, nbytes=0):
+    #: One RDMA message with no payload: latency plus RPC software.
+    net_message_base_ps = _in_ps("net_latency_ns", "rpc_software_ns")
+    dram_page_ps = _in_ps("dram_page_ns")
+    dram_random_ps = _in_ps("dram_random_ns")
+    dram_line_ps = _in_ps("dram_line_ns")
+    fault_software_ps = _in_ps("fault_software_ns")
+    ssd_random_fault_ps = _in_ps("ssd_random_fault_ns")
+    ssd_swap_software_ps = _in_ps("ssd_swap_software_ns")
+    pte_clone_ps = _in_ps("pte_clone_ns")
+    context_base_ps = _in_ps("context_base_ns")
+    coherence_msg_ps = _in_ps("coherence_msg_ns")
+    contention_backoff_ps = _in_ps("contention_backoff_ns")
+    watchdog_timeout_ps = _in_ps("watchdog_timeout_ns")
+    heartbeat_interval_ps = _in_ps("heartbeat_interval_ns")
+    breaker_cooldown_ps = _in_ps("breaker_cooldown_ns")
+
+    def transfer_ps(self, nbytes, bytes_per_ns=None):
+        """Time to move ``nbytes`` at ``bytes_per_ns`` (default: the fabric's
+        bandwidth)."""
+        if bytes_per_ns is None:
+            bytes_per_ns = self.net_bandwidth_bytes_per_ns
+        return to_ps(nbytes / bytes_per_ns)
+
+    def net_message_ps(self, nbytes=0):
         """Cost of one RDMA message carrying ``nbytes`` of payload."""
-        return self.net_latency_ns + self.rpc_software_ns + nbytes / self.net_bandwidth_bytes_per_ns
+        return self.net_message_base_ps + self.transfer_ps(nbytes)
 
-    def net_roundtrip_ns(self, request_bytes=0, response_bytes=0):
+    def net_roundtrip_ps(self, request_bytes=0, response_bytes=0):
         """Cost of a request/response pair over the fabric."""
-        return self.net_message_ns(request_bytes) + self.net_message_ns(response_bytes)
+        return self.net_message_ps(request_bytes) + self.net_message_ps(response_bytes)
 
-    def remote_fault_ns(self, npages=1):
+    def remote_fault_ps(self, npages=1):
         """Cost of a compute-pool page fault served by the memory pool.
 
         One request fetches ``npages`` pages (sequential prefetching): the
@@ -263,35 +294,35 @@ class DdcConfig:
         for every page — which is why the paper finds OS-level caching and
         prefetching "on their own insufficient" (Section 1).
         """
-        transfer = npages * self.page_size / self.net_bandwidth_bytes_per_ns
-        return npages * self.fault_software_ns + self.net_roundtrip_ns() + transfer
+        transfer = self.transfer_ps(npages * self.page_size)
+        return npages * self.fault_software_ps + 2 * self.net_message_base_ps + transfer
 
-    def page_writeback_ns(self, npages=1):
+    def page_writeback_ps(self, npages=1):
         """Cost of evicting dirty pages from the compute cache."""
-        transfer = npages * self.page_size / self.net_bandwidth_bytes_per_ns
-        return self.net_message_ns() + transfer
+        return self.net_message_base_ps + self.transfer_ps(npages * self.page_size)
 
     @cached_property
-    def single_fault_ns(self):
-        """``remote_fault_ns(1)``: one single-page compute-pool fault."""
-        return self.remote_fault_ns(1)
+    def single_fault_ps(self):
+        """``remote_fault_ps(1)``: one single-page compute-pool fault."""
+        return self.remote_fault_ps(1)
 
     @cached_property
-    def single_writeback_ns(self):
-        """``page_writeback_ns(1)``: one single-page dirty write-back."""
-        return self.page_writeback_ns(1)
+    def single_writeback_ps(self):
+        """``page_writeback_ps(1)``: one single-page dirty write-back."""
+        return self.page_writeback_ps(1)
 
-    def ssd_fault_ns(self, npages=1, sequential=False):
+    def ssd_fault_ps(self, npages=1, sequential=False):
         """Cost of faulting pages in from (or out to) the storage pool."""
-        transfer = npages * self.page_size / self.ssd_bandwidth_bytes_per_ns
+        transfer = self.transfer_ps(npages * self.page_size, self.ssd_bandwidth_bytes_per_ns)
         if sequential:
-            return self.ssd_swap_software_ns + transfer
-        return self.ssd_random_fault_ns + transfer
+            return self.ssd_swap_software_ps + transfer
+        return self.ssd_random_fault_ps + transfer
 
-    def cpu_ns(self, ops, ghz=None):
-        """Time to execute ``ops`` simple operations at ``ghz`` (cycles @ 1 op/cycle)."""
+    def cpu_ps(self, ops, ghz=None, scale=1.0):
+        """Time to execute ``ops`` simple operations at ``ghz`` (cycles @ 1
+        op/cycle), stretched by ``scale`` (time sharing, a degraded pool)."""
         clock = self.compute_clock_ghz if ghz is None else ghz
-        return ops / clock
+        return to_ps(ops / clock * scale)
 
     def page_list_message_bytes(self, resident_pages):
         """Size of the RLE-compressed resident-page list (Section 6)."""

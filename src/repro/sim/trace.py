@@ -18,11 +18,12 @@ Usage::
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.sim.units import to_ns
 
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One recorded simulation event."""
+    """One recorded simulation event, at virtual time ``at_ns``."""
 
     at_ns: float
     kind: str
@@ -80,14 +81,15 @@ class Tracer:
         self.dropped = 0
         return self
 
-    def emit(self, at_ns, kind, **detail):
-        """Record one event (no-op when disabled or filtered out)."""
+    def emit(self, at_ps, kind, **detail):
+        """Record one event at virtual time ``at_ps`` (picoseconds); no-op
+        when disabled or filtered out."""
         if not self.enabled or kind not in self._kinds:
             return
         if len(self.events) >= self.limit:
             self.dropped += 1
             return
-        self.events.append(TraceEvent(at_ns=at_ns, kind=kind, detail=detail))
+        self.events.append(TraceEvent(at_ns=to_ns(at_ps), kind=kind, detail=detail))
 
     def of_kind(self, kind):
         """All recorded events of one kind."""

@@ -27,6 +27,8 @@ The protocol preserves the Single-Writer-Multiple-Reader invariant, which
 :meth:`check_swmr` asserts (used heavily by the property-based tests).
 """
 
+from itertools import accumulate
+
 from repro.errors import CoherenceViolation
 from repro.mem.page import PageTableEntry
 from repro.teleport.flags import ConsistencyMode
@@ -50,9 +52,9 @@ class CoherenceProtocol:
         self.cache = compkernel.cache
         self.full_table = process.address_space.full_table
         self.t_mm = None
-        #: Coherence time accumulated during execution (Figure 20's
+        #: Coherence time (ps) accumulated during execution (Figure 20's
         #: "online sync" component).
-        self.online_sync_ns = 0.0
+        self.online_sync_ps = 0
         #: In-flight memory-side write upgrades, for tie-break emulation:
         #: vpn -> completion time of the upgrade round trip.
         self._mem_upgrade_until = {}
@@ -67,7 +69,7 @@ class CoherenceProtocol:
         """Build ``t_mm`` from the caller's table and the resident list.
 
         ``resident`` is the compute pool's transmitted page list:
-        (vpn, writable) pairs. Returns the setup cost in ns.
+        (vpn, writable) pairs. Returns the setup cost.
         """
         self.t_mm = self.full_table.snapshot()
         for vpn, writable in resident:
@@ -78,7 +80,7 @@ class CoherenceProtocol:
         if self.sanitizer is not None:
             # The freshly built temporary context must satisfy SWMR.
             self.sanitizer.swmr_transition(self, "setup")
-        return self.config.context_base_ns + self.config.pte_clone_ns * len(resident)
+        return self.config.context_base_ps + self.config.pte_clone_ps * len(resident)
 
     @staticmethod
     def _invalidate(pte, write):
@@ -131,12 +133,12 @@ class CoherenceProtocol:
         """The cost of a batch of random runs of page accesses from the
         temporary context.
 
-        Each run's first access (its head) is a :meth:`memory_touch` at
-        ``now`` plus the cost charged before it; the run then adds
-        ``dram_random_ns`` and one ``dram_line_ns`` per repeat. A quiet
-        head is served inline: a page in memory-pool DRAM whose ``t_mm``
-        PTE is present, and writable for a write or in WEAK/OFF. On such a
-        page :meth:`memory_touch` costs nothing and changes nothing but a
+        A run costs ``dram_random_ps``, one ``dram_line_ps`` per repeat and
+        its first access's (its head's) cost: a :meth:`memory_touch` at
+        ``now`` plus the cost of the runs before it. A quiet head is served
+        inline: a page in memory-pool DRAM whose ``t_mm`` PTE is present,
+        and writable for a write or in WEAK/OFF. On such a page
+        :meth:`memory_touch` costs nothing and changes nothing but a
         write's dirty bit, set here on the owned PTE (copied first if not
         yet owned, as ``ensure`` does); the sanitizer still checks it.
         """
@@ -150,10 +152,13 @@ class CoherenceProtocol:
         writable_only = write or self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF)
         sanitizer = self.sanitizer
         touch = self.memory_touch
-        random_ns = self.config.dram_random_ns
-        line_ns = self.config.dram_line_ns
-        cost = 0.0
-        for vpn, run_repeats in zip(heads, repeats):
+        random_ps = self.config.dram_random_ps
+        line_ps = self.config.dram_line_ps
+        # The DRAM time of the runs before head i is i * random_ps +
+        # lines_before[i] * line_ps; the runs' DRAM time is added at the end.
+        lines_before = list(accumulate(repeats, initial=0))
+        cost = 0
+        for index, vpn in enumerate(heads):
             pte = owned_get(vpn) or shared_get(vpn)
             if (pte is not None and pte.present and (pte.writable or not writable_only)
                     and vpn in in_pool):
@@ -165,15 +170,12 @@ class CoherenceProtocol:
                 if sanitizer is not None:
                     sanitizer.swmr_transition(self, "memory_touch", vpn)
             else:
-                cost += touch(vpn, write, now + cost)
-            cost += random_ns
-            if run_repeats:
-                for _ in range(run_repeats):
-                    cost += line_ns
-        return cost
+                at = now + cost + index * random_ps + lines_before[index] * line_ps
+                cost += touch(vpn, write, at)
+        return cost + len(heads) * random_ps + sum(repeats) * line_ps
 
     def _memory_touch(self, vpn, write, now):
-        cost = 0.0
+        cost = 0
         t_mm = self.t_mm
         # 'True' page fault: the page is not in memory-pool DRAM at all —
         # fault to storage and map it in both mm and t_mm (lines 14-15).
@@ -222,13 +224,13 @@ class CoherenceProtocol:
             pte.present = True
             pte.writable = True
             pte.dirty = pte.dirty or write
-            return 0.0
+            return 0
         if self.platform.tracer.enabled:
             self.platform.tracer.emit(
                 now, "coherence", vpn=vpn, side="memory",
                 action="invalidate" if write else "downgrade",
             )
-        cost = self.network.coherence_message_ns()  # request
+        cost = self.network.coherence_message_ps()  # request
         if write:
             if self.mode is ConsistencyMode.PSO:
                 # PSO relaxation: demote the compute copy to read-only
@@ -241,7 +243,7 @@ class CoherenceProtocol:
                 dirty = evicted is not None and evicted.dirty
             if dirty:
                 self.stats.dirty_writebacks += 1
-            cost += self.network.coherence_message_ns(with_page=dirty)  # reply
+            cost += self.network.coherence_message_ps(with_page=dirty)  # reply
             pte.present = True
             pte.writable = True
             pte.dirty = True
@@ -252,10 +254,10 @@ class CoherenceProtocol:
             self.stats.coherence_downgrades += 1
             if was_dirty:
                 self.stats.dirty_writebacks += 1
-            cost += self.network.coherence_message_ns(with_page=was_dirty)  # reply
+            cost += self.network.coherence_message_ps(with_page=was_dirty)  # reply
             pte.present = True
             pte.writable = False
-        self.online_sync_ns += cost
+        self.online_sync_ps += cost
         return cost
 
     # ------------------------------------------------------------------
@@ -264,15 +266,15 @@ class CoherenceProtocol:
     def compute_upgrade(self, vpn, now):
         """Compute pool upgrades a cached read-only page to writable."""
         if self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF) or self.t_mm is None:
-            return 0.0
-        cost = 0.0
+            return 0
+        cost = 0
         # Tie-break (Section 4.1): if the memory pool has an in-flight
         # write upgrade on this page, the compute pool loses — it satisfies
         # the memory pool, waits t, then reissues its own request.
-        if self._mem_upgrade_until.get(vpn, float("-inf")) > now:
+        if self._mem_upgrade_until.get(vpn, -1) > now:
             self.stats.coherence_tiebreaks += 1
-            cost += self.config.contention_backoff_ns
-            cost += self.network.coherence_message_ns()  # the wasted round
+            cost += self.config.contention_backoff_ps
+            cost += self.network.coherence_message_ps()  # the wasted round
             del self._mem_upgrade_until[vpn]
             if self.platform.tracer.enabled:
                 self.platform.tracer.emit(
@@ -285,9 +287,9 @@ class CoherenceProtocol:
                 self.stats.coherence_downgrades += 1
             else:
                 self.stats.coherence_invalidations += 1
-            cost += self.network.coherence_message_ns()  # request
-            cost += self.network.coherence_message_ns()  # ack
-        self.online_sync_ns += cost
+            cost += self.network.coherence_message_ps()  # request
+            cost += self.network.coherence_message_ps()  # ack
+        self.online_sync_ps += cost
         if self.sanitizer is not None:
             self.sanitizer.swmr_transition(self, "compute_upgrade", vpn)
         return cost
@@ -326,24 +328,24 @@ class CoherenceProtocol:
         if self.t_mm is None or self.mode not in (
             ConsistencyMode.WEAK, ConsistencyMode.PSO,
         ):
-            return 0.0
+            return 0
         stale = [
             vpn
             for vpn, pte in self.t_mm.owned_entries()
             if pte.dirty and vpn in self.cache
         ]
         if not stale:
-            return 0.0
+            return 0
         for vpn in stale:
             self.cache.invalidate(vpn)
         self.stats.coherence_invalidations += len(stale)
         # One batched invalidation list each way (RLE-compressed, like the
         # resident-page list of Section 6).
         list_bytes = self.config.page_list_message_bytes(len(stale))
-        cost = self.network.coherence_message_ns()
-        cost += list_bytes / self.config.net_bandwidth_bytes_per_ns
-        cost += self.network.coherence_message_ns()  # ack
-        self.online_sync_ns += cost
+        cost = self.network.coherence_message_ps()
+        cost += self.config.transfer_ps(list_bytes)
+        cost += self.network.coherence_message_ps()  # ack
+        self.online_sync_ps += cost
         return cost
 
     def finish(self):

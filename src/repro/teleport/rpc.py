@@ -31,11 +31,11 @@ class RpcServer:
         if config.teleport_instances < 1:
             raise ConfigError("need at least one TELEPORT instance")
         self.config = config
-        self._free_at = [0.0] * config.teleport_instances
+        self._free_at = [0] * config.teleport_instances
         self.dispatched = 0
         self.cancelled = 0
-        #: End time passed to the most recent :meth:`complete`.
-        self.last_end_ns = None
+        #: End time (ps) passed to the most recent :meth:`complete`.
+        self.last_end_ps = None
         #: request_id -> number of times the function actually executed
         #: (the at-most-once invariant says every value stays <= 1).
         self._executions = {}
@@ -46,16 +46,16 @@ class RpcServer:
     def instances(self):
         return len(self._free_at)
 
-    def plan(self, arrival_ns):
-        """Plan dispatch of a request arriving at ``arrival_ns``.
+    def plan(self, arrival_ps):
+        """Plan dispatch of a request arriving at ``arrival_ps``.
 
-        Returns ``(instance_index, start_ns, cpu_scale)`` without
+        Returns ``(instance_index, start_ps, cpu_scale)`` without
         committing, so the caller can still cancel a request that would
         wait in the queue past its timeout (Section 3.2).
         """
         index = min(range(len(self._free_at)), key=self._free_at.__getitem__)
-        start_ns = max(arrival_ns, self._free_at[index])
-        return index, start_ns, self._cpu_scale(self.busy(start_ns) + 1)
+        start_ps = max(arrival_ps, self._free_at[index])
+        return index, start_ps, self._cpu_scale(self.busy(start_ps) + 1)
 
     def commit(self, index, request_id=None):
         """Occupy an instance (it stays busy until :meth:`complete`).
@@ -69,8 +69,8 @@ class RpcServer:
         if request_id is not None:
             self._executions[request_id] = self._executions.get(request_id, 0) + 1
 
-    def complete(self, index, end_ns):
-        """Mark an instance free at ``end_ns``.
+    def complete(self, index, end_ps):
+        """Mark an instance free at ``end_ps``.
 
         Completing an instance that is not busy is a bookkeeping bug
         (e.g. ``finish`` and ``abandon`` both tearing the session down),
@@ -79,10 +79,10 @@ class RpcServer:
         if not math.isinf(self._free_at[index]):
             raise ReproError(
                 f"TELEPORT instance {index} completed twice "
-                f"(already free at {self._free_at[index]:.0f}ns)"
+                f"(already free at {self._free_at[index]}ps)"
             )
-        self._free_at[index] = end_ns
-        self.last_end_ns = end_ns
+        self._free_at[index] = end_ps
+        self.last_end_ps = end_ps
 
     def cancel_queued(self):
         """Record a request removed from the workqueue before starting."""
@@ -98,15 +98,11 @@ class RpcServer:
             raise ReproError(f"no completion record for request {request_id!r}")
         self.dedup_replies += 1
 
-    def execution_count(self, request_id):
-        """How many times a request ID's function actually ran."""
-        return self._executions.get(request_id, 0)
-
     def execution_counts(self):
         """Copy of the full request-ID -> execution-count map."""
         return dict(self._executions)
 
-    def earliest_free_ns(self):
+    def earliest_free_ps(self):
         return min(self._free_at)
 
     def busy(self, now):

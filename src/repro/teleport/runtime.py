@@ -46,6 +46,7 @@ from repro.faults.detector import HeartbeatDetector
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
 from repro.sim.stats import PushdownBreakdown
+from repro.sim.units import to_ns, to_ps
 from repro.teleport.coherence import CoherenceProtocol
 from repro.teleport.flags import (
     ConsistencyMode,
@@ -75,7 +76,6 @@ class TeleportRuntime:
         #: One :class:`PushdownBreakdown` per completed call (Figure 20).
         self.breakdowns = []
         self._protocols = {}
-        self.memory_pool_failed = False
         #: Optional fault injector (see :meth:`install_faults`).
         self.injector = None
         self.retry_policy = RetryPolicy.from_config(self.config)
@@ -103,14 +103,14 @@ class TeleportRuntime:
         return injector
 
     def fail_memory_pool(self, at_ns=0.0):
-        """Simulate a network/memory hardware failure of the memory pool.
+        """Simulate a network/memory hardware failure of the memory pool
+        at ``at_ns`` (virtual ns).
 
         The heartbeat detector confirms the loss only after
         ``heartbeat_miss_threshold`` missed heartbeats; the detection
         latency is charged to the first syscall that observes it.
         """
-        self.memory_pool_failed = True
-        self.detector.crash(at_ns)
+        self.detector.crash(to_ps(at_ns))
 
     def _check_memory_pool(self, ctx):
         try:
@@ -231,17 +231,17 @@ class TeleportRuntime:
             raise PushdownUserError(error) from error
         return result
 
-    def fail(self, ctx, at_ns, error, options, fn=None, args=()):
+    def fail(self, ctx, at_ps, error, options, fn=None, args=()):
         """The one path from a timed-out, cancelled or failed pushdown to
         its outcome.
 
         Counts the failure against the caller's circuit breaker at
-        ``at_ns``. Then, if the caller chose ``TimeoutAction.FALLBACK``
+        ``at_ps``. Then, if the caller chose ``TimeoutAction.FALLBACK``
         and passed ``fn``, re-runs ``fn`` compute-local and returns its
         result; otherwise raises ``error``. Callers whose function already
         ran once on the memory pool pass no ``fn``, so it never runs twice.
         """
-        self.breaker_for(ctx.thread.process).record_failure(at_ns)
+        self.breaker_for(ctx.thread.process).record_failure(at_ps)
         if fn is not None and options.on_timeout is TimeoutAction.FALLBACK:
             self.stats.pushdown_fallbacks += 1
             return fn(ctx, *args)
@@ -303,20 +303,21 @@ class PushdownSession:
         compkernel, memkernel = platform.kernels_for(process)
         self._compkernel = compkernel
         self._process = process
-        call_ns = ctx.now
-        self._call_ns = call_ns
+        call_ps = ctx.now
+        self._call_ps = call_ps
+        self._timeout_ps = None if options.timeout_ns is None else to_ps(options.timeout_ns)
 
         # --- (1) pre-pushdown synchronisation --------------------------
         pre_cost, resident, refetch = self._pre_sync(compkernel)
-        self.breakdown.pre_sync_ns = pre_cost
-        ctx.charge_ns(pre_cost)
+        self.breakdown.pre_sync_ns = to_ns(pre_cost)
+        ctx.charge_ps(pre_cost)
         self._refetch_vpns = refetch
 
         # --- (2) request transfer (RLE-compressed resident list), with
         #         bounded retransmission of lost requests ----------------
         request_bytes = _ENVELOPE_BYTES + self.config.page_list_message_bytes(len(resident))
-        request_cost = runtime.network.message_ns(request_bytes, now=ctx.now)
-        ctx.charge_ns(request_cost)
+        request_cost = runtime.network.message_ps(request_bytes, now=ctx.now)
+        ctx.charge_ps(request_cost)
         total_request_cost = request_cost
         injector = runtime.injector
         if injector is not None:
@@ -325,7 +326,7 @@ class PushdownSession:
             while not injector.request_delivered(ctx.now):
                 runtime.stats.messages_dropped += 1
                 if attempts >= policy.max_attempts:
-                    self.breakdown.request_ns = total_request_cost
+                    self.breakdown.request_ns = to_ns(total_request_cost)
                     raise PushdownRetryExhausted(
                         f"pushdown request lost {attempts} times; giving up"
                     )
@@ -333,33 +334,33 @@ class PushdownSession:
                 runtime.stats.pushdown_retries += 1
                 # Retransmission timer + seeded-jitter backoff, all charged
                 # to the caller's virtual clock.
-                wait = policy.retransmit_timeout_ns + policy.backoff_ns(
+                wait = to_ps(policy.retransmit_timeout_ns + policy.backoff_ns(
                     attempts - 1, injector.rng
-                )
-                ctx.charge_ns(wait)
-                retry_cost = runtime.network.message_ns(request_bytes, now=ctx.now)
-                ctx.charge_ns(retry_cost)
+                ))
+                ctx.charge_ps(wait)
+                retry_cost = runtime.network.message_ps(request_bytes, now=ctx.now)
+                ctx.charge_ps(retry_cost)
                 total_request_cost += wait + retry_cost
-        self.breakdown.request_ns = total_request_cost
+        self.breakdown.request_ns = to_ns(total_request_cost)
         self._request_id = runtime.next_request_id()
 
         # --- (3) dispatch / queueing at the RPC server ------------------
         arrival = ctx.now
-        index, start_ns, cpu_scale = runtime.rpc.plan(arrival)
-        self.breakdown.queue_wait_ns = start_ns - arrival
-        timeout = options.timeout_ns
+        index, start_ps, cpu_scale = runtime.rpc.plan(arrival)
+        self.breakdown.queue_wait_ns = to_ns(start_ps - arrival)
+        timeout = self._timeout_ps
         if (
             timeout is not None
             and options.on_timeout is not TimeoutAction.WAIT
-            and start_ns - call_ns > timeout
+            and start_ps - call_ps > timeout
         ):
             # try_cancel succeeds: the request had not started executing,
             # so it is simply removed from the workqueue (Section 3.2).
             runtime.rpc.cancel_queued()
             runtime.stats.pushdown_timeouts += 1
             runtime.stats.pushdown_cancellations += 1
-            ctx.thread.clock.advance_to(call_ns + timeout)
-            ctx.charge_ns(self.config.net_roundtrip_ns(_CONTROL_BYTES, _CONTROL_BYTES))
+            ctx.thread.clock.advance_to(call_ps + timeout)
+            ctx.charge_ps(self.config.net_roundtrip_ps(_CONTROL_BYTES, _CONTROL_BYTES))
             self.cancelled = True
             if runtime.platform.tracer.enabled:
                 runtime.platform.tracer.emit(ctx.now, "pushdown", phase="cancelled")
@@ -379,24 +380,24 @@ class PushdownSession:
         else:
             # Joining an existing shared context: only a kernel thread is
             # created; the page table is already prepared.
-            setup_cost = self.config.context_base_ns
+            setup_cost = self.config.context_base_ps
         compkernel.protocol = protocol
         self.protocol = protocol
-        self.breakdown.context_setup_ns = setup_cost
+        self.breakdown.context_setup_ns = to_ns(setup_cost)
 
         # --- (5) the temporary context's execution thread ---------------
         if injector is not None:
             # A degraded memory pool (thermal throttle, noisy neighbour)
             # stretches the pushed function's clock.
-            cpu_scale *= injector.degrade_factor(start_ns)
+            cpu_scale *= injector.degrade_factor(start_ps)
         mem_thread = SimThread(
             process, name=f"{ctx.thread.name}/pushdown", pool=Pool.MEMORY,
-            start_ns=start_ns + setup_cost,
+            start_ps=start_ps + setup_cost,
         )
         mem_thread.cpu_scale = cpu_scale
         self.mem_thread = mem_thread
         self._exec_start = mem_thread.clock.now
-        self._online_sync_base = protocol.online_sync_ns
+        self._online_sync_base = protocol.online_sync_ps
         self.mctx = ExecutionContext(
             runtime.platform, mem_thread, memkernel=memkernel,
             compkernel=compkernel, protocol=protocol,
@@ -406,7 +407,7 @@ class PushdownSession:
         """Returns (cost, resident_list, refetch_vpns) per the sync method."""
         sync = self.options.sync
         if sync is SyncMethod.ON_DEMAND:
-            return 0.0, compkernel.resident_snapshot(), []
+            return 0, compkernel.resident_snapshot(), []
         if sync is SyncMethod.EAGER:
             refetch = [vpn for vpn, _writable in compkernel.resident_snapshot()]
             flush_cost, _count = compkernel.flush_dirty()
@@ -427,32 +428,32 @@ class PushdownSession:
         caller_clock = self.caller.thread.clock
         exec_end = self.mem_thread.clock.now
         exec_total = exec_end - self._exec_start
-        online = protocol.online_sync_ns - self._online_sync_base
-        self.breakdown.online_sync_ns = online
-        self.breakdown.function_ns = max(0.0, exec_total - online)
+        online = protocol.online_sync_ps - self._online_sync_base
+        self.breakdown.online_sync_ns = to_ns(online)
+        self.breakdown.function_ns = to_ns(max(0, exec_total - online))
 
         # --- caller-side timeout that expired mid-execution --------------
         # (Section 3.2: the caller issues try_cancel; cancellation succeeds
         # iff the function is still running when the cancel arrives.)
-        timeout = self.options.timeout_ns
+        timeout = self._timeout_ps
         if (
             timeout is not None
             and self.options.on_timeout is not TimeoutAction.WAIT
-            and exec_end > self._call_ns + timeout
+            and exec_end > self._call_ps + timeout
         ):
-            timeout_instant = self._call_ns + timeout
+            timeout_instant = self._call_ps + timeout
             runtime.stats.pushdown_timeouts += 1
-            cancel_send = runtime.network.message_ns(_CONTROL_BYTES, now=timeout_instant)
+            cancel_send = runtime.network.message_ps(_CONTROL_BYTES, now=timeout_instant)
             cancel_arrival = timeout_instant + cancel_send
-            cancel_ack = runtime.network.message_ns(_CONTROL_BYTES, now=cancel_arrival)
+            cancel_ack = runtime.network.message_ps(_CONTROL_BYTES, now=cancel_arrival)
             caller_clock.advance_to(timeout_instant)
             caller_clock.advance(cancel_send + cancel_ack)
             if cancel_arrival < exec_end:
                 # Cancel succeeded: the temporary context is killed at the
                 # cancel's arrival; work after that instant never happened.
-                self.breakdown.function_ns = max(
-                    0.0, (cancel_arrival - self._exec_start) - online
-                )
+                self.breakdown.function_ns = to_ns(max(
+                    0, (cancel_arrival - self._exec_start) - online
+                ))
                 runtime.stats.pushdown_cancellations += 1
                 post = self._teardown(cancel_arrival, check_invariant)
                 caller_clock.advance(post)
@@ -464,7 +465,7 @@ class PushdownSession:
                     self.fallback_pending = True
                     return
                 raise PushdownTimeout(
-                    f"pushdown timed out after {timeout:.0f}ns mid-execution "
+                    f"pushdown timed out after {self.options.timeout_ns:.0f}ns mid-execution "
                     "(try_cancel succeeded; safe to re-run locally)",
                     cancelled=True,
                 )
@@ -479,7 +480,7 @@ class PushdownSession:
                         caller_clock.now, "pushdown", phase="timeout"
                     )
                 raise PushdownTimeout(
-                    f"pushdown timed out after {timeout:.0f}ns mid-execution "
+                    f"pushdown timed out after {self.options.timeout_ns:.0f}ns mid-execution "
                     "(try_cancel failed: function already complete)",
                     cancelled=False,
                 )
@@ -488,17 +489,17 @@ class PushdownSession:
 
         # Watchdog: buggy code that fails to complete is killed so it does
         # not block other pushdown requests (Section 3.2).
-        if exec_total > self.config.watchdog_timeout_ns:
+        if exec_total > self.config.watchdog_timeout_ps:
             self.aborted = True
             runtime.stats.pushdown_aborts += 1
-            exec_end = self._exec_start + self.config.watchdog_timeout_ns
+            exec_end = self._exec_start + self.config.watchdog_timeout_ps
         runtime.rpc.complete(self._instance, exec_end)
         if check_invariant:
             protocol.check_swmr()
 
         # --- (6/7) completion notification + response transfer, with
         #           retransmission of lost responses ----------------------
-        response_cost = runtime.network.message_ns(_ENVELOPE_BYTES, now=exec_end)
+        response_cost = runtime.network.message_ps(_ENVELOPE_BYTES, now=exec_end)
         injector = runtime.injector
         if injector is not None:
             policy = runtime.retry_policy
@@ -509,9 +510,9 @@ class PushdownSession:
                 if attempts >= policy.max_attempts:
                     # The reply never arrived. The function executed exactly
                     # once (at-most-once), but its result is lost.
-                    self.breakdown.response_ns = response_cost
+                    self.breakdown.response_ns = to_ns(response_cost)
                     post = protocol.boundary_sync()
-                    self.breakdown.post_sync_ns = post
+                    self.breakdown.post_sync_ns = to_ns(post)
                     runtime.release_protocol(self._process)
                     caller_clock.advance_to(t)
                     caller_clock.advance(post)
@@ -521,20 +522,20 @@ class PushdownSession:
                     )
                 attempts += 1
                 runtime.stats.pushdown_retries += 1
-                wait = policy.retransmit_timeout_ns + policy.backoff_ns(
+                wait = to_ps(policy.retransmit_timeout_ns + policy.backoff_ns(
                     attempts - 1, injector.rng
-                )
+                ))
                 # The caller retransmits the request ID; the server answers
                 # from its completion record without re-executing.
-                resend = runtime.network.message_ns(_CONTROL_BYTES, now=t + wait)
+                resend = runtime.network.message_ps(_CONTROL_BYTES, now=t + wait)
                 runtime.rpc.replay_response(self._request_id)
                 runtime.stats.pushdown_dedup_hits += 1
-                redo = runtime.network.message_ns(
+                redo = runtime.network.message_ps(
                     _ENVELOPE_BYTES, now=t + wait + resend
                 )
                 response_cost += wait + resend + redo
                 t = exec_end + response_cost
-        self.breakdown.response_ns = response_cost
+        self.breakdown.response_ns = to_ns(response_cost)
 
         # --- (8) post-pushdown synchronisation ---------------------------
         # Relaxed consistency propagates writes at this explicit boundary.
@@ -543,10 +544,10 @@ class PushdownSession:
         if self.options.sync is SyncMethod.EAGER and self._refetch_vpns:
             # Page-by-page refetch of everything the cache used to hold —
             # the strawman cost the on-demand protocol avoids (Figure 20).
-            post_cost += runtime.network.pages_in_ns(len(self._refetch_vpns), batched=False)
+            post_cost += runtime.network.pages_in_ps(len(self._refetch_vpns), batched=False)
             for vpn in self._refetch_vpns:
                 self._compkernel.cache.insert(vpn, writable=False)
-        self.breakdown.post_sync_ns = post_cost
+        self.breakdown.post_sync_ns = to_ns(post_cost)
 
         caller_clock.advance_to(exec_end)
         caller_clock.advance(response_cost + post_cost)
@@ -561,16 +562,16 @@ class PushdownSession:
         if sanitizers is not None:
             sanitizers.check_session_end(runtime, self._process)
 
-    def _teardown(self, end_ns, check_invariant=False):
+    def _teardown(self, end_ps, check_invariant=False):
         """Free the instance and release coherence state; returns the
         boundary-sync cost. Shared by every abort path so no path can leak
         relaxed-consistency dirty state or protocol refcounts."""
         runtime = self.runtime
-        runtime.rpc.complete(self._instance, end_ns)
+        runtime.rpc.complete(self._instance, end_ps)
         if check_invariant:
             self.protocol.check_swmr()
         post = self.protocol.boundary_sync()
-        self.breakdown.post_sync_ns = post
+        self.breakdown.post_sync_ns = to_ns(post)
         runtime.release_protocol(self._process)
         runtime.breakdowns.append(self.breakdown)
         sanitizers = runtime.platform.sanitizers
@@ -591,9 +592,9 @@ class PushdownSession:
         self._finished = True
         exec_end = self.mem_thread.clock.now
         exec_total = exec_end - self._exec_start
-        online = self.protocol.online_sync_ns - self._online_sync_base
-        self.breakdown.online_sync_ns = online
-        self.breakdown.function_ns = max(0.0, exec_total - online)
+        online = self.protocol.online_sync_ps - self._online_sync_base
+        self.breakdown.online_sync_ns = to_ns(online)
+        self.breakdown.function_ns = to_ns(max(0, exec_total - online))
         self._teardown(exec_end)
 
 

@@ -2,9 +2,9 @@
 
 This is the compute kernel as it charged faults one page at a time: every
 fetched page goes through its own cache insert, and every dirty victim
-through its own ``Network.pages_out_ns(1)``. The property tests run it
+through its own ``Network.pages_out_ps(1)``. The property tests run it
 side by side with :class:`repro.ddc.kernels.ComputeKernel`, whose batch
-and closed-form paths must agree with it bit for bit. The LRU insert is
+and closed-form paths must agree with it exactly (costs are integer ps). The LRU insert is
 kept here too, so the reference shares no cache code with what it checks.
 """
 
@@ -28,11 +28,11 @@ def lru_insert(cache, vpn, writable, dirty):
     return evicted
 
 
-def touch_random(kernel, memkernel, vpn, write, now=0.0):
+def touch_random(kernel, memkernel, vpn, write, now=0):
     """One random page touch; returns the fault-path cost."""
     entry = kernel.cache.get(vpn)
     if entry is not None:
-        cost = kernel._upgrade(vpn, entry, now) if write and not entry.writable else 0.0
+        cost = kernel._upgrade(vpn, entry, now) if write and not entry.writable else 0
         if write:
             entry.dirty = True
         kernel.stats.cache_hits += 1
@@ -43,9 +43,9 @@ def touch_random(kernel, memkernel, vpn, write, now=0.0):
     return fetch(kernel, memkernel, vpn, 1, write)
 
 
-def touch_sequential(kernel, memkernel, start_vpn, npages, write, now=0.0):
+def touch_sequential(kernel, memkernel, start_vpn, npages, write, now=0):
     """Stream pages through the cache, one prefetch batch per miss."""
-    cost = 0.0
+    cost = 0
     vpn = start_vpn
     end = start_vpn + npages
     while vpn < end:
@@ -60,16 +60,18 @@ def touch_sequential(kernel, memkernel, start_vpn, npages, write, now=0.0):
             continue
         batch = min(kernel.config.prefetch_degree, end - vpn)
         kernel.stats.cache_misses += 1
+        if kernel.platform.tracer.enabled:
+            kernel.platform.tracer.emit(now + cost, "fault", vpn=vpn, npages=batch, write=write)
         cost += fetch(kernel, memkernel, vpn, batch, write)
         vpn += batch
-    return cost + npages * kernel.config.dram_page_ns
+    return cost + npages * kernel.config.dram_page_ps
 
 
 def fetch(kernel, memkernel, vpn, npages, write):
     """Fault ``npages`` in from the memory pool, inserting page by page;
     each page's fetch hook runs just before its own insert."""
     cost = memkernel.ensure_resident_range(vpn, npages, write=False)
-    cost += kernel.network.pages_in_ns(npages, batched=True)
+    cost += kernel.network.pages_in_ps(npages, batched=True)
     for fetched in range(vpn, vpn + npages):
         if kernel.protocol is not None:
             kernel.protocol.on_compute_fetch(fetched, write)
@@ -79,12 +81,12 @@ def fetch(kernel, memkernel, vpn, npages, write):
 
 def insert(kernel, vpn, write):
     """Admit one fetched page, writing back any dirty victim."""
-    cost = 0.0
+    cost = 0
     for victim_vpn, victim_dirty in lru_insert(kernel.cache, vpn, write, write):
         kernel.stats.cache_evictions += 1
         if victim_dirty:
             kernel.stats.dirty_writebacks += 1
-            cost += kernel.network.pages_out_ns(1)
+            cost += kernel.network.pages_out_ps(1)
         if kernel.protocol is not None:
             kernel.protocol.on_compute_evict(victim_vpn)
     if kernel.protocol is not None and kernel.platform.sanitizers is not None:

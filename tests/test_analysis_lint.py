@@ -120,8 +120,8 @@ class TestRules:
     def test_discarded_cost_flagged(self, tmp_path):
         findings = lint_snippet(tmp_path, """\
             def send(network, clock):
-                network.message_ns(64)
-                clock.advance(network.roundtrip_ns(64, 64))
+                network.message_ps(64)
+                clock.advance(network.roundtrip_ps(64, 64))
             """)
         assert rules_of(findings) == ["LNT103"]
         assert findings[0].line == 2

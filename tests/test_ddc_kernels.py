@@ -23,20 +23,20 @@ class TestComputeKernel:
     def test_miss_then_hit(self, kernels):
         platform, _process, region, compute, memory = kernels
         vpn = region.start_vpn
-        miss_cost = compute.touch_runs(memory, [vpn], [0], False, 0.0)
-        assert miss_cost > platform.config.dram_random_ns
+        miss_cost = compute.touch_runs(memory, [vpn], [0], False, 0)
+        assert miss_cost > platform.config.dram_random_ps
         assert platform.stats.cache_misses == 1
-        hit_cost = compute.touch_runs(memory, [vpn], [0], False, 0.0)
-        assert hit_cost == platform.config.dram_random_ns
+        hit_cost = compute.touch_runs(memory, [vpn], [0], False, 0)
+        assert hit_cost == platform.config.dram_random_ps
         assert platform.stats.cache_hits == 1
 
     def test_silent_upgrade_without_protocol(self, kernels):
         platform, _process, region, compute, memory = kernels
         vpn = region.start_vpn
-        compute.touch_runs(memory, [vpn], [0], False, 0.0)
+        compute.touch_runs(memory, [vpn], [0], False, 0)
         assert not compute.cache.peek(vpn).writable
-        cost = compute.touch_runs(memory, [vpn], [0], True, 0.0)
-        assert cost == platform.config.dram_random_ns  # no other sharer: silent upgrade
+        cost = compute.touch_runs(memory, [vpn], [0], True, 0)
+        assert cost == platform.config.dram_random_ps  # no other sharer: silent upgrade
         assert compute.cache.peek(vpn).writable
         assert compute.cache.peek(vpn).dirty
 
@@ -79,7 +79,7 @@ class TestComputeKernel:
     def test_flush_dirty_nothing_to_do(self, kernels):
         _platform, _process, _region, compute, _memory = kernels
         cost, count = compute.flush_dirty()
-        assert (cost, count) == (0.0, 0)
+        assert (cost, count) == (0, 0)
 
     def test_evict_all_clears_cache(self, kernels):
         _platform, _process, region, compute, memory = kernels
@@ -90,8 +90,8 @@ class TestComputeKernel:
 
     def test_resident_snapshot_permissions(self, kernels):
         _platform, _process, region, compute, memory = kernels
-        compute.touch_runs(memory, [region.start_vpn], [0], False, 0.0)
-        compute.touch_runs(memory, [region.start_vpn + 1], [0], True, 0.0)
+        compute.touch_runs(memory, [region.start_vpn], [0], False, 0)
+        compute.touch_runs(memory, [region.start_vpn + 1], [0], True, 0)
         snapshot = dict(compute.resident_snapshot())
         assert snapshot[region.start_vpn] is False
         assert snapshot[region.start_vpn + 1] is True
@@ -133,8 +133,8 @@ class TestMemoryKernel:
         big = alloc_floats(process, "big", 400_000)
         compute, memory = platform.kernels_for(process)
         assert not memory.is_resident(big.start_vpn)
-        cost = compute.touch_runs(memory, [big.start_vpn], [0], False, 0.0)
+        cost = compute.touch_runs(memory, [big.start_vpn], [0], False, 0)
         # Paid both the storage fault and the network fault.
-        assert cost > platform.config.remote_fault_ns(1) + platform.config.dram_random_ns
+        assert cost > platform.config.remote_fault_ps(1) + platform.config.dram_random_ps
         assert platform.stats.storage_faults >= 1
         assert big.start_vpn in compute.cache

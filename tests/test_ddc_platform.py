@@ -98,3 +98,17 @@ def test_freeing_a_stale_handle_leaves_the_live_region_alone():
     assert space.full_table.get(live.start_vpn).present
     _compute, memory = platform.kernels_for(process)
     assert memory.is_resident(live.start_vpn)
+
+
+def test_processes_on_one_local_platform_keep_their_own_swap_pages():
+    page = 4096
+    platform = make_platform("local", DdcConfig(local_ram_bytes=64 * page))
+    proc_a, proc_b = platform.new_process(), platform.new_process()
+    region_a = proc_a.alloc("a", 32 * page)
+    region_b = proc_b.alloc("b", 32 * page)
+    assert set(region_a.all_vpns()).isdisjoint(region_b.all_vpns())
+    assert platform.swap.resident_pages == 64
+    ctx_b = platform.main_context(proc_b)
+    proc_a.free(region_a)
+    ctx_b.touch_random(region_b, [5 * page])
+    assert platform.stats.storage_faults == 0

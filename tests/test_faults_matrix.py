@@ -27,7 +27,7 @@ from repro.faults import (
     rpc_faults,
 )
 from repro.sim.config import DdcConfig
-from repro.sim.units import MIB
+from repro.sim.units import MIB, to_ns, to_ps
 from repro.teleport.flags import TimeoutAction
 
 from tests.conftest import alloc_floats
@@ -174,7 +174,7 @@ class TestPartitions:
         assert result == pytest.approx(expected_sums(region, 1)[0])
         assert platform.stats.pushdown_retries > 0
         assert platform.stats.heartbeat_suspicions == 0
-        assert ctx.now > 300_000.0  # waited out the partition
+        assert to_ns(ctx.now) > 300_000.0  # waited out the partition
         assert_clean(platform, process)
 
     def test_suspected_partition_stalls_until_lease_renewal(self):
@@ -183,12 +183,12 @@ class TestPartitions:
         interval = DdcConfig().heartbeat_interval_ns  # 10ms
         plan = FaultPlan(specs=(partition(0.9 * interval, 2.5 * interval),))
         platform, process, region, ctx, _inj = make_env(plan)
-        ctx.charge_ns(1.1 * interval)  # inside the window, 1 heartbeat missed
+        ctx.charge_ps(to_ps(1.1 * interval))  # inside the window, 1 heartbeat missed
         result = ctx.pushdown(sum_slice, region, 0, 1000)
         assert result == pytest.approx(expected_sums(region, 1)[0])
         assert platform.stats.heartbeat_suspicions == 1
         assert platform.stats.heartbeat_recoveries == 1
-        assert ctx.now > 2.5 * interval  # stalled through the window
+        assert to_ns(ctx.now) > 2.5 * interval  # stalled through the window
         assert_clean(platform, process)
 
     def test_long_partition_confirmed_as_loss(self):
@@ -200,7 +200,7 @@ class TestPartitions:
         platform, process, region, ctx, _inj = make_env(plan)
         with pytest.raises(KernelPanic):
             ctx.pushdown(sum_slice, region, 0, 1000)
-        assert ctx.now == pytest.approx(k * interval)
+        assert ctx.now == k * config.heartbeat_interval_ps
         assert_clean(platform, process)
 
     def test_planned_crash_panics_after_k_misses(self):
@@ -210,7 +210,7 @@ class TestPartitions:
         platform, process, region, ctx, _inj = make_env(plan)
         with pytest.raises(KernelPanic):
             ctx.pushdown(sum_slice, region, 0, 1000)
-        assert ctx.now == pytest.approx(k * interval)
+        assert ctx.now == k * config.heartbeat_interval_ps
         assert platform.teleport.detector.pool_dead
         assert_clean(platform, process)
 
@@ -244,7 +244,7 @@ class TestCircuitBreaker:
 
         # Past the cooldown (and the fault window) one probe goes through,
         # succeeds, and closes the breaker.
-        ctx.charge_ns(config.breaker_cooldown_ns + 10e6)
+        ctx.charge_ps(to_ps(config.breaker_cooldown_ns + 10e6))
         probe = ctx.pushdown(sum_slice, region, 0, 1000)
         assert probe == pytest.approx(expected_sums(region, 1)[0])
         assert breaker.state == "closed"
@@ -331,7 +331,7 @@ class TestThreeTierScenario:
 
         # Tier 3: hard death -> panic only after k missed heartbeats, all
         # protocol state released.
-        platform.teleport.fail_memory_pool(at_ns=ctx.now)
+        platform.teleport.fail_memory_pool(at_ns=to_ns(ctx.now))
         before_panic = ctx.now
         with pytest.raises(KernelPanic):
             ctx.pushdown(sum_slice, region, 0, 1000)
@@ -345,7 +345,7 @@ class TestThreeTierScenario:
 
     def test_all_tiers_recover_correctly(self):
         config = DdcConfig()
-        k, interval = config.heartbeat_miss_threshold, config.heartbeat_interval_ns
+        k, interval = config.heartbeat_miss_threshold, config.heartbeat_interval_ps
         platform = make_platform("teleport", DdcConfig(compute_cache_bytes=1 * MIB))
         region_probe = alloc_floats(platform.new_process(), "probe", 50_000)
         expected = [

@@ -110,8 +110,8 @@ class TestFaultInjector:
         plan = FaultPlan(specs=(drop_requests(0.5),), seed=11)
         a = FaultInjector(plan)
         b = FaultInjector(plan)
-        seq_a = [a.request_delivered(float(i)) for i in range(50)]
-        seq_b = [b.request_delivered(float(i)) for i in range(50)]
+        seq_a = [a.request_delivered(i * 1_000) for i in range(50)]
+        seq_b = [b.request_delivered(i * 1_000) for i in range(50)]
         assert seq_a == seq_b
         assert True in seq_a and False in seq_a
 
@@ -121,62 +121,63 @@ class TestFaultInjector:
         b = FaultInjector(plan)
         # Inside the certain window 'a' must not draw; afterwards the two
         # injectors' RNG streams must still be aligned.
-        assert not a.request_delivered(5.0)
-        assert not b.request_delivered(5.0)
-        assert [a.request_delivered(20.0) for _ in range(20)] == [
-            b.request_delivered(20.0) for _ in range(20)
+        assert not a.request_delivered(5_000)
+        assert not b.request_delivered(5_000)
+        assert [a.request_delivered(20_000) for _ in range(20)] == [
+            b.request_delivered(20_000) for _ in range(20)
         ]
 
     def test_partition_blocks_both_directions(self):
         injector = FaultInjector(FaultPlan(specs=(partition(100.0, 200.0),)))
-        assert injector.request_delivered(50.0)
-        assert not injector.request_delivered(150.0)
-        assert not injector.response_delivered(150.0)
-        assert injector.response_delivered(250.0)
-        assert injector.partition_window_at(150.0) == (100.0, 200.0)
-        assert injector.partition_window_at(250.0) is None
+        # The injector is asked at virtual ps; the plan's windows are ns.
+        assert injector.request_delivered(50_000)
+        assert not injector.request_delivered(150_000)
+        assert not injector.response_delivered(150_000)
+        assert injector.response_delivered(250_000)
+        assert injector.partition_window_at(150_000) == (100_000, 200_000)
+        assert injector.partition_window_at(250_000) is None
 
     def test_delay_only_in_window(self):
         injector = FaultInjector(
             FaultPlan(specs=(delay_messages(500.0, start_ns=100.0, end_ns=200.0),))
         )
-        assert injector.message_delay_ns(50.0) == 0.0
-        assert injector.message_delay_ns(150.0) == 500.0
+        assert injector.message_delay_ps(50_000) == 0
+        assert injector.message_delay_ps(150_000) == 500_000
         # Untimestamped messages only see always-on delays.
-        assert injector.message_delay_ns(None) == 0.0
+        assert injector.message_delay_ps(None) == 0
         always = FaultInjector(FaultPlan(specs=(delay_messages(300.0),)))
-        assert always.message_delay_ns(None) == 300.0
+        assert always.message_delay_ps(None) == 300_000
 
     def test_degrade_factor_multiplies(self):
         injector = FaultInjector(
             FaultPlan(specs=(degrade(2.0, end_ns=100.0), degrade(3.0, end_ns=50.0)))
         )
-        assert injector.degrade_factor(25.0) == pytest.approx(6.0)
-        assert injector.degrade_factor(75.0) == pytest.approx(2.0)
-        assert injector.degrade_factor(150.0) == pytest.approx(1.0)
+        assert injector.degrade_factor(25_000) == pytest.approx(6.0)
+        assert injector.degrade_factor(75_000) == pytest.approx(2.0)
+        assert injector.degrade_factor(150_000) == pytest.approx(1.0)
 
     def test_injection_counter_and_stats(self):
         stats = Stats()
         injector = FaultInjector(FaultPlan(specs=(drop_requests(),)), stats=stats)
-        injector.request_delivered(0.0)
-        injector.request_delivered(1.0)
+        injector.request_delivered(0)
+        injector.request_delivered(1_000)
         assert injector.injected[FaultKind.DROP_REQUEST] == 2
         assert stats.faults_injected == 2
 
     def test_crash_start(self):
         injector = FaultInjector(FaultPlan(specs=(crash(5000.0),)))
-        assert injector.crash_start_ns() == 5000.0
-        assert FaultInjector(FaultPlan()).crash_start_ns() is None
+        assert injector.crash_start_ps() == 5_000_000
+        assert FaultInjector(FaultPlan()).crash_start_ps() is None
 
     def test_rpc_fault_blocks_requests_only(self):
         injector = FaultInjector(FaultPlan(specs=(rpc_faults(),)))
-        assert not injector.request_delivered(0.0)
-        assert injector.response_delivered(0.0)
+        assert not injector.request_delivered(0)
+        assert injector.response_delivered(0)
 
     def test_drop_response_blocks_responses_only(self):
         injector = FaultInjector(FaultPlan(specs=(drop_responses(),)))
-        assert injector.request_delivered(0.0)
-        assert not injector.response_delivered(0.0)
+        assert injector.request_delivered(0)
+        assert not injector.response_delivered(0)
 
 
 class TestCircuitBreaker:
@@ -188,40 +189,40 @@ class TestCircuitBreaker:
 
     def test_opens_after_threshold_consecutive_failures(self):
         breaker = self._breaker(threshold=3)
-        breaker.record_failure(0.0)
-        breaker.record_failure(1.0)
+        breaker.record_failure(0)
+        breaker.record_failure(1_000)
         assert breaker.state == "closed"
-        breaker.record_failure(2.0)
+        breaker.record_failure(2_000)
         assert breaker.state == "open"
-        assert not breaker.allow(2.5)
+        assert not breaker.allow(2_500)
         assert breaker.stats.breaker_trips == 1
 
     def test_success_resets_the_count(self):
         breaker = self._breaker(threshold=2)
-        breaker.record_failure(0.0)
-        breaker.record_success(1.0)
-        breaker.record_failure(2.0)
+        breaker.record_failure(0)
+        breaker.record_success(1_000)
+        breaker.record_failure(2_000)
         assert breaker.state == "closed"
 
     def test_probe_after_cooldown_closes_on_success(self):
         breaker = self._breaker(threshold=1, cooldown=1000.0)
-        breaker.record_failure(0.0)
-        assert not breaker.allow(500.0)
-        assert breaker.allow(1000.0)  # the half-open probe
+        breaker.record_failure(0)
+        assert not breaker.allow(500_000)
+        assert breaker.allow(1_000_000)  # the half-open probe
         assert breaker.state == "half-open"
-        assert not breaker.allow(1001.0)  # only one probe at a time
-        breaker.record_success(1500.0)
+        assert not breaker.allow(1_001_000)  # only one probe at a time
+        breaker.record_success(1_500_000)
         assert breaker.state == "closed"
-        assert breaker.allow(1501.0)
+        assert breaker.allow(1_501_000)
 
     def test_probe_failure_reopens_with_fresh_cooldown(self):
         breaker = self._breaker(threshold=1, cooldown=1000.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(1000.0)
-        breaker.record_failure(1200.0)
+        breaker.record_failure(0)
+        assert breaker.allow(1_000_000)
+        breaker.record_failure(1_200_000)
         assert breaker.state == "open"
-        assert not breaker.allow(2000.0)  # cooldown restarted at 1200
-        assert breaker.allow(2200.0)
+        assert not breaker.allow(2_000_000)  # cooldown restarted at 1200 ns
+        assert breaker.allow(2_200_000)
         assert breaker.stats.breaker_trips == 2
 
 
@@ -234,18 +235,18 @@ class TestHeartbeatDetector:
 
     def test_confirm_instant_math(self):
         detector, _config = self._detector(k=3, interval=1000.0)
-        # Crash at 0: misses at 1000, 2000, 3000 -> confirmed at 3000.
-        assert detector._confirm_instant(0.0) == pytest.approx(3000.0)
-        # Crash at 1500: misses at 2000, 3000, 4000 -> confirmed at 4000.
-        assert detector._confirm_instant(1500.0) == pytest.approx(4000.0)
+        # In ps. Crash at 0: misses at 1000, 2000, 3000 ns -> confirmed at 3000.
+        assert detector._confirm_instant(0) == 3_000_000
+        # Crash at 1500 ns: misses at 2000, 3000, 4000 -> confirmed at 4000.
+        assert detector._confirm_instant(1_500_000) == 4_000_000
         # Crash exactly on a heartbeat instant: that beat still succeeded.
-        assert detector._confirm_instant(2000.0) == pytest.approx(5000.0)
+        assert detector._confirm_instant(2_000_000) == 5_000_000
 
     def test_long_partition_is_confirmed_loss(self):
         detector, _config = self._detector(k=3, interval=1000.0)
         injector = FaultInjector(FaultPlan(specs=(partition(500.0, 4000.0),)))
         # Confirm instant for unreachable-since-500 is 3500 < 4000 (heal).
-        assert detector._effective_crash(injector) == pytest.approx(500.0)
+        assert detector._effective_crash(injector) == 500_000
 
     def test_short_partition_is_not_a_crash(self):
         detector, _config = self._detector(k=3, interval=1000.0)
@@ -255,7 +256,7 @@ class TestHeartbeatDetector:
     def test_pool_dead_only_after_confirmation(self):
         detector, _config = self._detector()
         assert not detector.pool_dead
-        detector.crash(0.0)
+        detector.crash(0)
         assert not detector.pool_dead  # declared, not yet confirmed
 
         class _Ctx:
@@ -271,11 +272,11 @@ class TestHeartbeatDetector:
             def now(self):
                 return self.thread.clock.now
 
-            def charge_ns(self, ns):
-                self.thread.clock.advance(ns)
+            def charge_ps(self, ps):
+                self.thread.clock.advance(ps)
 
         ctx = _Ctx()
         with pytest.raises(KernelPanic):
             detector.poll(ctx)
         assert detector.pool_dead
-        assert ctx.now == pytest.approx(3 * 1000.0)  # k * interval
+        assert ctx.now == 3 * 1_000_000  # k * interval, in ps

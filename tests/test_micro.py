@@ -248,8 +248,8 @@ class TestScheduler:
         fast = VirtualClock()
         slow = VirtualClock()
         interleave([
-            (fast, worker("fast", fast, 4, 1.0)),
-            (slow, worker("slow", slow, 2, 3.0)),
+            (fast, worker("fast", fast, 4, 1_000)),
+            (slow, worker("slow", slow, 2, 3_000)),
         ])
         times = [t for _n, t in trace]
         assert times == sorted(times)

@@ -3,8 +3,8 @@
 ``ExecutionContext._random_cost`` sends each run of repeated pages
 through the pool machinery once and charges the repeats as row-buffer
 hits. Here it is compared with the plain per-access loop (kept below as
-the reference) on two identical platforms: the returned cost must be
-bit-equal, the counters, trace events and t_mm PTEs identical and the
+the reference) on two identical platforms: the returned cost (integer
+picoseconds) must be equal, the counters, trace events and t_mm PTEs identical and the
 caches in the same LRU order, for the local pool, the compute pool (with
 and without a live protocol) and the memory pool under MESI, PSO and WEAK.
 
@@ -46,7 +46,7 @@ def reference_cost(ctx, vpns, write):
     """The per-access loop: every access goes through the pool machinery;
     a compute-pool miss through the per-page reference kernel."""
     config = ctx.config
-    cost = 0.0
+    cost = 0
     prev = None
     now = ctx.now
     for vpn in vpns:
@@ -58,7 +58,7 @@ def reference_cost(ctx, vpns, write):
             )
         else:
             cost += ctx.protocol.memory_touch(vpn, write, now + cost)
-        cost += config.dram_line_ns if vpn == prev else config.dram_random_ns
+        cost += config.dram_line_ps if vpn == prev else config.dram_random_ps
         prev = vpn
     if ctx.pool is Pool.MEMORY:
         ctx.stats.memory_side_page_touches += len(vpns)
@@ -102,7 +102,7 @@ def play(kind, where, mode, warmup, batches, cost_fn, line_ns=4.0, traced=False,
         for runs, write in batches:
             cost = cost_fn(c, expand(runs, region.start_vpn), write)
             costs.append(cost)
-            c.charge_ns(cost)
+            c.charge_ps(cost)
             if protocol is not None:
                 # The temporary context's PTEs after each batch (a later
                 # batch may overwrite a wrong bit; the pushdown's end
@@ -193,10 +193,8 @@ def assert_exact(kind, where, mode, warmup, batches, line_ns=4.0, fault_ns=2500.
     return untraced
 
 
-#: Fault software costs. At 2499.9 ns, a compute-pool miss on a page the
-#: memory pool spilled to storage (a random fault) that also writes back a
-#: dirty victim rounds differently if the write-back is added before the
-#: remote fault.
+#: Fault software costs: a whole number of ns, and one (2 499 900 ps) that
+#: float ns could not add exactly.
 FAULT_NS = [2500.0, 2499.9]
 
 SCENARIOS = [
@@ -215,8 +213,9 @@ SCENARIOS = [
     scenario=st.sampled_from(SCENARIOS),
     warmup=WARMUP,
     batches=BATCHES,
-    # A line cost that is not a small dyadic number makes every addition
-    # round, so charging k-1 repeats in one step would show.
+    # 4.1 ns has no exact binary form: added in float ns, k-1 repeats
+    # charged in one step would differ from k-1 additions. In ps both are
+    # exactly (k-1) * 4100.
     line_ns=st.sampled_from([4.0, 4.1]),
     fault_ns=st.sampled_from(FAULT_NS),
 )
@@ -265,10 +264,9 @@ def test_repeats_count_as_compute_cache_hits():
 
 def test_spilled_miss_adds_write_back_after_remote_fault():
     """Compute-pool misses on pages the memory pool spilled (random
-    storage faults), each evicting a dirty page: a miss costs (storage +
-    remote fault) + write-back, and at this fault cost the other order
-    rounds differently. One miss per batch, so that a later addition
-    cannot round the difference away."""
+    storage faults), each evicting a dirty page: a miss costs storage +
+    remote fault + write-back. One miss per batch, at a fault cost that
+    float ns could not add exactly."""
     warmup = [(page, True) for page in range(20, 32)]
     batches = [([(0, 1)], False), ([(2, 1)], False), ([(4, 2)], False)]
     state = assert_exact("ddc", "compute", None, warmup, batches, fault_ns=2499.9)

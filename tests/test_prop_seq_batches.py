@@ -4,9 +4,10 @@
 without a protocol, charges runs of uncached stream pages in closed form.
 Here it is compared with the per-page kernel kept in
 ``tests/reference_kernel.py``, on two identical platforms fed the same
-random and sequential accesses: the returned costs must be bit-equal, the
-counters identical, and the compute cache (LRU order and flags) and the
-memory pool (LRU order) the same. The cases cover a cache smaller than a
+random and sequential accesses: the returned costs (integer picoseconds)
+must be equal, the counters and ``fault`` trace events identical, and the
+compute cache (LRU order and flags) and the memory pool (LRU order) the
+same. The cases cover a cache smaller than a
 prefetch batch, streams over cached pages (including ones the stream
 evicts before reaching them), a memory pool that spills to storage, and no
 protocol or a live MESI, PSO or WEAK one, with the sanitizers armed (so
@@ -36,7 +37,7 @@ class NewKernel:
 
     @staticmethod
     def touch_random(kernel, memkernel, vpn, write, now):
-        """A one-access run: its fault cost plus ``dram_random_ns``."""
+        """A one-access run: its fault cost plus ``dram_random_ps``."""
         return kernel.touch_runs(memkernel, [vpn], [0], write, now)
 
     @staticmethod
@@ -46,12 +47,12 @@ class NewKernel:
 
 class Reference:
     """The per-page reference kernel; a random touch also pays
-    ``dram_random_ns``, added to its fault cost as ``touch_runs`` does."""
+    ``dram_random_ps``, as ``touch_runs`` charges it."""
 
     @staticmethod
     def touch_random(kernel, memkernel, vpn, write, now):
         fault = reference_kernel.touch_random(kernel, memkernel, vpn, write, now)
-        return fault + kernel.config.dram_random_ns
+        return fault + kernel.config.dram_random_ps
 
     touch_sequential = staticmethod(reference_kernel.touch_sequential)
 
@@ -66,12 +67,13 @@ def play(impl, cache_pages, degree, mode, warmup, ops):
         sanitizers=True,
     )
     platform = make_platform("teleport", config)
+    platform.tracer.enable(kinds={"fault"})
     process = platform.new_process()
     region = process.alloc_array("data", np.zeros(N_PAGES * PAGE_ELEMENTS))
     compute, memory = platform.kernels_for(process)
     base = region.start_vpn
     costs = []
-    now = 0.0
+    now = 0
 
     def run(steps):
         nonlocal now
@@ -100,6 +102,7 @@ def play(impl, cache_pages, degree, mode, warmup, ops):
             (vpn, entry.writable, entry.dirty) for vpn, entry in compute.cache.resident_items()
         ],
         "memory_pool": list(memory.pool._resident.items()),
+        "events": list(platform.tracer.events),
     }
     if compute.protocol is not None:
         state["t_mm"] = sorted(

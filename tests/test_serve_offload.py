@@ -77,8 +77,8 @@ def test_queue_depth_steers_decision_local():
     controller = OffloadController(platform.config)
 
     class CongestedPool:
-        def estimated_wait_ns(self, now):
-            return 1e12
+        def estimated_wait_ps(self, now):
+            return 10**15
 
     assert controller._evaluate(ctx, request, None) is True
     assert controller._evaluate(ctx, request, CongestedPool()) is False
@@ -90,8 +90,8 @@ def test_payload_size_raises_pushdown_estimate():
     large = OffloadRequest("l", _scan, regions=(region,),
                            payload_bytes=64 * 1024 * 1024)
     controller = OffloadController(platform.config)
-    assert (controller.estimate_pushdown_ns(ctx, large)
-            > controller.estimate_pushdown_ns(ctx, small))
+    assert (controller.estimate_pushdown_ps(ctx, large)
+            > controller.estimate_pushdown_ps(ctx, small))
 
 
 def test_region_spans_scale_footprint():

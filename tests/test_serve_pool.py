@@ -76,11 +76,11 @@ def test_pool_slots_are_teleport_instances():
     assert pool.queue_depth(0.0) == 0
 
 
-def occupy_instance(rpc, until_ns):
-    """Hold the earliest free TELEPORT instance busy until ``until_ns``."""
-    index = rpc.plan(0.0)[0]
+def occupy_instance(rpc, until_ps):
+    """Hold the earliest free TELEPORT instance busy until ``until_ps``."""
+    index = rpc.plan(0)[0]
     rpc.commit(index)
-    rpc.complete(index, until_ns)
+    rpc.complete(index, until_ps)
 
 
 def test_tenant_share_validates_weight():
@@ -276,7 +276,7 @@ def test_inline_pushdown_waits_for_free_slot():
     platform = make_platform("teleport")
     pool = PoolScheduler(platform)
     ctx = platform.main_context()
-    busy_until = 5e6
+    busy_until = 5_000_000_000  # 5 ms, in ps
     occupy_instance(pool.rpc, busy_until)
 
     def fn(ectx):
@@ -287,7 +287,7 @@ def test_inline_pushdown_waits_for_free_slot():
     assert result == "done"
     assert ctx.now > busy_until
     share = pool.shares[f"pid-{ctx.thread.process.pid}"]
-    assert share.queue_delay_ns == pytest.approx(busy_until)
+    assert share.queue_delay_ps == busy_until
     assert share.completed == 1
 
 

@@ -49,7 +49,7 @@ def test_arrival_time_delays_first_step():
     scheduler = Scheduler()
     scheduler.add(Task("early", a, _worker(a, [10], log, "early")))
     scheduler.add(Task("late", b, _worker(b, [1], log, "late"),
-                       arrival_ns=100.0))
+                       arrival_ps=100))
     scheduler.run()
     assert log == [("early", 10), ("late", 101)]
     assert b.now == 101
@@ -57,7 +57,7 @@ def test_arrival_time_delays_first_step():
 
 def test_negative_arrival_rejected():
     with pytest.raises(ReproError):
-        Task("bad", VirtualClock(), iter(()), arrival_ns=-1.0)
+        Task("bad", VirtualClock(), iter(()), arrival_ps=-1)
 
 
 def test_effect_without_handler_fails():
@@ -128,9 +128,9 @@ def test_event_source_interleaves_by_virtual_time():
 
     class Source:
         def __init__(self):
-            self.pending = [15.0, 45.0]
+            self.pending = [15, 45]
 
-        def next_event_ns(self):
+        def next_event_ps(self):
             return self.pending[0] if self.pending else None
 
         def fire(self, now, scheduler):
@@ -147,12 +147,12 @@ def test_event_source_interleaves_by_virtual_time():
     scheduler.add(Task("t", clock, gen()))
     scheduler.run()
     # The task's clock must *reach* an event's time before it fires: the
-    # 15ns event waits out the 0→20ns work chunk (any submission inside
+    # 15ps event waits out the 0→20ps work chunk (any submission inside
     # that chunk is timestamped 20 > 15, so causality holds), and the
-    # 45ns event waits out the 40→60ns chunk.
+    # 45ps event waits out the 40→60ps chunk.
     assert order == [
-        ("task", 20.0), ("event", 15.0), ("task", 40.0),
-        ("task", 60.0), ("event", 45.0),
+        ("task", 20), ("event", 15), ("task", 40),
+        ("task", 60), ("event", 45),
     ]
 
 

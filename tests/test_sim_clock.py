@@ -1,4 +1,4 @@
-"""Tests for the virtual clock."""
+"""Tests for the virtual clock (integer picoseconds)."""
 
 import pytest
 
@@ -7,29 +7,35 @@ from repro.sim.clock import VirtualClock
 
 
 def test_starts_at_zero_by_default():
-    assert VirtualClock().now == 0.0
+    assert VirtualClock().now == 0
 
 
 def test_starts_at_given_time():
-    assert VirtualClock(42.5).now == 42.5
+    assert VirtualClock(42_500).now == 42_500
 
 
 def test_negative_start_rejected():
     with pytest.raises(ConfigError):
-        VirtualClock(-1.0)
+        VirtualClock(-1)
 
 
-@pytest.mark.parametrize("ns", [float("nan"), float("inf"), -float("inf")])
-def test_nonfinite_start_rejected(ns):
+@pytest.mark.parametrize("ps", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_start_rejected(ps):
     with pytest.raises(ConfigError):
-        VirtualClock(ns)
+        VirtualClock(ps)
+
+
+@pytest.mark.parametrize("ps", [42.0, 42.5, True])
+def test_float_and_bool_start_rejected(ps):
+    with pytest.raises(ConfigError):
+        VirtualClock(ps)
 
 
 def test_advance_accumulates():
     clock = VirtualClock()
-    clock.advance(10)
-    clock.advance(2.5)
-    assert clock.now == 12.5
+    clock.advance(10_000)
+    clock.advance(2_500)
+    assert clock.now == 12_500
 
 
 def test_advance_returns_new_time():
@@ -40,24 +46,41 @@ def test_advance_returns_new_time():
 def test_negative_advance_rejected():
     clock = VirtualClock()
     with pytest.raises(ConfigError):
-        clock.advance(-0.1)
+        clock.advance(-1)
 
 
-@pytest.mark.parametrize("ns", [float("nan"), float("inf"), -float("inf")])
-def test_nonfinite_advance_rejected(ns):
-    """NaN passes a plain ``ns < 0`` guard; the clock must still reject it."""
-    clock = VirtualClock(5.0)
+@pytest.mark.parametrize("ps", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_advance_rejected(ps):
+    """NaN passes a plain ``ps < 0`` guard; the clock must still reject it."""
+    clock = VirtualClock(5)
     with pytest.raises(ConfigError):
-        clock.advance(ns)
-    assert clock.now == 5.0  # rejected before the add
+        clock.advance(ps)
+    assert clock.now == 5  # rejected before the add
 
 
-@pytest.mark.parametrize("ns", [float("nan"), float("inf"), -float("inf")])
-def test_nonfinite_advance_to_rejected(ns):
-    clock = VirtualClock(5.0)
+@pytest.mark.parametrize("ps", [1.0, 0.5, True, False])
+def test_float_and_bool_advance_rejected(ps):
+    """A float cost was never rounded to ps; a bool is not a duration."""
+    clock = VirtualClock(5)
     with pytest.raises(ConfigError):
-        clock.advance_to(ns)
-    assert clock.now == 5.0
+        clock.advance(ps)
+    assert clock.now == 5
+
+
+@pytest.mark.parametrize("ps", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_advance_to_rejected(ps):
+    clock = VirtualClock(5)
+    with pytest.raises(ConfigError):
+        clock.advance_to(ps)
+    assert clock.now == 5
+
+
+@pytest.mark.parametrize("ps", [20.0, True])
+def test_float_and_bool_advance_to_rejected(ps):
+    clock = VirtualClock(5)
+    with pytest.raises(ConfigError):
+        clock.advance_to(ps)
+    assert clock.now == 5
 
 
 def test_advance_to_moves_forward():

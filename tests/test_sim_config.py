@@ -31,8 +31,8 @@ def test_cache_pages_derived_from_bytes():
 
 def test_remote_fault_batching_amortises_latency():
     config = DdcConfig()
-    one = config.remote_fault_ns(1)
-    eight = config.remote_fault_ns(8)
+    one = config.remote_fault_ps(1)
+    eight = config.remote_fault_ps(8)
     assert eight < 8 * one
     # But still strictly more than one fault (the pages must move).
     assert eight > one
@@ -40,24 +40,64 @@ def test_remote_fault_batching_amortises_latency():
 
 def test_remote_fault_much_slower_than_dram():
     config = DdcConfig()
-    assert config.remote_fault_ns(1) > 10 * config.dram_page_ns
+    assert config.remote_fault_ps(1) > 10 * config.dram_page_ps
 
 
 def test_ssd_fault_slower_than_remote_memory():
     # The premise of Figure 1a: remote memory beats SSD spill.
     config = DdcConfig()
-    assert config.ssd_fault_ns(1, sequential=False) > config.remote_fault_ns(1)
+    assert config.ssd_fault_ps(1, sequential=False) > config.remote_fault_ps(1)
 
 
 def test_ssd_sequential_cheaper_than_random():
     config = DdcConfig()
-    assert config.ssd_fault_ns(4, sequential=True) < config.ssd_fault_ns(4, sequential=False)
+    assert config.ssd_fault_ps(4, sequential=True) < config.ssd_fault_ps(4, sequential=False)
 
 
 def test_cpu_ns_scales_with_clock():
     config = DdcConfig()
-    assert config.cpu_ns(2100) == pytest.approx(1000.0)
-    assert config.cpu_ns(2100, ghz=1.05) == pytest.approx(2000.0)
+    assert config.cpu_ps(2100) == 1_000_000
+    assert config.cpu_ps(2100, ghz=1.05) == 2_000_000
+    assert config.cpu_ps(2100, scale=1.5) == 1_500_000
+    # Rounded once, to the nearest ps: 1000 ops at 2.1 GHz is 476.190476... ns.
+    assert config.cpu_ps(1000) == 476_190
+
+
+DEFAULT_PS = {
+    "net_message_base_ps": 1_600_000,
+    "dram_page_ps": 250_000,
+    "dram_random_ps": 100_000,
+    "dram_line_ps": 4_000,
+    "fault_software_ps": 2_500_000,
+    "ssd_random_fault_ps": 90_000_000,
+    "ssd_swap_software_ps": 50_000_000,
+    "pte_clone_ps": 150_000,
+    "context_base_ps": 20_000_000,
+    "coherence_msg_ps": 1_600_000,
+    "contention_backoff_ps": 50_000_000,
+    "watchdog_timeout_ps": 60_000_000_000_000,
+    "heartbeat_interval_ps": 10_000_000_000,
+    "breaker_cooldown_ps": 50_000_000_000,
+    # 4096 B at 7 B/ns is 585.142857... ns.
+    "single_fault_ps": 2_500_000 + 2 * 1_600_000 + 585_143,
+    "single_writeback_ps": 1_600_000 + 585_143,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_PS))
+def test_ps_constants_are_exact_for_the_defaults(name):
+    value = getattr(DdcConfig(), name)
+    assert type(value) is int
+    assert value == DEFAULT_PS[name]
+
+
+def test_ps_constants_are_exact_for_a_line_cost_that_float_adds_round():
+    """4.1 ns has no exact binary form; its ps constant is exactly 4100,
+    so k repeats cost exactly k * 4100 ps."""
+    config = DdcConfig(dram_line_ns=4.1)
+    assert config.dram_line_ps == 4100
+    assert type(config.dram_line_ps) is int
+    assert config.with_overrides(dram_line_ns=4.0).dram_line_ps == 4000
 
 
 def test_page_list_message_compression():

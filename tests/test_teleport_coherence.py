@@ -7,7 +7,7 @@ from repro.ddc import Pool, make_platform
 from repro.ddc.context import ExecutionContext
 from repro.ddc.thread import SimThread
 from repro.sim.config import DdcConfig
-from repro.sim.units import KIB, MIB
+from repro.sim.units import KIB, MIB, to_ps
 from repro.teleport.coherence import CoherenceProtocol
 from repro.teleport.flags import ConsistencyMode
 
@@ -141,8 +141,8 @@ class TestMemoryTouch:
         platform, process, region = env
         protocol = make_protocol(platform, process)
         protocol.setup([])
-        cost = protocol.memory_touch(region.start_vpn, write=False, now=0.0)
-        assert cost == 0.0
+        cost = protocol.memory_touch(region.start_vpn, write=False, now=0)
+        assert cost == 0
         assert platform.stats.coherence_messages == 0
 
     def test_write_to_compute_writable_page_invalidates(self, env):
@@ -152,7 +152,7 @@ class TestMemoryTouch:
         compute.cache.insert(vpn, writable=True, dirty=True)
         protocol = make_protocol(platform, process)
         protocol.setup(compute.resident_snapshot())
-        cost = protocol.memory_touch(vpn, write=True, now=0.0)
+        cost = protocol.memory_touch(vpn, write=True, now=0)
         assert cost > 0
         assert vpn not in compute.cache
         assert platform.stats.coherence_invalidations == 1
@@ -166,7 +166,7 @@ class TestMemoryTouch:
         compute.cache.insert(vpn, writable=True, dirty=True)
         protocol = make_protocol(platform, process)
         protocol.setup(compute.resident_snapshot())
-        cost = protocol.memory_touch(vpn, write=False, now=0.0)
+        cost = protocol.memory_touch(vpn, write=False, now=0)
         assert cost > 0
         entry = compute.cache.peek(vpn)
         assert entry is not None and not entry.writable
@@ -183,7 +183,7 @@ class TestMemoryTouch:
         protocol = make_protocol(platform, process)
         protocol.setup(compute.resident_snapshot())
         # (R, R) -> memory wants W: compute copy must be invalidated.
-        protocol.memory_touch(vpn, write=True, now=0.0)
+        protocol.memory_touch(vpn, write=True, now=0)
         assert vpn not in compute.cache
         assert protocol.t_mm.get(vpn).writable
         protocol.check_swmr()
@@ -198,8 +198,8 @@ class TestMemoryTouch:
         compute.cache.invalidate(vpn)
         protocol.on_compute_evict(vpn)
         messages_before = platform.stats.coherence_messages
-        cost = protocol.memory_touch(vpn, write=True, now=0.0)
-        assert cost == 0.0
+        cost = protocol.memory_touch(vpn, write=True, now=0)
+        assert cost == 0
         assert platform.stats.coherence_messages == messages_before
 
     def test_spilled_page_is_true_fault_to_storage(self, env):
@@ -215,7 +215,7 @@ class TestMemoryTouch:
         protocol.setup([])
         # The first pages of the region were evicted to storage by later
         # allocation; touching them is a true fault (no coherence traffic).
-        cost = protocol.memory_touch(big.start_vpn, write=False, now=0.0)
+        cost = protocol.memory_touch(big.start_vpn, write=False, now=0)
         assert cost > 0
         assert tiny.stats.storage_faults >= 1
         assert tiny.stats.coherence_messages == 0
@@ -238,7 +238,7 @@ class TestMemoryTouch:
         compute.cache.insert(vpn, writable=True, dirty=True)
         protocol = make_protocol(tiny, process)
         protocol.setup(compute.resident_snapshot())
-        protocol.memory_touch(vpn, write=write, now=0.0)
+        protocol.memory_touch(vpn, write=write, now=0)
         protocol.check_swmr()
         assert tiny.stats.storage_faults >= 1
         assert tiny.stats.coherence_messages == 2
@@ -253,8 +253,8 @@ class TestMemoryTouch:
         compute.cache.insert(dirty_vpn, writable=True, dirty=True)
         protocol = make_protocol(platform, process)
         protocol.setup(compute.resident_snapshot())
-        clean_cost = protocol.memory_touch(clean_vpn, write=True, now=0.0)
-        dirty_cost = protocol.memory_touch(dirty_vpn, write=True, now=0.0)
+        clean_cost = protocol.memory_touch(clean_vpn, write=True, now=0)
+        dirty_cost = protocol.memory_touch(dirty_vpn, write=True, now=0)
         assert dirty_cost > clean_cost
 
 
@@ -288,7 +288,7 @@ class TestComputeSide:
         compute.cache.insert(vpn, writable=False)
         protocol = make_protocol(platform, process)
         protocol.setup(compute.resident_snapshot())
-        cost = protocol.compute_upgrade(vpn, now=0.0)
+        cost = protocol.compute_upgrade(vpn, now=0)
         assert cost > 0
         assert not protocol.t_mm.get(vpn).present
 
@@ -300,17 +300,17 @@ class TestComputeSide:
         protocol = make_protocol(platform, process)
         protocol.setup(compute.resident_snapshot())
         # Memory pool upgrades first; its round trip is in flight at t=0.
-        protocol.memory_touch(vpn, write=True, now=0.0)
+        protocol.memory_touch(vpn, write=True, now=0)
         # Compute pool upgrades concurrently: it must lose, back off t,
         # and reissue — costing strictly more than an uncontended upgrade.
         compute.cache.insert(vpn, writable=False)
-        contended = protocol.compute_upgrade(vpn, now=1.0)
+        contended = protocol.compute_upgrade(vpn, now=1_000)
         uncontended_protocol = make_protocol(platform, process)
         compute.cache.insert(vpn, writable=False)
         uncontended_protocol.setup(compute.resident_snapshot())
-        uncontended = uncontended_protocol.compute_upgrade(vpn, now=0.0)
+        uncontended = uncontended_protocol.compute_upgrade(vpn, now=0)
         assert contended > uncontended
-        assert contended >= platform.config.contention_backoff_ns
+        assert contended >= platform.config.contention_backoff_ps
         assert platform.stats.coherence_tiebreaks == 1
 
     @pytest.mark.parametrize("write_at_ns, tiebreaks", [(0.0, 1), (1e9, 0)])
@@ -327,9 +327,9 @@ class TestComputeSide:
         protocol.setup(compute.resident_snapshot())
         compute.protocol = protocol
         # PSO memory-pool write at t=0: the compute copy is demoted, not dropped.
-        protocol.memory_touch(region.start_vpn, write=True, now=0.0)
+        protocol.memory_touch(region.start_vpn, write=True, now=0)
         ctx = platform.main_context(process)
-        ctx.clock.advance_to(write_at_ns)
+        ctx.clock.advance_to(to_ps(write_at_ns))
         ctx.touch_seq(region, 0, 1, write=True)
         assert platform.stats.coherence_tiebreaks == tiebreaks
 
@@ -355,8 +355,8 @@ class TestComputeSide:
             memkernel=memory, compkernel=compute, protocol=protocol,
         )
         mctx.touch_seq(region, 0, 4 * PAGE_ELEMENTS, write=True)
-        assert protocol.online_sync_ns == 4 * 2 * platform.config.coherence_msg_ns
-        compute.touch_runs(memory, [vpns[-1]], [0], True, upgrade_at_ns)
+        assert protocol.online_sync_ps == 4 * 2 * platform.config.coherence_msg_ps
+        compute.touch_runs(memory, [vpns[-1]], [0], True, to_ps(upgrade_at_ns))
         assert platform.stats.coherence_tiebreaks == tiebreaks
 
 
@@ -370,7 +370,7 @@ class TestRelaxations:
         compute.cache.insert(vpn, writable=True)
         protocol = make_protocol(platform, process, ConsistencyMode.PSO)
         protocol.setup(compute.resident_snapshot())
-        protocol.memory_touch(vpn, write=True, now=0.0)
+        protocol.memory_touch(vpn, write=True, now=0)
         # PSO keeps the compute copy as read-only rather than evicting it.
         entry = compute.cache.peek(vpn)
         assert entry is not None
@@ -383,8 +383,8 @@ class TestRelaxations:
         compute.cache.insert(vpn, writable=True, dirty=True)
         protocol = make_protocol(platform, process, ConsistencyMode.WEAK)
         protocol.setup(compute.resident_snapshot())
-        cost = protocol.memory_touch(vpn, write=True, now=0.0)
-        assert cost == 0.0
+        cost = protocol.memory_touch(vpn, write=True, now=0)
+        assert cost == 0
         assert platform.stats.coherence_messages == 0
 
     def test_weak_upgrade_is_silent(self, env):
@@ -394,7 +394,7 @@ class TestRelaxations:
         compute.cache.insert(vpn, writable=False)
         protocol = make_protocol(platform, process, ConsistencyMode.WEAK)
         protocol.setup(compute.resident_snapshot())
-        assert protocol.compute_upgrade(vpn, now=0.0) == 0.0
+        assert protocol.compute_upgrade(vpn, now=0) == 0
 
 
 class TestBoundarySync:
@@ -406,7 +406,7 @@ class TestBoundarySync:
         compute.cache.insert(vpn, writable=False)
         protocol = make_protocol(platform, process, mode)
         protocol.setup(compute.resident_snapshot())
-        protocol.memory_touch(vpn, write=True, now=0.0)
+        protocol.memory_touch(vpn, write=True, now=0)
         return protocol, compute, vpn
 
     def test_weak_boundary_invalidates_stale_copies(self, env):
@@ -433,21 +433,21 @@ class TestBoundarySync:
         protocol, _compute, _vpn = self._dirty_shared_page(
             platform, process, region, ConsistencyMode.MESI
         )
-        assert protocol.boundary_sync() == 0.0
+        assert protocol.boundary_sync() == 0
 
     def test_off_mode_boundary_is_noop(self, env):
         platform, process, region = env
         protocol, compute, vpn = self._dirty_shared_page(
             platform, process, region, ConsistencyMode.OFF
         )
-        assert protocol.boundary_sync() == 0.0
+        assert protocol.boundary_sync() == 0
         assert vpn in compute.cache  # user must syncmem manually
 
     def test_boundary_with_nothing_stale_is_free(self, env):
         platform, process, _region = env
         protocol = make_protocol(platform, process, ConsistencyMode.WEAK)
         protocol.setup([])
-        assert protocol.boundary_sync() == 0.0
+        assert protocol.boundary_sync() == 0
 
 
 class TestFinish:
@@ -456,7 +456,7 @@ class TestFinish:
         protocol = make_protocol(platform, process)
         protocol.setup([])
         vpn = region.start_vpn
-        protocol.memory_touch(vpn, write=True, now=0.0)
+        protocol.memory_touch(vpn, write=True, now=0)
         assert protocol.t_mm.get(vpn).dirty
         protocol.finish()
         assert process.address_space.full_table.get(vpn).dirty

@@ -10,7 +10,7 @@ from repro.errors import (
     RemotePushdownFault,
 )
 from repro.sim.config import DdcConfig
-from repro.sim.units import MIB
+from repro.sim.units import MIB, to_ns, to_ps
 from repro.teleport.flags import PushdownOptions, TimeoutAction
 
 from tests.conftest import alloc_floats
@@ -100,8 +100,8 @@ class TestTimeoutAndCancel:
         assert platform.stats.pushdown_cancellations == 1
         # The caller is charged through the timeout instant plus the cancel
         # round trip — never the full 10ms the function would have taken.
-        assert ctx.now >= 1e6
-        assert ctx.now < 10e6
+        assert to_ns(ctx.now) >= 1e6
+        assert to_ns(ctx.now) < 10e6
 
     def test_midexec_timeout_wait_action_accepts_late_result(self, env):
         platform, _process, _region, ctx = env
@@ -114,7 +114,7 @@ class TestTimeoutAndCancel:
         assert platform.stats.pushdown_cancellations == 0
         # The caller waited for the full remote execution (~4.8ms at the
         # memory pool's clock), far past the 1ms timeout.
-        assert ctx.now > 4e6
+        assert to_ns(ctx.now) > 4e6
 
     def test_midexec_timeout_fallback_reexecutes_locally(self, env):
         platform, _process, region, ctx = env
@@ -137,7 +137,7 @@ class TestTimeoutAndCancel:
         )
         # Finish a whisker past the timeout — the in-flight cancel cannot
         # beat the completion.
-        session.mem_thread.clock.advance_to(1e6 + 10.0)
+        session.mem_thread.clock.advance_to(to_ps(1e6 + 10.0))
         with pytest.raises(PushdownTimeout) as excinfo:
             session.finish()
         assert not excinfo.value.cancelled
@@ -149,7 +149,7 @@ class TestTimeoutAndCancel:
         session = platform.teleport.begin_session(
             ctx, PushdownOptions(timeout_ns=1e6, on_timeout=TimeoutAction.FALLBACK)
         )
-        session.mem_thread.clock.advance_to(1e6 + 10.0)
+        session.mem_thread.clock.advance_to(to_ps(1e6 + 10.0))
         session.finish()  # no raise: the late remote result is accepted
         assert not session.fallback_pending
         assert platform.stats.pushdown_timeouts == 1
@@ -167,10 +167,10 @@ class TestTimeoutAndCancel:
 class TestWatchdog:
     def test_wedged_function_killed(self, env):
         platform, _process, _region, ctx = env
-        watchdog = platform.config.watchdog_timeout_ns
+        watchdog = platform.config.watchdog_timeout_ps
 
         def wedged(mctx):
-            mctx.charge_ns(watchdog * 2)
+            mctx.charge_ps(watchdog * 2)
 
         with pytest.raises(PushdownAborted):
             ctx.pushdown(wedged)
@@ -178,13 +178,13 @@ class TestWatchdog:
 
     def test_abort_frees_the_instance(self, env):
         platform, _process, region, ctx = env
-        watchdog = platform.config.watchdog_timeout_ns
+        watchdog = platform.config.watchdog_timeout_ps
         with pytest.raises(PushdownAborted):
-            ctx.pushdown(lambda mctx: mctx.charge_ns(watchdog * 2))
+            ctx.pushdown(lambda mctx: mctx.charge_ps(watchdog * 2))
         # The next pushdown runs without queueing behind the zombie.
         result = ctx.pushdown(lambda mctx: "alive")
         assert result == "alive"
-        assert platform.teleport.breakdowns[-1].queue_wait_ns < watchdog
+        assert platform.teleport.breakdowns[-1].queue_wait_ns < to_ns(watchdog)
 
 
 class TestMemoryPoolFailure:
@@ -201,11 +201,11 @@ class TestMemoryPoolFailure:
         platform, _process, _region, ctx = env
         platform.teleport.fail_memory_pool()
         k = platform.config.heartbeat_miss_threshold
-        interval = platform.config.heartbeat_interval_ns
+        interval = platform.config.heartbeat_interval_ps
         before = ctx.now
         with pytest.raises(KernelPanic):
             ctx.pushdown(lambda mctx: None)
-        assert ctx.now - before == pytest.approx(k * interval)
+        assert ctx.now - before == k * interval
 
     def test_detection_latency_charged_only_once(self, env):
         """Later syscalls see the already-confirmed panic and are not
@@ -218,7 +218,7 @@ class TestMemoryPoolFailure:
         after_first = ctx.now
         with pytest.raises(KernelPanic):
             ctx.pushdown(lambda mctx: None)
-        assert ctx.now == pytest.approx(after_first)
+        assert ctx.now == after_first
 
     def test_confirmed_loss_releases_all_protocols(self, env):
         """No orphaned coherence state survives a kernel panic."""
@@ -226,7 +226,7 @@ class TestMemoryPoolFailure:
         # Leave a session in flight so a live protocol exists at panic time.
         session = platform.teleport.begin_session(ctx, PushdownOptions())
         assert platform.teleport._protocols[process.pid].refcount == 1
-        platform.teleport.fail_memory_pool(at_ns=ctx.now)
+        platform.teleport.fail_memory_pool(at_ns=to_ns(ctx.now))
         with pytest.raises(KernelPanic):
             ctx.pushdown(lambda mctx: None)
         compkernel, _memkernel = platform.kernels_for(process)

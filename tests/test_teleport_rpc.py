@@ -26,37 +26,37 @@ def test_requires_at_least_one_instance():
 
 def test_free_instance_starts_immediately():
     server = make_server()
-    _index, start, scale = server.plan(arrival_ns=100.0)
-    assert start == 100.0
+    _index, start, scale = server.plan(arrival_ps=100)
+    assert start == 100
     assert scale == 1.0
 
 
 def test_busy_instance_queues_fifo():
     server = make_server(instances=1)
-    index, start, _scale = server.plan(0.0)
+    index, start, _scale = server.plan(0)
     server.commit(index)
-    server.complete(index, 500.0)
-    _index2, start2, _scale2 = server.plan(10.0)
-    assert start2 == 500.0
+    server.complete(index, 500)
+    _index2, start2, _scale2 = server.plan(10)
+    assert start2 == 500
 
 
 def test_two_instances_run_two_requests_concurrently():
     server = make_server(instances=2, cores=2)
-    i1, s1, _ = server.plan(0.0)
+    i1, s1, _ = server.plan(0)
     server.commit(i1)
-    i2, s2, _ = server.plan(0.0)
+    i2, s2, _ = server.plan(0)
     server.commit(i2)
     assert i1 != i2
-    assert s1 == s2 == 0.0
+    assert s1 == s2 == 0
 
 
 def test_oversubscription_stretches_cpu():
     server = make_server(instances=3, cores=2)
     for _ in range(2):
-        index, _start, scale = server.plan(0.0)
+        index, _start, scale = server.plan(0)
         server.commit(index)
         assert scale == 1.0
-    _index, _start, scale = server.plan(0.0)
+    _index, _start, scale = server.plan(0)
     assert scale > 1.0
 
 
@@ -69,9 +69,9 @@ def test_oversubscription_scale_formula():
 
 def test_plan_without_commit_leaves_state_unchanged():
     server = make_server(instances=1)
-    server.plan(0.0)
-    _index, start, _scale = server.plan(0.0)
-    assert start == 0.0
+    server.plan(0)
+    _index, start, _scale = server.plan(0)
+    assert start == 0
     assert server.dispatched == 0
 
 
@@ -83,11 +83,11 @@ def test_cancel_queued_counts():
 
 def test_earliest_free_tracks_completions():
     server = make_server(instances=2)
-    i1, _s, _ = server.plan(0.0)
+    i1, _s, _ = server.plan(0)
     server.commit(i1)
-    assert server.earliest_free_ns() == 0.0
-    i2, _s, _ = server.plan(0.0)
+    assert server.earliest_free_ps() == 0
+    i2, _s, _ = server.plan(0)
     server.commit(i2)
-    assert server.earliest_free_ns() == float("inf")
-    server.complete(i1, 300.0)
-    assert server.earliest_free_ns() == 300.0
+    assert server.earliest_free_ps() == float("inf")
+    server.complete(i1, 300)
+    assert server.earliest_free_ps() == 300

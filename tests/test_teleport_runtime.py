@@ -5,7 +5,7 @@ import pytest
 
 from repro.ddc import Pool, make_platform, run_parallel
 from repro.sim.config import DdcConfig
-from repro.sim.units import KIB, MIB
+from repro.sim.units import KIB, MIB, to_ns
 from repro.teleport.flags import ConsistencyMode, SyncMethod
 
 from tests.conftest import alloc_floats
@@ -114,7 +114,7 @@ class TestTimeAccounting:
         ctx.pushdown(scan_sum, region)
         elapsed = ctx.now - before
         breakdown = platform.teleport.breakdowns[-1]
-        assert breakdown.total_ns == pytest.approx(elapsed, rel=1e-9)
+        assert breakdown.total_ns == pytest.approx(to_ns(elapsed), rel=1e-9)
 
     def test_breakdown_sums_for_eager_sync(self, env):
         platform, _process, region, ctx = env
@@ -123,7 +123,7 @@ class TestTimeAccounting:
         ctx.pushdown(scan_sum, region, sync=SyncMethod.EAGER)
         elapsed = ctx.now - before
         breakdown = platform.teleport.breakdowns[-1]
-        assert breakdown.total_ns == pytest.approx(elapsed, rel=1e-9)
+        assert breakdown.total_ns == pytest.approx(to_ns(elapsed), rel=1e-9)
 
     def test_memory_thread_never_precedes_caller(self, env):
         _platform, _process, region, ctx = env
