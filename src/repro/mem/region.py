@@ -80,8 +80,8 @@ class AddressSpace:
 
     def __init__(self, page_size, base_vpn=0):
         self.page_size = page_size
-        self.full_table = PageTable()
         self.regions = {}
+        self.full_table = PageTable(self.regions)
         self._next_vpn = base_vpn
         self._allocated_bytes = 0
 
@@ -93,9 +93,10 @@ class AddressSpace:
     def alloc_array(self, name, array):
         """Register a numpy array as a region of this address space.
 
-        New allocations are mapped present+writable in the full page table:
-        in a disaggregated OS every allocation is forwarded through the
-        memory pool, so fresh pages are memory-pool resident.
+        Its pages are mapped present+writable in the full page table from
+        now until :meth:`free`: in a disaggregated OS every allocation is
+        forwarded through the memory pool, so fresh pages are memory-pool
+        resident. Regions get rising vpns, and a vpn is never reused.
         """
         if name in self.regions:
             raise AllocationError(f"region name {name!r} already allocated")
@@ -104,7 +105,6 @@ class AddressSpace:
         region = Region(name, self._next_vpn, npages, array, self.page_size)
         self._next_vpn += npages + self._GUARD_PAGES
         self.regions[name] = region
-        self.full_table.map_range(region.start_vpn, npages)
         self._allocated_bytes += array.nbytes
         return region
 
@@ -129,7 +129,6 @@ class AddressSpace:
         """Release a region; its pages are unmapped everywhere."""
         self.check_live(region)
         del self.regions[region.name]
-        self.full_table.unmap_range(region.start_vpn, region.npages)
         self._allocated_bytes -= region.nbytes
 
     def unique_name(self, prefix):

@@ -44,22 +44,18 @@ class SwapDevice:
         is counted and no cost is returned — allocation is setup, and the
         cost of any displaced pages is paid when they fault back in.
 
-        The victims are those of admitting the pages one at a time: the
-        LRU's oldest pages, then the range's own earliest pages (dirty), so
-        pages the range itself would evict are never inserted. That holds
-        only when none of the pages is already resident; a range that
-        overlaps resident pages is admitted page by page.
+        Precondition: none of the pages is resident. Fresh regions never
+        overlap one another, since an address space never reuses a vpn and
+        each process of a platform has its own vpn range. The victims are
+        then those of admitting the pages one at a time: the LRU's oldest
+        pages, then the range's own earliest pages (dirty), so pages the
+        range itself would evict are never inserted.
         """
-        vpns = range(start_vpn, start_vpn + npages)
-        resident = self._resident
-        if not resident.keys().isdisjoint(vpns):
-            for vpn in vpns:
-                self._admit(vpn, dirty=True)
-            return
         kept = min(npages, self.capacity_pages)
         self._evict_down_to(self.capacity_pages - kept)
         self.stats.storage_pages_out += npages - kept
-        for vpn in vpns[npages - kept:]:
+        resident = self._resident
+        for vpn in range(start_vpn + npages - kept, start_vpn + npages):
             resident[vpn] = True
 
     def touch(self, vpn, dirty=False):
@@ -96,29 +92,42 @@ class SwapDevice:
         return cost
 
     def touch_range(self, start_vpn, npages, dirty=False):
-        """Access consecutive pages; returns total fault cost.
+        """Access consecutive pages in order; returns total fault cost.
 
-        Misses within the range are served with readahead-sized batches.
+        A resident page is a hit: it moves to MRU, and a write sets its
+        dirty bit (nothing here clears one). An absent page faults in a
+        readahead window of up to ``ssd_readahead_pages`` pages starting
+        at it. The window's pages are accessed in order too: its resident
+        pages are hits, and its one fault reads only the pages that are
+        absent when the stream reaches them.
         """
+        resident = self._resident
         total = 0
         vpn = start_vpn
         end = start_vpn + npages
         while vpn < end:
-            if vpn in self._resident:
-                self._resident.move_to_end(vpn)
+            if vpn in resident:
+                resident.move_to_end(vpn)
                 if dirty:
-                    self._resident[vpn] = True
+                    resident[vpn] = True
                 vpn += 1
                 continue
-            batch = min(self.config.ssd_readahead_pages, end - vpn)
+            window = range(vpn, min(vpn + self.config.ssd_readahead_pages, end))
+            reads = 0
+            for page in window:
+                if page in resident:
+                    resident.move_to_end(page)
+                    if dirty:
+                        resident[page] = True
+                else:
+                    reads += 1
+                    total += self._admit(page, dirty)
             sequential = self._last_fault_vpn is not None and vpn == self._last_fault_vpn + 1
-            total += self.config.ssd_fault_ps(batch, sequential=sequential)
+            total += self.config.ssd_fault_ps(reads, sequential=sequential)
             self.stats.storage_faults += 1
-            self.stats.storage_pages_in += batch
-            for fetched in range(vpn, vpn + batch):
-                total += self._admit(fetched, dirty)
-            self._last_fault_vpn = vpn + batch - 1
-            vpn += batch
+            self.stats.storage_pages_in += reads
+            self._last_fault_vpn = window[-1]
+            vpn = window.stop
         return total
 
     def _fault_in(self, vpn, dirty):

@@ -6,10 +6,11 @@ drawn from {absent, R, W}. The compute side's state is the local page cache
 user context's page table ``t_mm``, prepared by
 :func:`CoherenceProtocol.setup` as in Figure 8. Figure 8 borrows the
 caller's table, so ``t_mm`` is a copy-on-access snapshot of the process's
-full table (:class:`~repro.mem.page_table.PageTableSnapshot`): the table
-as of setup, whose PTEs are copied only when the protocol first updates
-them. Read-only checks, and memory-side reads that change no PTE, use
-``peek`` and copy nothing.
+full table (:class:`~repro.mem.page_table.PageTableSnapshot`): the bounds
+of the regions live at setup, plus a PTE for each page the protocol has
+read for update since. Read-only checks, and memory-side reads that change
+no PTE, use ``peek`` and copy nothing. Nothing flows back to the full
+table at the end: it keeps no per-page state.
 
 Transitions follow Figure 9:
 
@@ -73,10 +74,10 @@ class CoherenceProtocol:
         """
         self.t_mm = self.full_table.snapshot()
         for vpn, writable in resident:
-            pte = self.t_mm.peek(vpn)
-            if pte is None or not pte.present:
-                continue
-            self._invalidate(self.t_mm.get(vpn), write=writable)
+            # Every page mapped at setup is present.
+            pte = self.t_mm.get(vpn)
+            if pte is not None:
+                self._invalidate(pte, write=writable)
         if self.sanitizer is not None:
             # The freshly built temporary context must satisfy SWMR.
             self.sanitizer.swmr_transition(self, "setup")
@@ -139,16 +140,19 @@ class CoherenceProtocol:
         inline: a page in memory-pool DRAM whose ``t_mm`` PTE is present,
         and writable for a write or in WEAK/OFF. On such a page
         :meth:`memory_touch` costs nothing and changes nothing but a
-        write's dirty bit, set here on the owned PTE (copied first if not
+        write's dirty bit, set here on the owned PTE (made first if not
         yet owned, as ``ensure`` does); the sanitizer still checks it.
         """
         in_pool = self.memkernel.pool._resident
         t_mm = self.t_mm
         # Without a temporary context no head is quiet: all go through
         # memory_touch.
-        owned, shared = ({}, {}) if t_mm is None else (t_mm._owned, t_mm._entries)
+        owned = {} if t_mm is None else t_mm._owned
         owned_get = owned.get
-        shared_get = shared.get
+        # A batch's heads lie in one region, so one lookup tells whether
+        # t_mm mapped them all at setup. (Were they to span regions, each
+        # unowned head would go through memory_touch: slower, as exact.)
+        mapped = t_mm is not None and bool(heads) and t_mm.maps(min(heads), max(heads))
         writable_only = write or self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF)
         sanitizer = self.sanitizer
         touch = self.memory_touch
@@ -159,14 +163,18 @@ class CoherenceProtocol:
         lines_before = list(accumulate(repeats, initial=0))
         cost = 0
         for index, vpn in enumerate(heads):
-            pte = owned_get(vpn) or shared_get(vpn)
-            if (pte is not None and pte.present and (pte.writable or not writable_only)
-                    and vpn in in_pool):
+            pte = owned_get(vpn)
+            if pte is None:
+                # Not owned: present and writable if mapped at setup.
+                quiet = mapped
+            else:
+                quiet = pte.present and (pte.writable or not writable_only)
+            if quiet and vpn in in_pool:
                 if write:
-                    if vpn in owned:
-                        pte.dirty = True
-                    else:
+                    if pte is None:
                         owned[vpn] = PageTableEntry(True, True, True)
+                    else:
+                        pte.dirty = True
                 if sanitizer is not None:
                     sanitizer.swmr_transition(self, "memory_touch", vpn)
             else:
@@ -349,11 +357,12 @@ class CoherenceProtocol:
         return cost
 
     def finish(self):
-        """Merge the temporary context's dirty bits back into the full
-        table — "no external communication is necessary" (Section 4.1).
+        """Drop the temporary context — "no external communication is
+        necessary" (Section 4.1).
 
-        Only owned ``t_mm`` copies can carry a new dirty bit; bits set
-        before setup are already in the full table.
+        Its dirty bits are merged nowhere: the full table keeps no dirty
+        bit, as nothing would read one. Whether a page must be written
+        back to storage is the memory pool's own LRU's business.
         """
         if self.t_mm is None:
             return
@@ -361,11 +370,6 @@ class CoherenceProtocol:
             # Full sweep at session end, complementing the O(1)
             # single-page checks done per transition.
             self.sanitizer.swmr_transition(self, "finish")
-        for vpn, pte in self.t_mm.owned_entries():
-            if pte.dirty:
-                full = self.full_table.get(vpn)
-                if full is not None:
-                    full.dirty = True
         self.t_mm = None
         self._mem_upgrade_until.clear()
 

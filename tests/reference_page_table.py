@@ -3,10 +3,11 @@
 This is the page table as it mapped a region: one
 :class:`~repro.mem.page.PageTableEntry` per page, built at map time, in a
 plain dict. The property tests run it side by side with
-:class:`repro.mem.page_table.PageTable`, which maps fresh pages to one
-shared born entry and builds a page's own PTE on first update; every
-observable flag must agree. The snapshot here is written per page too, so
-the reference shares no table code with what it checks.
+:class:`repro.mem.page_table.PageTable`, a view of an address space's live
+regions that keeps no per-page state, and its snapshot, which keeps the
+region bounds as of the snapshot and builds a page's PTE on first update;
+every observable flag must agree. The snapshot here is written per page
+too, so the reference shares no table code with what it checks.
 """
 
 from repro.mem.page import PageTableEntry
@@ -41,9 +42,6 @@ class ReferencePageTable:
 
     def vpns(self):
         return self.entries.keys()
-
-    def dirty_vpns(self):
-        return [vpn for vpn, pte in self.entries.items() if pte.present and pte.dirty]
 
     def snapshot(self):
         return ReferenceSnapshot(self.entries)

@@ -95,7 +95,7 @@ def test_freeing_a_stale_handle_leaves_the_live_region_alone():
         process.free(stale)
     assert space.regions["a"] is live
     assert space.allocated_bytes == live.nbytes
-    assert space.full_table.get(live.start_vpn).present
+    assert live.start_vpn in space.full_table
     _compute, memory = platform.kernels_for(process)
     assert memory.is_resident(live.start_vpn)
 

@@ -1,7 +1,9 @@
-"""Tests for PTEs and sparse page tables."""
+"""Tests for PTEs, the full page table and its snapshots."""
 
 from repro.mem.page import PageTableEntry
-from repro.mem.page_table import PageTable
+from repro.mem.region import AddressSpace
+
+PAGE = 4096
 
 
 def test_pte_defaults_absent():
@@ -22,71 +24,70 @@ def test_pte_equality():
 
 
 def test_empty_table():
-    table = PageTable()
+    table = AddressSpace(PAGE).full_table
     assert len(table) == 0
-    assert table.get(0) is None
     assert 0 not in table
+    assert table.snapshot().peek(0) is None
 
 
 def test_ensure_creates_absent_entry():
-    table = PageTable()
-    pte = table.ensure(5)
+    snap = AddressSpace(PAGE).full_table.snapshot()
+    pte = snap.ensure(5)
     assert not pte.present
-    assert table.get(5) is pte
-    assert len(table) == 1
+    assert snap.get(5) is pte
+    assert len(snap) == 1
 
 
 def test_map_range():
-    table = PageTable()
-    table.map_range(10, 4)
+    space = AddressSpace(PAGE, base_vpn=10)
+    space.alloc("a", 4 * PAGE)
+    table = space.full_table
     assert len(table) == 4
-    assert table.get(10).present
-    assert table.get(13).writable
-    assert table.get(14) is None
+    assert 10 in table and 13 in table
+    assert 9 not in table and 14 not in table
+    view = table.snapshot()
+    assert view.peek(10).present
+    assert view.peek(13).writable
+    assert view.peek(14) is None
 
 
 def test_unmap_range():
-    table = PageTable()
-    table.map_range(0, 10)
-    table.unmap_range(0, 5)
+    space = AddressSpace(PAGE)
+    first = space.alloc("a", 5 * PAGE)
+    second = space.alloc("b", 5 * PAGE)
+    space.free(first)
+    table = space.full_table
     assert len(table) == 5
-    assert table.get(2) is None
-    assert table.get(7) is not None
-
-
-def test_present_and_dirty_vpn_queries():
-    table = PageTable()
-    table.map_range(0, 3)
-    table.ensure(100)  # absent
-    table.get(1).dirty = True
-    assert table.dirty_vpns() == [1]
+    assert first.start_vpn + 2 not in table
+    assert second.start_vpn + 2 in table
+    assert table.snapshot().peek(first.start_vpn + 2) is None
 
 
 def test_snapshot_copies_on_access():
-    table = PageTable()
-    table.map_range(0, 2)
-    table.get(0).dirty = True
-    table.get(1).dirty = True
+    space = AddressSpace(PAGE)
+    space.alloc("a", 2 * PAGE)
+    table = space.full_table
     snap = table.snapshot()
-    assert snap.peek(0) is table.get(0)  # peek shares, never copies
-    assert not snap.owned_entries()
+    assert snap.peek(0) == PageTableEntry(True, True)
+    assert not snap.owned_entries()  # peek never takes ownership
     copy = snap.get(0)
-    assert copy is not table.get(0)
     assert copy.present and copy.writable
     assert not copy.dirty  # owned copies start clean
     copy.present = False
-    assert table.get(0).present
+    assert table.snapshot().peek(0).present
     assert snap.peek(0) is copy
     assert [vpn for vpn, _pte in snap.owned_entries()] == [0]
     assert len(snap) == 2
 
 
 def test_snapshot_ensure_maps_unmapped_vpn():
-    table = PageTable()
-    table.map_range(0, 1)
+    space = AddressSpace(PAGE)
+    space.alloc("a", PAGE)
+    table = space.full_table
     snap = table.snapshot()
     pte = snap.ensure(7)
     assert not pte.present
     assert snap.get(7) is pte
     assert len(snap) == 2
+    assert 7 in snap
     assert 7 not in table

@@ -18,8 +18,10 @@ def test_alloc_array_registers_pages(space):
     region = space.alloc_array("a", np.zeros(1024, dtype=np.float64))  # 8 KiB
     assert region.npages == 2
     assert region.nbytes == 8192
-    assert space.full_table.get(region.start_vpn).present
-    assert space.full_table.get(region.start_vpn + 1).writable
+    assert len(space.full_table) == 2
+    view = space.full_table.snapshot()
+    assert view.peek(region.start_vpn).present
+    assert view.peek(region.start_vpn + 1).writable
 
 
 def test_regions_do_not_overlap(space):
@@ -87,7 +89,7 @@ def test_bad_slice_rejected(space):
 def test_free_unmaps(space):
     region = space.alloc("a", 8192)
     space.free(region)
-    assert space.full_table.get(region.start_vpn) is None
+    assert region.start_vpn not in space.full_table
     assert "a" not in space.regions
     assert space.allocated_bytes == 0
 

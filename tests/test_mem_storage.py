@@ -84,6 +84,18 @@ def test_touch_range_hits_are_free():
     assert stats.storage_faults == faults_before
 
 
+def test_touch_range_serves_resident_window_pages_as_hits():
+    # Page 2 is resident and dirty when a read stream's readahead window
+    # [0, 4) covers it: it is a hit in stream order, stays dirty and is not
+    # read again.
+    device, stats = make_device(100, ssd_readahead_pages=4)
+    device.touch(2, dirty=True)
+    device.touch_range(0, 4)
+    assert list(device._resident.items()) == [(0, False), (1, False), (2, True), (3, False)]
+    assert stats.storage_pages_in == 4
+    assert stats.storage_faults == 2
+
+
 def test_resident_pages_bounded_by_capacity():
     device, _ = make_device(8)
     device.touch_range(0, 100)

@@ -135,7 +135,6 @@ def play(kind, where, mode, warmup, batches, cost_fn, line_ns=4.0, traced=False,
             (vpn, entry.writable, entry.dirty) for vpn, entry in compute.cache.resident_items()
         ]
         state["memory_pool"] = list(memory.pool._resident.items())
-        state["dirty"] = sorted(process.address_space.full_table.dirty_vpns())
     return state
 
 

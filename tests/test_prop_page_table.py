@@ -1,24 +1,25 @@
-"""The page table against its per-page reference, and born entries.
+"""The full page table and its snapshot against a per-page reference.
 
-:class:`~repro.mem.page_table.PageTable` maps a fresh region to one shared,
-read-only born entry and builds a page's own PTE only when ``get`` or
-``ensure`` first returns it. The property test runs random sequences of
-region maps and unmaps, full-table updates, snapshots, snapshot updates and
-``finish``-style dirty merges on it and on
+:class:`~repro.mem.page_table.PageTable` is a view of an address space's
+live regions, and a snapshot of it keeps the region bounds as of the
+snapshot plus a PTE for each page first read for update. The property
+test runs random sequences of region allocs and frees, snapshots, and
+snapshot reads and updates on it and on
 :class:`tests.reference_page_table.ReferencePageTable`, which builds every
 PTE at map time, and requires every observable flag to agree.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ddc import make_platform
 from repro.mem.page import PageTableEntry
-from repro.mem.page_table import PageTable
+from repro.mem.region import AddressSpace
 from repro.sim.units import MIB
+from repro.teleport.coherence import CoherenceProtocol
 from tests.reference_page_table import ReferencePageTable
 
+PAGE = 4096
 VPN_LIMIT = 48
 VPNS = st.integers(min_value=0, max_value=VPN_LIMIT - 1)
 
@@ -26,8 +27,6 @@ OPS = st.lists(
     st.one_of(
         st.tuples(st.just("alloc"), st.integers(1, 6)),
         st.tuples(st.just("free"), st.integers(0, 7)),
-        st.tuples(st.just("dirty"), VPNS),
-        st.tuples(st.just("ensure"), VPNS),
         st.tuples(st.just("snapshot")),
         st.tuples(
             st.just("snap_get"), VPNS,
@@ -40,29 +39,64 @@ OPS = st.lists(
 )
 
 
+class Space:
+    """The full table under test: an address space's, fed by its allocs
+    and frees."""
+
+    def __init__(self):
+        self.space = AddressSpace(PAGE)
+        self.table = self.space.full_table
+        self.regions = []
+
+    def alloc(self, npages):
+        region = self.space.alloc(self.space.unique_name("r"), npages * PAGE)
+        self.regions.append(region)
+        return region.start_vpn
+
+    def free(self, index):
+        if self.regions:
+            self.space.free(self.regions.pop(index % len(self.regions)))
+
+    def mapped(self, vpn):
+        return vpn in self.table
+
+
+class Reference:
+    """The eager table, mapping regions where the address space would."""
+
+    def __init__(self):
+        self.table = ReferencePageTable()
+        self.regions = []
+        self.next_vpn = 0
+
+    def alloc(self, npages):
+        start = self.next_vpn
+        self.table.map_range(start, npages)
+        self.regions.append((start, npages))
+        self.next_vpn += npages + 1  # one guard page, as AddressSpace leaves
+        return start
+
+    def free(self, index):
+        if self.regions:
+            self.table.unmap_range(*self.regions.pop(index % len(self.regions)))
+
+    def mapped(self, vpn):
+        return self.table.get(vpn) is not None
+
+
 def flags(pte):
     return None if pte is None else (pte.present, pte.writable, pte.dirty)
 
 
-def table_state(table):
-    view = table.snapshot()  # peek reads without building PTEs
-    return (
-        len(table),
-        list(table.vpns()),
-        table.dirty_vpns(),
-        [flags(view.peek(vpn)) for vpn in table.vpns()],
-    )
+def table_state(model):
+    return len(model.table), [model.mapped(vpn) for vpn in range(VPN_LIMIT + 8)]
 
 
 def snapshot_state(snap):
-    """What a snapshot's users read: ``peek`` serves present/writable
-    checks only. A shared PTE's dirty bit is not part of the snapshot (the
-    reference's aliases later full-table updates, a born entry's does not);
-    dirty bits are read from owned copies."""
+    """What a snapshot's users read: ``peek`` and the owned PTEs."""
     return (
         len(snap),
-        [None if pte is None else pte.permission
-         for pte in map(snap.peek, range(VPN_LIMIT + 8))],
+        [flags(snap.peek(vpn)) for vpn in range(VPN_LIMIT + 8)],
         [(vpn, flags(pte)) for vpn, pte in snap.owned_entries()],
     )
 
@@ -77,35 +111,17 @@ def update(pte, action):
         pte.dirty = True
 
 
-def finish(table, snap):
-    """Merge a snapshot's dirty bits back, as ``CoherenceProtocol.finish``."""
-    for vpn, pte in snap.owned_entries():
-        if pte.dirty:
-            full = table.get(vpn)
-            if full is not None:
-                full.dirty = True
-
-
-def apply(op, table, snap, regions, next_vpn):
-    """Apply one op to one table; returns (result, snap, next_vpn)."""
+def apply(op, model, snap):
+    """Apply one op to one model; returns (result, snap)."""
     kind = op[0]
     result = None
     if kind == "alloc":
-        table.map_range(next_vpn, op[1])
-        regions.append((next_vpn, op[1]))
-        next_vpn += op[1] + 1  # one guard page, as AddressSpace leaves
+        result = model.alloc(op[1])
     elif kind == "free":
-        if regions:
-            table.unmap_range(*regions.pop(op[1] % len(regions)))
-    elif kind in ("dirty", "ensure"):
-        # The full table only ever changes a mapped page's dirty bit.
-        pte = table.get(op[1]) if kind == "dirty" else table.ensure(op[1])
-        result = flags(pte)
-        if pte is not None:
-            pte.dirty = True
+        model.free(op[1])
     elif kind == "snapshot":
         if snap is None:
-            snap = table.snapshot()
+            snap = model.table.snapshot()
     elif snap is None:
         pass
     elif kind == "snap_get":
@@ -116,21 +132,18 @@ def apply(op, table, snap, regions, next_vpn):
     elif kind == "snap_ensure":
         result = flags(snap.ensure(op[1]))
     elif kind == "finish":
-        finish(table, snap)
         snap = None
-    return result, snap, next_vpn
+    return result, snap
 
 
 @given(ops=OPS)
 @settings(max_examples=300, deadline=None)
 def test_page_table_matches_per_page_reference(ops):
-    real, ref = PageTable(), ReferencePageTable()
+    real, ref = Space(), Reference()
     real_snap = ref_snap = None
-    real_regions, ref_regions = [], []
-    real_next = ref_next = 0
     for op in ops:
-        real_result, real_snap, real_next = apply(op, real, real_snap, real_regions, real_next)
-        ref_result, ref_snap, ref_next = apply(op, ref, ref_snap, ref_regions, ref_next)
+        real_result, real_snap = apply(op, real, real_snap)
+        ref_result, ref_snap = apply(op, ref, ref_snap)
         assert real_result == ref_result, op
         assert table_state(real) == table_state(ref), op
         assert (real_snap is None) == (ref_snap is None)
@@ -139,6 +152,8 @@ def test_page_table_matches_per_page_reference(ops):
 
 
 def test_fresh_region_builds_no_pte(monkeypatch):
+    # A 192 MiB alloc and a pushdown's setup leave the full table and t_mm
+    # holding state per region, not per page.
     platform = make_platform("teleport")
     process = platform.new_process()
     built = []
@@ -151,18 +166,15 @@ def test_fresh_region_builds_no_pte(monkeypatch):
     monkeypatch.setattr(PageTableEntry, "__init__", counting_init)
     region = process.alloc("cell", 192 * MIB)
     assert region.npages == 192 * MIB // platform.config.page_size
+    table = process.address_space.full_table
+    assert len(table) == region.npages
+    assert table.__slots__ == ("_regions",)
+    protocol = CoherenceProtocol(platform, process)
+    protocol.setup([])
+    t_mm = protocol.t_mm
     assert built == []
-    assert process.address_space.full_table.get(region.start_vpn).present
+    assert len(t_mm) == region.npages
+    assert t_mm._starts == [region.start_vpn] and t_mm._ends == [region.end_vpn]
+    assert not t_mm.owned_entries()
+    assert t_mm.get(region.start_vpn).present
     assert len(built) == 1
-
-
-def test_born_entry_is_read_only():
-    table = PageTable()
-    table.map_range(0, 2)
-    born = table.snapshot().peek(0)
-    assert isinstance(born, PageTableEntry)
-    assert born == PageTableEntry(True, True)
-    for field, value in (("present", False), ("writable", False), ("dirty", True)):
-        with pytest.raises(AttributeError):
-            setattr(born, field, value)
-    assert flags(table.snapshot().peek(1)) == (True, True, False)

@@ -89,13 +89,43 @@ class TestSnapshot:
         assert protocol.t_mm.get(late.start_vpn) is None
         assert protocol.state_of(late.start_vpn) == ("0", "0")
 
+    @pytest.mark.parametrize("write", [False, True])
+    def test_batch_matches_per_head_touches_on_a_late_region(self, write):
+        # touch_runs serves a head inline only if t_mm mapped it at setup; a
+        # region allocated during the pushdown takes memory_touch, which maps
+        # its pages in t_mm.
+        def play(touch):
+            platform = make_platform("teleport", DdcConfig(compute_cache_bytes=1 * MIB))
+            process = platform.new_process()
+            early = process.alloc_array("early", np.zeros(4 * PAGE_ELEMENTS))
+            protocol = make_protocol(platform, process)
+            protocol.setup([])
+            late = process.alloc_array("late", np.zeros(4 * PAGE_ELEMENTS))
+            batches = [[late.start_vpn + 2, late.start_vpn], [early.start_vpn + 1]]
+            costs = [touch(platform, protocol, heads) for heads in batches]
+            owned = sorted(
+                (vpn - late.start_vpn, pte.present, pte.writable, pte.dirty)
+                for vpn, pte in protocol.t_mm.owned_entries()
+            )
+            return costs, owned
+
+        batch = play(lambda _platform, protocol, heads: protocol.touch_runs(
+            heads, [0] * len(heads), write, 0
+        ))
+        per_head = play(lambda platform, protocol, heads: sum(
+            protocol.memory_touch(vpn, write, 0) + platform.config.dram_random_ps
+            for vpn in heads
+        ))
+        assert batch == per_head
+        assert [offset for offset, *_flags in batch[1]][-2:] == [0, 2]
+
     def test_region_freed_during_pushdown_stays_mapped(self, env):
         platform, process, region = env
         protocol = make_protocol(platform, process)
         protocol.setup([])
         size = len(protocol.t_mm)
         process.free(region)
-        assert process.address_space.full_table.get(region.start_vpn) is None
+        assert region.start_vpn not in process.address_space.full_table
         assert len(protocol.t_mm) == size
         assert protocol.t_mm.get(region.start_vpn).present
         assert protocol.state_of(region.start_vpn) == ("0", "W")
@@ -125,13 +155,14 @@ class TestSnapshot:
     def test_owned_copies_start_clean(self, env):
         platform, process, region = env
         vpn = region.start_vpn
-        process.address_space.full_table.get(vpn).dirty = True
         protocol = make_protocol(platform, process)
+        protocol.setup([])
+        protocol.memory_touch(vpn, write=True, now=0)
+        protocol.finish()
+        # A page an earlier pushdown dirtied is clean in the next t_mm.
         protocol.setup([(vpn, False)])
         assert not protocol.t_mm.get(vpn).dirty
         protocol.finish()
-        # finish never clears a bit that was set before setup.
-        assert process.address_space.full_table.get(vpn).dirty
 
 
 class TestMemoryTouch:
@@ -451,7 +482,7 @@ class TestBoundarySync:
 
 
 class TestFinish:
-    def test_finish_merges_dirty_bits(self, env):
+    def test_finish_drops_the_temporary_context(self, env):
         platform, process, region = env
         protocol = make_protocol(platform, process)
         protocol.setup([])
@@ -459,8 +490,8 @@ class TestFinish:
         protocol.memory_touch(vpn, write=True, now=0)
         assert protocol.t_mm.get(vpn).dirty
         protocol.finish()
-        assert process.address_space.full_table.get(vpn).dirty
         assert protocol.t_mm is None
+        assert protocol.state_of(vpn) == ("0", "0")
 
     def test_state_of_reports_pair(self, env):
         platform, process, region = env

@@ -261,7 +261,6 @@ class TestConsistencyFlags:
             return None
 
         ctx.pushdown(writer, region, consistency=mode)
-        assert process.address_space.full_table.get(vpn).dirty
         assert ctx.load_at(region, 0) == 1.0  # refetch a read-only copy
         compute, _memory = platform.kernels_for(process)
         assert vpn in compute.cache
