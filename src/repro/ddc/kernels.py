@@ -60,12 +60,15 @@ class MemoryKernel:
 class ComputeKernel:
     """Compute-pool component: local page cache + fault forwarding."""
 
-    def __init__(self, platform, process):
+    def __init__(self, platform, process, memkernel):
         self.platform = platform
         self.config = platform.config
         self.stats = platform.stats
         self.network = platform.network
         self.process = process
+        #: The process's memory kernel, whose pool DRAM every write-back
+        #: of a dirty page lands in.
+        self.memkernel = memkernel
         self.cache = PageCache(self.config.compute_cache_pages)
         #: Active coherence protocol, set by the TELEPORT runtime for the
         #: duration of a pushdown (None when no pushdown is running).
@@ -92,8 +95,9 @@ class ComputeKernel:
         event: through :meth:`_fetch` and its hooks with a protocol, inline
         without one. An inline fetch costs its storage fault (if the memory
         pool spilled the page) + ``single_fault_ps`` [+
-        ``single_writeback_ps`` for a dirty victim]; its counters, traffic
-        and fixed costs are charged once per batch.
+        ``single_writeback_ps`` and the memory pool's ``write_back`` for a
+        dirty victim]; its counters, traffic and fixed costs are charged
+        once per batch.
         """
         entries = self.cache._entries
         get = entries.get
@@ -147,8 +151,11 @@ class ComputeKernel:
             entries[vpn] = CacheEntry(write, write)
             if len(entries) > capacity:
                 evictions += 1
-                if entries.popitem(last=False)[1].dirty:
+                victim_vpn, victim = entries.popitem(last=False)
+                if victim.dirty:
                     dirty += 1
+                    if not pool.all_dirty:
+                        cost += pool.write_back((victim_vpn,))
         stats = self.stats
         stats.cache_hits += len(heads) - misses + sum(repeats)
         stats.cache_misses += misses
@@ -217,7 +224,7 @@ class ComputeKernel:
         them from storage if it spilled them: the recursive fault of
         Section 2.1), one request carries them over the fabric, and the
         cache admits them in one step. Each dirty victim is written back
-        in its own message.
+        in its own message and lands dirty in the memory pool.
 
         With a protocol attached the batch is admitted page by page: per
         page ``on_compute_fetch`` (Figure 9 lines 3-10: the memory side
@@ -247,9 +254,10 @@ class ComputeKernel:
                     sanitizers.swmr_transition(protocol, "compute_fetch", fetched)
                 victims += evicted
         self.stats.cache_evictions += len(victims)
-        dirty = sum(1 for _vpn, was_dirty in victims if was_dirty)
-        self.stats.dirty_writebacks += dirty
-        return cost + self.network.pages_out_ps(dirty, batched=False)
+        written = [victim_vpn for victim_vpn, was_dirty in victims if was_dirty]
+        self.stats.dirty_writebacks += len(written)
+        cost += memkernel.pool.write_back(written)
+        return cost + self.network.pages_out_ps(len(written), batched=False)
 
     def _stream_absent(self, memkernel, start_vpn, npages, write, now, cost):
         """Stream ``npages`` pages, none of them cached, as :meth:`_fetch`
@@ -262,14 +270,16 @@ class ComputeKernel:
         order, then the run's own earliest pages (dirty exactly when the
         stream writes); the j-th victim is evicted by the run's
         (free + j)-th insert. Each batch still calls the memory pool and
-        the network, in order; the victims' write-backs are charged once.
-        A batch's ``fault`` trace event is at ``now`` plus the cost charged
-        before it, the write-backs of the victims its earlier batches
-        evicted included.
+        the network, in order, and then hands the dirty victims its inserts
+        evicted to the memory pool's ``write_back``; the victims' network
+        write-backs are charged once. A batch's ``fault`` trace event is at
+        ``now`` plus the cost charged before it, the write-backs of the
+        victims its earlier batches evicted included.
         """
         cache = self.cache
         degree = self.config.prefetch_degree
         tracer = self.platform.tracer
+        pool = memkernel.pool
         free = cache.capacity_pages - len(cache)
         old_victims, run_evicted = cache.insert_absent_run(start_vpn, npages, write, dirty=write)
         old_dirty = [was_dirty for _vpn, was_dirty in old_victims]
@@ -289,6 +299,18 @@ class ComputeKernel:
                 tracer.emit(at, "fault", vpn=batch_vpn, npages=batch, write=write)
             cost += memkernel.ensure_resident_range(batch_vpn, batch, write=False)
             cost += self.network.pages_in_ps(batch, batched=True)
+            if dirty and not pool.all_dirty:
+                # This batch's inserts evicted the victims [first, last);
+                # the dirty ones land in the memory pool.
+                first, last = max(0, offset - free), max(0, offset + batch - free)
+                cost += pool.write_back(
+                    [vpn for vpn, was_dirty in old_victims[first:last] if was_dirty]
+                )
+                if write:
+                    old = len(old_victims)
+                    cost += pool.write_back(
+                        range(start_vpn + max(0, first - old), start_vpn + max(0, last - old))
+                    )
         return cost + self.network.pages_out_ps(dirty, batched=False)
 
     def _upgrade(self, vpn, entry, now):
@@ -326,16 +348,17 @@ class ComputeKernel:
             targets = self.cache.dirty_vpns()
         else:
             targets = [vpn for vpn in vpns if vpn in self.cache]
-        flushed = 0
+        flushed = []
         for vpn in targets:
             entry = self.cache.peek(vpn)
             if entry is not None and entry.dirty:
                 entry.dirty = False
-                flushed += 1
+                flushed.append(vpn)
         if not flushed:
             return 0, 0
-        self.stats.dirty_writebacks += flushed
-        return self.network.pages_out_ps(flushed, batched=batched), flushed
+        self.stats.dirty_writebacks += len(flushed)
+        cost = self.memkernel.pool.write_back(flushed)
+        return cost + self.network.pages_out_ps(len(flushed), batched=batched), len(flushed)
 
     def evict_all(self):
         """Drop the whole cache (full-process migration); returns cost.
@@ -344,10 +367,11 @@ class ComputeKernel:
         """
         cost = 0
         dropped = self.cache.clear()
-        dirty = sum(1 for _vpn, was_dirty in dropped if was_dirty)
-        if dirty:
-            self.stats.dirty_writebacks += dirty
-            cost += self.network.pages_out_ps(dirty, batched=False)
+        written = [vpn for vpn, was_dirty in dropped if was_dirty]
+        if written:
+            self.stats.dirty_writebacks += len(written)
+            cost += self.memkernel.pool.write_back(written)
+            cost += self.network.pages_out_ps(len(written), batched=False)
         self.stats.cache_evictions += len(dropped)
         return cost
 
@@ -355,7 +379,7 @@ class ComputeKernel:
         """Flush + drop only the pages of the given regions (per-thread
         pushdown ablation of Figure 6); returns cost (page-by-page)."""
         cost = 0
-        dirty = 0
+        written = []
         dropped = 0
         for region in regions:
             for vpn in region.all_vpns():
@@ -364,10 +388,11 @@ class ComputeKernel:
                     continue
                 dropped += 1
                 if entry.dirty:
-                    dirty += 1
-        if dirty:
-            self.stats.dirty_writebacks += dirty
-            cost += self.network.pages_out_ps(dirty, batched=False)
+                    written.append(vpn)
+        if written:
+            self.stats.dirty_writebacks += len(written)
+            cost += self.memkernel.pool.write_back(written)
+            cost += self.network.pages_out_ps(len(written), batched=False)
         self.stats.cache_evictions += dropped
         return cost
 

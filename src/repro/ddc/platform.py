@@ -108,7 +108,8 @@ class DdcPlatform(Platform):
         """The (compute, memory) kernel pair managing one process."""
         pair = self._kernels.get(process.pid)
         if pair is None:
-            pair = (ComputeKernel(self, process), MemoryKernel(self, process))
+            memory = MemoryKernel(self, process)
+            pair = (ComputeKernel(self, process, memory), memory)
             self._kernels[process.pid] = pair
         return pair
 

@@ -24,8 +24,16 @@ class SwapDevice:
         self.capacity_pages = max(1, capacity_pages)
         #: vpn -> dirty, in LRU order. ``ComputeKernel.touch_runs`` and
         #: ``CoherenceProtocol.touch_runs`` use it directly, so that a
-        #: resident page costs them no call.
+        #: resident page costs them no call. A page is dirty once anything
+        #: wrote it in pool DRAM: a write fault, a compute-pool write-back
+        #: (:meth:`write_back`) or a memory-side write, which sets the bit
+        #: in place and leaves the page's LRU position as it is.
         self._resident = OrderedDict()
+        #: True while every page the pool has admitted is resident and
+        #: dirty: it has evicted nothing and admitted nothing clean
+        #: (allocation admits pages dirty; only a read fault admits a
+        #: clean one). A write-back then changes nothing.
+        self.all_dirty = True
         self._last_fault_vpn = None
 
     def __contains__(self, vpn):
@@ -52,6 +60,8 @@ class SwapDevice:
         range itself would evict are never inserted.
         """
         kept = min(npages, self.capacity_pages)
+        if kept < npages:
+            self.all_dirty = False
         self._evict_down_to(self.capacity_pages - kept)
         self.stats.storage_pages_out += npages - kept
         resident = self._resident
@@ -130,6 +140,27 @@ class SwapDevice:
             vpn = window.stop
         return total
 
+    def write_back(self, vpns):
+        """Land the compute pool's write-backs of ``vpns`` in pool DRAM, in
+        order; returns the cost of the storage write-backs they displace.
+
+        The compute pool caches only pages it fetched from this pool, so
+        the pool admitted each of ``vpns`` before. A resident page becomes
+        dirty and keeps its LRU position. An absent page (the pool spilled
+        it while the compute pool cached it) is admitted dirty without a
+        device read, since the whole page is overwritten.
+        """
+        if self.all_dirty:
+            return 0
+        resident = self._resident
+        cost = 0
+        for vpn in vpns:
+            if vpn in resident:
+                resident[vpn] = True
+            else:
+                cost += self._admit(vpn, True)
+        return cost
+
     def _fault_in(self, vpn, dirty):
         sequential = self._last_fault_vpn is not None and vpn == self._last_fault_vpn + 1
         cost = self.config.ssd_fault_ps(1, sequential=sequential)
@@ -142,6 +173,8 @@ class SwapDevice:
     def _admit(self, vpn, dirty):
         """Insert a page, evicting LRU victims; returns dirty-writeback cost."""
         self._resident[vpn] = dirty
+        if not dirty:
+            self.all_dirty = False
         return self._evict_down_to(self.capacity_pages)
 
     def _evict_down_to(self, npages):
@@ -152,6 +185,8 @@ class SwapDevice:
         """
         resident = self._resident
         dirty = 0
+        if len(resident) > npages:
+            self.all_dirty = False
         while len(resident) > npages:
             if resident.popitem(last=False)[1]:
                 dirty += 1

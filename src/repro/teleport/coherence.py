@@ -140,10 +140,15 @@ class CoherenceProtocol:
         inline: a page in memory-pool DRAM whose ``t_mm`` PTE is present,
         and writable for a write or in WEAK/OFF. On such a page
         :meth:`memory_touch` costs nothing and changes nothing but a
-        write's dirty bit, set here on the owned PTE (made first if not
-        yet owned, as ``ensure`` does); the sanitizer still checks it.
+        write's dirty bits, set here: the memory pool's, and the owned
+        PTE's (made first if not yet owned, as ``ensure`` does); the
+        sanitizer still checks it.
         """
-        in_pool = self.memkernel.pool._resident
+        pool = self.memkernel.pool
+        in_pool = pool._resident
+        # While the pool is all dirty, a quiet write has no bit to set;
+        # only a memory_touch call in the loop can clear the flag.
+        all_dirty = pool.all_dirty
         t_mm = self.t_mm
         # Without a temporary context no head is quiet: all go through
         # memory_touch.
@@ -171,6 +176,8 @@ class CoherenceProtocol:
                 quiet = pte.present and (pte.writable or not writable_only)
             if quiet and vpn in in_pool:
                 if write:
+                    if not all_dirty:
+                        in_pool[vpn] = True
                     if pte is None:
                         owned[vpn] = PageTableEntry(True, True, True)
                     else:
@@ -180,6 +187,7 @@ class CoherenceProtocol:
             else:
                 at = now + cost + index * random_ps + lines_before[index] * line_ps
                 cost += touch(vpn, write, at)
+                all_dirty = pool.all_dirty
         return cost + len(heads) * random_ps + sum(repeats) * line_ps
 
     def _memory_touch(self, vpn, write, now):
@@ -198,6 +206,10 @@ class CoherenceProtocol:
                 pte.writable = True
                 pte.dirty = pte.dirty or write
                 return cost
+        elif write:
+            # The write lands in pool DRAM: the page is dirty there. Its
+            # LRU position stays; only faults and write-backs move it.
+            self.memkernel.pool._resident[vpn] = True
         if t_mm is None:
             # No temporary context (coherence fully off): plain local access.
             return cost
@@ -251,6 +263,7 @@ class CoherenceProtocol:
                 dirty = evicted is not None and evicted.dirty
             if dirty:
                 self.stats.dirty_writebacks += 1
+                cost += self.memkernel.pool.write_back((vpn,))
             cost += self.network.coherence_message_ps(with_page=dirty)  # reply
             pte.present = True
             pte.writable = True
@@ -262,6 +275,7 @@ class CoherenceProtocol:
             self.stats.coherence_downgrades += 1
             if was_dirty:
                 self.stats.dirty_writebacks += 1
+                cost += self.memkernel.pool.write_back((vpn,))
             cost += self.network.coherence_message_ps(with_page=was_dirty)  # reply
             pte.present = True
             pte.writable = False

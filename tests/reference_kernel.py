@@ -75,17 +75,19 @@ def fetch(kernel, memkernel, vpn, npages, write):
     for fetched in range(vpn, vpn + npages):
         if kernel.protocol is not None:
             kernel.protocol.on_compute_fetch(fetched, write)
-        cost += insert(kernel, fetched, write)
+        cost += insert(kernel, memkernel, fetched, write)
     return cost
 
 
-def insert(kernel, vpn, write):
-    """Admit one fetched page, writing back any dirty victim."""
+def insert(kernel, memkernel, vpn, write):
+    """Admit one fetched page, writing back any dirty victim to the
+    memory pool."""
     cost = 0
     for victim_vpn, victim_dirty in lru_insert(kernel.cache, vpn, write, write):
         kernel.stats.cache_evictions += 1
         if victim_dirty:
             kernel.stats.dirty_writebacks += 1
+            cost += memkernel.pool.write_back((victim_vpn,))
             cost += kernel.network.pages_out_ps(1)
         if kernel.protocol is not None:
             kernel.protocol.on_compute_evict(victim_vpn)

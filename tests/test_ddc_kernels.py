@@ -1,5 +1,7 @@
 """Direct unit tests for the compute- and memory-side kernels."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from repro.sim.config import DdcConfig
 from repro.sim.units import KIB, MIB
 
 from tests.conftest import alloc_floats
+
+PAGE = 4 * KIB
 
 
 @pytest.fixture
@@ -138,3 +142,72 @@ class TestMemoryKernel:
         assert cost > platform.config.remote_fault_ps(1) + platform.config.dram_random_ps
         assert platform.stats.storage_faults >= 1
         assert big.start_vpn in compute.cache
+
+
+class _RecordingLru(OrderedDict):
+    """An LRU that records every (vpn, dirty) entry it evicts."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.evicted = []
+
+    def popitem(self, last=True):
+        item = super().popitem(last)
+        self.evicted.append(item)
+        return item
+
+
+def small_pool_platform(kind):
+    """A 4-page compute cache in front of an 8-page memory pool, one page
+    per fault at every level."""
+    return make_platform(kind, DdcConfig(
+        compute_cache_bytes=4 * PAGE, memory_pool_bytes=8 * PAGE,
+        ssd_readahead_pages=1, prefetch_degree=1,
+    ))
+
+
+class TestMemoryPoolDirtyBit:
+    """Every write that lands in memory-pool DRAM makes the page dirty
+    there, so spilling it to storage costs a write-back."""
+
+    def test_compute_writeback_is_paged_out_once(self):
+        platform = small_pool_platform("ddc")
+        process = platform.new_process()
+        region = alloc_floats(process, "a", 32 * PAGE // 8)
+        compute, memory = platform.kernels_for(process)
+        memory.pool._resident = lru = _RecordingLru(memory.pool._resident)
+        page0 = region.start_vpn
+        compute.touch_runs(memory, [page0], [0], True, 0)
+        # Stream 24 more pages: the first few evict page 0 from the cache
+        # (a dirty write-back), the rest push it out of the pool.
+        compute.touch_sequential(memory, page0 + 1, 24, write=False)
+        assert page0 not in compute.cache
+        assert platform.stats.dirty_writebacks == 1
+        assert page0 not in memory.pool
+        assert [dirty for vpn, dirty in lru.evicted if vpn == page0] == [True]
+
+    @pytest.mark.parametrize("access", ["random", "sequential"])
+    def test_memory_side_write_dirties_resident_page(self, access):
+        platform = small_pool_platform("teleport")
+        ctx = platform.main_context()
+        process = ctx.thread.process
+        region = alloc_floats(process, "a", 16 * PAGE // 8)
+        compute, memory = platform.kernels_for(process)
+        # The pool kept the region's last 8 pages at allocation; fault the
+        # first one in clean, then push it out of the cache.
+        page = region.start_vpn
+        compute.touch_runs(memory, [page], [0], False, 0)
+        compute.touch_sequential(memory, page + 1, 4, write=False)
+        assert page not in compute.cache and memory.pool._resident[page] is False
+        lru_order = list(memory.pool._resident)
+
+        def write_page(mctx):
+            if access == "random":
+                mctx.touch_random(region, [0], write=True)
+            else:
+                mctx.touch_seq(region, 0, 1, write=True)
+
+        ctx.pushdown(write_page)
+        assert memory.pool._resident[page] is True
+        # A memory-side touch leaves the pool's LRU order as it was.
+        assert list(memory.pool._resident) == lru_order

@@ -1,13 +1,19 @@
 """Tests for the MapReduce engine, jobs, and corpus generator."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ddc import make_platform
 from repro.ddc.phases import PhaseRunner
 from repro.errors import ConfigError, ReproError
 from repro.mapreduce import GrepJob, MapReduceEngine, WordCountJob, make_corpus
+from repro.mapreduce.textgen import CHUNK_TOKENS, guide_buckets, inverse_cdf, zipf_cdf
 from repro.sim.config import DdcConfig
+from repro.sim.rng import make_rng
 from repro.sim.units import KIB, MIB
 
 
@@ -45,6 +51,68 @@ class TestTextgen:
             make_corpus(0)
         with pytest.raises(ConfigError):
             make_corpus(10, vocabulary=1)
+
+    @pytest.mark.parametrize("skew", [math.nan, math.inf, -math.inf, -0.5])
+    def test_invalid_skew(self, skew):
+        with pytest.raises(ConfigError):
+            make_corpus(10, skew=skew)
+
+    @pytest.mark.parametrize("vocabulary", [1_000, 5_000])
+    def test_largest_u_maps_to_last_token(self, vocabulary):
+        # The rounded cumulative sum ends a few ulps below 1, so without
+        # the clamp to 1.0 this u would map to token == vocabulary.
+        cdf = zipf_cdf(vocabulary, 1.1)
+        assert cdf[-1] == 1.0
+        u = np.array([np.nextafter(1.0, 0.0)])
+        assert inverse_cdf(cdf, u).tolist() == [vocabulary - 1]
+
+
+def searchsorted_corpus(n_tokens, vocabulary, skew, seed):
+    """The binary-search sampler the guide table replaced."""
+    rng = make_rng(seed)
+    ranks = np.arange(1, vocabulary + 1, dtype=np.float64)
+    weights = ranks ** (-skew)
+    weights /= weights.sum()
+    cdf = np.cumsum(weights)
+    return np.searchsorted(cdf, rng.random(n_tokens)).astype(np.int32)
+
+
+vocabularies = st.integers(min_value=2, max_value=60_000)
+skews = st.floats(min_value=0.0, max_value=2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    vocabulary=vocabularies,
+    skew=skews,
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    n_tokens=st.sampled_from([1, CHUNK_TOKENS - 1, CHUNK_TOKENS, CHUNK_TOKENS + 1]),
+)
+def test_corpus_matches_searchsorted_sampler(vocabulary, skew, seed, n_tokens):
+    tokens = make_corpus(n_tokens, vocabulary=vocabulary, skew=skew, seed=seed)
+    expected = searchsorted_corpus(n_tokens, vocabulary, skew, seed)
+    assert tokens.dtype == expected.dtype
+    assert np.array_equal(tokens, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(vocabulary=vocabularies, skew=skews)
+def test_inverse_cdf_exact_on_bucket_edges_and_cdf_values(vocabulary, skew):
+    """u exactly on a bucket edge b / K, or exactly on a CDF value (and
+    one ulp either side of each) maps as the binary search does."""
+    cdf = zipf_cdf(vocabulary, skew)
+    buckets = guide_buckets(vocabulary)
+    edges = np.floor(cdf * buckets) / buckets
+    u = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)],
+        cdf, edges, edges + 1 / buckets,
+        np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+        np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    tokens = inverse_cdf(cdf, u)
+    assert tokens.dtype == np.int32
+    assert np.array_equal(tokens, np.searchsorted(cdf, u).astype(np.int32))
 
 
 class TestWordCount:

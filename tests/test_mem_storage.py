@@ -105,3 +105,45 @@ def test_resident_pages_bounded_by_capacity():
 def test_capacity_minimum_is_one():
     device, _ = make_device(0)
     assert device.capacity_pages == 1
+
+
+def test_write_back_dirties_resident_page_in_place():
+    device, stats = make_device(3)
+    for vpn in (1, 2, 3):
+        device.touch(vpn)
+    assert device.write_back([2]) == 0
+    assert list(device._resident.items()) == [(1, False), (2, True), (3, False)]
+    assert stats.storage_faults == 3
+
+
+def test_write_back_admits_absent_page_dirty_without_a_read():
+    device, stats = make_device(2)
+    device.touch(9)
+    device.touch(1, dirty=True)
+    device.touch(2)  # spills page 9, clean
+    cost = device.write_back([9])
+    # Page 9 is admitted dirty at MRU, displacing dirty page 1 to storage.
+    assert list(device._resident.items()) == [(2, False), (9, True)]
+    assert cost > 0
+    assert (stats.storage_faults, stats.storage_pages_in, stats.storage_pages_out) == (3, 3, 1)
+
+
+def test_all_dirty_until_a_clean_admission_or_a_spill():
+    device, _stats = make_device(4)
+    device.admit_new_range(0, 3)
+    device.touch(5, dirty=True)
+    assert device.all_dirty
+    # Every admitted page is resident and dirty: a write-back is a no-op.
+    assert device.write_back([0, 5]) == 0
+    assert list(device._resident.items()) == [(0, True), (1, True), (2, True), (5, True)]
+    device.touch(7)  # a read fault admits page 7 clean
+    assert not device.all_dirty
+    allocated, _ = make_device(4)
+    allocated.admit_new_range(0, 5)  # page 0 never fits
+    assert not allocated.all_dirty
+    written, _ = make_device(2)
+    for vpn in (1, 2, 3):
+        written.touch(vpn, dirty=True)  # page 1 spills, dirty
+    assert not written.all_dirty
+    written.write_back([1])
+    assert list(written._resident.items()) == [(3, True), (1, True)]
