@@ -44,8 +44,7 @@ def protocol_walkthrough():
     protocol.memory_touch(vpn, write=True, now=10_000.0)
     show("memory pool writes -> compute invalidated")
     protocol.check_swmr()
-    compute.touch_runs(platform.kernels_for(process)[1], [vpn], [0], write=True,
-                       now=20_000.0)
+    compute.touch_runs([vpn], [0], write=True, now=20_000.0)
     show("compute pool writes back -> memory side invalidated")
     protocol.check_swmr()
     print(f"  protocol messages exchanged: {platform.stats.coherence_messages}")

@@ -144,9 +144,7 @@ class ExecutionContext:
             cost = self.platform.swap.touch_range(start_vpn, npages, dirty=write)
             return cost + npages * self.config.dram_page_ps
         if pool is Pool.COMPUTE:
-            return self.compkernel.touch_sequential(
-                self.memkernel, start_vpn, npages, write, self.now
-            )
+            return self.compkernel.touch_sequential(start_vpn, npages, write, self.now)
         if pool is Pool.MEMORY:
             # Each page is touched at the stream's start plus the cost
             # charged before it, so a write upgrade's tie-break window
@@ -184,7 +182,7 @@ class ExecutionContext:
         if pool is Pool.LOCAL:
             return self.platform.swap.touch_runs(heads, repeats, write)
         if pool is Pool.COMPUTE:
-            return self.compkernel.touch_runs(self.memkernel, heads, repeats, write, self.now)
+            return self.compkernel.touch_runs(heads, repeats, write, self.now)
         if pool is Pool.MEMORY:
             self.stats.memory_side_page_touches += len(vpns)
             return self.protocol.touch_runs(heads, repeats, write, self.now)

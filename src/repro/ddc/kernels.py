@@ -82,7 +82,7 @@ class ComputeKernel:
     # ------------------------------------------------------------------
     # Access paths (cost only; data lives in the region's numpy buffer)
     # ------------------------------------------------------------------
-    def touch_runs(self, memkernel, heads, repeats, write, now):
+    def touch_runs(self, heads, repeats, write, now):
         """The cost of a batch of random runs of page accesses from the
         compute pool.
 
@@ -106,7 +106,7 @@ class ComputeKernel:
         protocol = self.protocol
         tracer = self.platform.tracer
         tracing = tracer.enabled
-        pool = memkernel.pool
+        pool = self.memkernel.pool
         in_pool = pool._resident
         pool_move_to_end = in_pool.move_to_end
         config = self.config
@@ -142,7 +142,7 @@ class ComputeKernel:
                 tracer.emit(at, "fault", vpn=vpn, write=write)
             misses += 1
             if protocol is not None:
-                cost += self._fetch(memkernel, vpn, 1, write)
+                cost += self._fetch(vpn, 1, write)
                 continue
             if vpn in in_pool:
                 pool_move_to_end(vpn)
@@ -160,13 +160,13 @@ class ComputeKernel:
         stats.cache_hits += len(heads) - misses + sum(repeats)
         stats.cache_misses += misses
         if protocol is None:
-            cost += self.network.pages_in_ps(misses, batched=False)
-            cost += self.network.pages_out_ps(dirty, batched=False)
+            cost += self.network.pages_in_ps(misses, batch=1)
+            cost += self.network.pages_out_ps(dirty, batch=1)
             stats.cache_evictions += evictions
             stats.dirty_writebacks += dirty
         return cost + len(heads) * random_ps + sum(repeats) * line_ps
 
-    def touch_sequential(self, memkernel, start_vpn, npages, write, now=0):
+    def touch_sequential(self, start_vpn, npages, write, now=0):
         """Stream ``npages`` consecutive pages through the cache.
 
         Misses are served in prefetch-degree batches, modelling the
@@ -179,8 +179,10 @@ class ComputeKernel:
         A batch that starts at a miss is one :meth:`_fetch`. Without an
         attached protocol, a run of pages none of which is cached is
         charged in closed form by :meth:`_stream_absent`: whole prefetch
-        batches, or up to the end of the stream. The batch that reaches a
-        cached page is a plain :meth:`_fetch`.
+        batches, or up to the end of the stream. When the memory pool
+        holds the whole run and no write-back can change it, the run is
+        charged as a whole rather than batch by batch. The batch that
+        reaches a cached page is a plain :meth:`_fetch`.
         """
         cache = self.cache
         degree = self.config.prefetch_degree
@@ -203,21 +205,21 @@ class ComputeKernel:
                 if run_end < end:
                     run_end -= (run_end - vpn) % degree
                 if run_end > vpn:
-                    cost = self._stream_absent(memkernel, vpn, run_end - vpn, write, now, cost)
+                    cost = self._stream_absent(vpn, run_end - vpn, write, now, cost)
                     vpn = run_end
                     continue
             batch = min(degree, end - vpn)
             self.stats.cache_misses += 1
             if tracer.enabled:
                 tracer.emit(now + cost, "fault", vpn=vpn, npages=batch, write=write)
-            cost += self._fetch(memkernel, vpn, batch, write)
+            cost += self._fetch(vpn, batch, write)
             vpn += batch
         return cost + npages * self.config.dram_page_ps
 
     # ------------------------------------------------------------------
     # Fault machinery
     # ------------------------------------------------------------------
-    def _fetch(self, memkernel, vpn, npages, write):
+    def _fetch(self, vpn, npages, write):
         """Fault one prefetch batch of ``npages`` at ``vpn`` in; returns its cost.
 
         The memory pool brings the pages into its DRAM (itself faulting
@@ -235,8 +237,9 @@ class ComputeKernel:
         hook gives ``t_mm`` write access back, and the later page's fetch
         hook must then take it away again.
         """
+        memkernel = self.memkernel
         cost = memkernel.ensure_resident_range(vpn, npages, write=False)
-        cost += self.network.pages_in_ps(npages, batched=True)
+        cost += self.network.pages_in_ps(npages, batch=npages)
         protocol = self.protocol
         if protocol is None:
             victims = self.cache.insert_run(vpn, npages, write, dirty=write)
@@ -257,9 +260,9 @@ class ComputeKernel:
         written = [victim_vpn for victim_vpn, was_dirty in victims if was_dirty]
         self.stats.dirty_writebacks += len(written)
         cost += memkernel.pool.write_back(written)
-        return cost + self.network.pages_out_ps(len(written), batched=False)
+        return cost + self.network.pages_out_ps(len(written), batch=1)
 
-    def _stream_absent(self, memkernel, start_vpn, npages, write, now, cost):
+    def _stream_absent(self, start_vpn, npages, write, now, cost):
         """Stream ``npages`` pages, none of them cached, as :meth:`_fetch`
         batches would; returns ``cost`` plus the batches' costs.
 
@@ -269,17 +272,33 @@ class ComputeKernel:
         again, within it. The cache's victims are its oldest entries in LRU
         order, then the run's own earliest pages (dirty exactly when the
         stream writes); the j-th victim is evicted by the run's
-        (free + j)-th insert. Each batch still calls the memory pool and
-        the network, in order, and then hands the dirty victims its inserts
-        evicted to the memory pool's ``write_back``; the victims' network
-        write-backs are charged once. A batch's ``fault`` trace event is at
-        ``now`` plus the cost charged before it, the write-backs of the
-        victims its earlier batches evicted included.
+        (free + j)-th insert. The victims' network write-backs are charged
+        once.
+
+        The memory pool is charged per run, not per batch, as long as the
+        victims' write-backs change nothing in it (there are none, or
+        every page it admitted is dirty) and it holds the batch's pages:
+        such a batch costs exactly ``remote_fault_ps`` of its pages and
+        only moves them to the pool's MRU end, so nothing between two
+        batches can fault, evict or reorder the pool. One pass moves the
+        run's pages to the MRU end in stream order up to the pool's first
+        absent page (:meth:`SwapDevice.touch_resident`), and the whole
+        batches before it (or the whole run) are one ``pages_in_ps(...,
+        batch=degree)``. Each remaining batch calls the memory pool and the
+        network, in order, and then hands the dirty victims its inserts
+        evicted to the memory pool's ``write_back``; moving the pages
+        before the absent one again changes nothing, as they are already
+        the pool's MRU pages in that order.
+
+        Either way a batch's ``fault`` trace event is at ``now`` plus the
+        cost charged before it, the write-backs of the victims its earlier
+        batches evicted included.
         """
         cache = self.cache
-        degree = self.config.prefetch_degree
+        config = self.config
+        degree = config.prefetch_degree
         tracer = self.platform.tracer
-        pool = memkernel.pool
+        pool = self.memkernel.pool
         free = cache.capacity_pages - len(cache)
         old_victims, run_evicted = cache.insert_absent_run(start_vpn, npages, write, dirty=write)
         old_dirty = [was_dirty for _vpn, was_dirty in old_victims]
@@ -288,17 +307,32 @@ class ComputeKernel:
         self.stats.dirty_writebacks += dirty
         self.stats.cache_misses += -(-npages // degree)
         if tracer.enabled:
-            writeback_ps = self.config.single_writeback_ps
+            writeback_ps = config.single_writeback_ps
             # written[j]: the dirty pages among the run's first j victims.
             written = list(accumulate(old_dirty + [write] * run_evicted, initial=0))
-        for offset in range(0, npages, degree):
+        # served: the pages of the batches charged per run.
+        served = 0
+        if not dirty or pool.all_dirty:
+            served = pool.touch_resident(start_vpn, start_vpn + npages) - start_vpn
+            if served < npages:
+                served -= served % degree
+            if tracer.enabled:
+                # Each of these batches but the run's last is full.
+                batch_ps = config.remote_fault_ps(degree)
+                for index, offset in enumerate(range(0, served, degree)):
+                    at = now + cost + index * batch_ps
+                    at += written[max(0, offset - free)] * writeback_ps
+                    batch = min(degree, npages - offset)
+                    tracer.emit(at, "fault", vpn=start_vpn + offset, npages=batch, write=write)
+            cost += self.network.pages_in_ps(served, batch=degree)
+        for offset in range(served, npages, degree):
             batch = min(degree, npages - offset)
             batch_vpn = start_vpn + offset
             if tracer.enabled:
                 at = now + cost + written[max(0, offset - free)] * writeback_ps
                 tracer.emit(at, "fault", vpn=batch_vpn, npages=batch, write=write)
-            cost += memkernel.ensure_resident_range(batch_vpn, batch, write=False)
-            cost += self.network.pages_in_ps(batch, batched=True)
+            cost += pool.touch_range(batch_vpn, batch)
+            cost += self.network.pages_in_ps(batch, batch=batch)
             if dirty and not pool.all_dirty:
                 # This batch's inserts evicted the victims [first, last);
                 # the dirty ones land in the memory pool.
@@ -311,7 +345,7 @@ class ComputeKernel:
                     cost += pool.write_back(
                         range(start_vpn + max(0, first - old), start_vpn + max(0, last - old))
                     )
-        return cost + self.network.pages_out_ps(dirty, batched=False)
+        return cost + self.network.pages_out_ps(dirty, batch=1)
 
     def _upgrade(self, vpn, entry, now):
         """Upgrade a cached read-only page to writable.
@@ -358,7 +392,8 @@ class ComputeKernel:
             return 0, 0
         self.stats.dirty_writebacks += len(flushed)
         cost = self.memkernel.pool.write_back(flushed)
-        return cost + self.network.pages_out_ps(len(flushed), batched=batched), len(flushed)
+        batch = len(flushed) if batched else 1
+        return cost + self.network.pages_out_ps(len(flushed), batch=batch), len(flushed)
 
     def evict_all(self):
         """Drop the whole cache (full-process migration); returns cost.
@@ -371,7 +406,7 @@ class ComputeKernel:
         if written:
             self.stats.dirty_writebacks += len(written)
             cost += self.memkernel.pool.write_back(written)
-            cost += self.network.pages_out_ps(len(written), batched=False)
+            cost += self.network.pages_out_ps(len(written), batch=1)
         self.stats.cache_evictions += len(dropped)
         return cost
 
@@ -392,7 +427,7 @@ class ComputeKernel:
         if written:
             self.stats.dirty_writebacks += len(written)
             cost += self.memkernel.pool.write_back(written)
-            cost += self.network.pages_out_ps(len(written), batched=False)
+            cost += self.network.pages_out_ps(len(written), batch=1)
         self.stats.cache_evictions += dropped
         return cost
 

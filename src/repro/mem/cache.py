@@ -59,8 +59,18 @@ class PageCache:
         return self._entries.get(vpn)
 
     def first_cached(self, start_vpn, end_vpn):
-        """Smallest cached vpn in [start_vpn, end_vpn), or ``end_vpn``."""
-        return next(filter(self._entries.__contains__, range(start_vpn, end_vpn)), end_vpn)
+        """Smallest cached vpn in [start_vpn, end_vpn), or ``end_vpn``.
+
+        Scans ``min(end_vpn - start_vpn, len(self))`` candidates: the range
+        when it is shorter than the cache, otherwise the cached vpns (a
+        stream over a large region against a small cache tests only the
+        cache's entries).
+        """
+        span = range(start_vpn, end_vpn)
+        entries = self._entries
+        if len(span) <= len(entries):
+            return next(filter(entries.__contains__, span), end_vpn)
+        return min(filter(span.__contains__, entries), default=end_vpn)
 
     def insert(self, vpn, writable, dirty=False):
         """Insert (or refresh) a page; return list of evicted (vpn, dirty).

@@ -7,7 +7,8 @@ sequential faults (readahead amortises latency) from random ones (pay the
 full device + software path each time).
 """
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from itertools import repeat
 
 
 class SwapDevice:
@@ -110,19 +111,22 @@ class SwapDevice:
         at it. The window's pages are accessed in order too: its resident
         pages are hits, and its one fault reads only the pages that are
         absent when the stream reaches them.
+
+        Outside the windows, the hits up to the next absent page are
+        served together by :meth:`touch_resident`, with no Python loop per
+        page; a wholly resident range is one pass. The compute pool's
+        prefetch batches and the local platform's streams take that path
+        whenever the pool holds their pages.
         """
         resident = self._resident
         total = 0
         vpn = start_vpn
         end = start_vpn + npages
-        while vpn < end:
-            if vpn in resident:
-                resident.move_to_end(vpn)
-                if dirty:
-                    resident[vpn] = True
-                vpn += 1
-                continue
-            window = range(vpn, min(vpn + self.config.ssd_readahead_pages, end))
+        while True:
+            absent = self.touch_resident(vpn, end, dirty)
+            if absent == end:
+                return total
+            window = range(absent, min(absent + self.config.ssd_readahead_pages, end))
             reads = 0
             for page in window:
                 if page in resident:
@@ -132,13 +136,34 @@ class SwapDevice:
                 else:
                     reads += 1
                     total += self._admit(page, dirty)
-            sequential = self._last_fault_vpn is not None and vpn == self._last_fault_vpn + 1
+            sequential = self._last_fault_vpn is not None and absent == self._last_fault_vpn + 1
             total += self.config.ssd_fault_ps(reads, sequential=sequential)
             self.stats.storage_faults += 1
             self.stats.storage_pages_in += reads
             self._last_fault_vpn = window[-1]
             vpn = window.stop
-        return total
+
+    def touch_resident(self, start_vpn, end_vpn, dirty=False):
+        """Serve the pages from ``start_vpn`` up to the first absent one as
+        hits; returns that page's vpn, or ``end_vpn`` if [start_vpn,
+        end_vpn) is all resident.
+
+        The hits move to MRU in order and, for a write, become dirty;
+        nothing else changes, so this is exactly :meth:`touch_range` up to
+        its first fault. One pass moves pages until ``move_to_end`` raises
+        ``KeyError`` for the absent page, so no page is tested twice and
+        no Python code runs per page.
+        """
+        resident = self._resident
+        try:
+            deque(map(resident.move_to_end, range(start_vpn, end_vpn)), maxlen=0)
+        except KeyError as error:
+            absent = error.args[0]
+        else:
+            absent = end_vpn
+        if dirty:
+            resident.update(zip(range(start_vpn, absent), repeat(True)))
+        return absent
 
     def write_back(self, vpns):
         """Land the compute pool's write-backs of ``vpns`` in pool DRAM, in

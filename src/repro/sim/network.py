@@ -41,31 +41,44 @@ class Network:
             response_bytes, now=now
         )
 
-    def pages_in_ps(self, npages, batched=True):
-        """Charge fetching ``npages`` from memory pool to compute pool.
+    def pages_in_ps(self, npages, batch):
+        """Charge fetching ``npages`` from memory pool to compute pool in
+        fault requests of ``batch`` pages each, the last one possibly
+        partial.
 
-        ``batched`` pages travel in one fault-sized request (prefetching);
-        otherwise each page is its own single-page fault.
+        Each request is a request/response pair costing
+        ``remote_fault_ps`` of its pages, so the charge is ``npages //
+        batch`` full requests plus one for the remainder. ``batch=1`` is a
+        single-page fault per page; ``batch=npages`` is one prefetch batch.
+        Zero pages cost nothing.
         """
+        full, rest = divmod(npages, batch)
+        config = self.config
         self.stats.remote_pages_in += npages
-        self.stats.network_bytes += npages * self.config.page_size
-        self.stats.rpc_messages += 2 if batched else 2 * npages
-        if batched:
-            return self.config.remote_fault_ps(npages)
-        return npages * self.config.single_fault_ps
+        self.stats.network_bytes += npages * config.page_size
+        self.stats.rpc_messages += 2 * (full + (rest > 0))
+        cost = full * config.remote_fault_ps(batch)
+        if rest:
+            cost += config.remote_fault_ps(rest)
+        return cost
 
-    def pages_out_ps(self, npages, batched=True):
-        """Charge writing ``npages`` back from compute pool to memory pool.
+    def pages_out_ps(self, npages, batch):
+        """Charge writing ``npages`` back from compute pool to memory pool
+        in messages of ``batch`` pages each, the last one possibly partial.
 
-        ``batched`` pages travel in one message; otherwise each page is its
-        own single-page write-back.
+        Each message costs ``page_writeback_ps`` of its pages. ``batch=1``
+        is a single-page write-back per page; ``batch=npages`` is one
+        message. Zero pages cost nothing.
         """
+        full, rest = divmod(npages, batch)
+        config = self.config
         self.stats.remote_pages_out += npages
-        self.stats.network_bytes += npages * self.config.page_size
-        self.stats.rpc_messages += 1 if batched else npages
-        if batched:
-            return self.config.page_writeback_ps(npages)
-        return npages * self.config.single_writeback_ps
+        self.stats.network_bytes += npages * config.page_size
+        self.stats.rpc_messages += full + (rest > 0)
+        cost = full * config.page_writeback_ps(batch)
+        if rest:
+            cost += config.page_writeback_ps(rest)
+        return cost
 
     def coherence_message_ps(self, with_page=False):
         """Charge one coherence-protocol message (Section 4.1).

@@ -544,7 +544,7 @@ class PushdownSession:
         if self.options.sync is SyncMethod.EAGER and self._refetch_vpns:
             # Page-by-page refetch of everything the cache used to hold —
             # the strawman cost the on-demand protocol avoids (Figure 20).
-            post_cost += runtime.network.pages_in_ps(len(self._refetch_vpns), batched=False)
+            post_cost += runtime.network.pages_in_ps(len(self._refetch_vpns), batch=1)
             for vpn in self._refetch_vpns:
                 self._compkernel.cache.insert(vpn, writable=False)
         self.breakdown.post_sync_ns = to_ns(post_cost)

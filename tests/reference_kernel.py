@@ -2,7 +2,7 @@
 
 This is the compute kernel as it charged faults one page at a time: every
 fetched page goes through its own cache insert, and every dirty victim
-through its own ``Network.pages_out_ps(1)``. The property tests run it
+through its own ``Network.pages_out_ps(1, batch=1)``. The property tests run it
 side by side with :class:`repro.ddc.kernels.ComputeKernel`, whose batch
 and closed-form paths must agree with it exactly (costs are integer ps). The LRU insert is
 kept here too, so the reference shares no cache code with what it checks.
@@ -28,7 +28,7 @@ def lru_insert(cache, vpn, writable, dirty):
     return evicted
 
 
-def touch_random(kernel, memkernel, vpn, write, now=0):
+def touch_random(kernel, vpn, write, now=0):
     """One random page touch; returns the fault-path cost."""
     entry = kernel.cache.get(vpn)
     if entry is not None:
@@ -40,10 +40,10 @@ def touch_random(kernel, memkernel, vpn, write, now=0):
     kernel.stats.cache_misses += 1
     if kernel.platform.tracer.enabled:
         kernel.platform.tracer.emit(now, "fault", vpn=vpn, write=write)
-    return fetch(kernel, memkernel, vpn, 1, write)
+    return fetch(kernel, vpn, 1, write)
 
 
-def touch_sequential(kernel, memkernel, start_vpn, npages, write, now=0):
+def touch_sequential(kernel, start_vpn, npages, write, now=0):
     """Stream pages through the cache, one prefetch batch per miss."""
     cost = 0
     vpn = start_vpn
@@ -62,24 +62,24 @@ def touch_sequential(kernel, memkernel, start_vpn, npages, write, now=0):
         kernel.stats.cache_misses += 1
         if kernel.platform.tracer.enabled:
             kernel.platform.tracer.emit(now + cost, "fault", vpn=vpn, npages=batch, write=write)
-        cost += fetch(kernel, memkernel, vpn, batch, write)
+        cost += fetch(kernel, vpn, batch, write)
         vpn += batch
     return cost + npages * kernel.config.dram_page_ps
 
 
-def fetch(kernel, memkernel, vpn, npages, write):
+def fetch(kernel, vpn, npages, write):
     """Fault ``npages`` in from the memory pool, inserting page by page;
     each page's fetch hook runs just before its own insert."""
-    cost = memkernel.ensure_resident_range(vpn, npages, write=False)
-    cost += kernel.network.pages_in_ps(npages, batched=True)
+    cost = kernel.memkernel.ensure_resident_range(vpn, npages, write=False)
+    cost += kernel.network.pages_in_ps(npages, batch=npages)
     for fetched in range(vpn, vpn + npages):
         if kernel.protocol is not None:
             kernel.protocol.on_compute_fetch(fetched, write)
-        cost += insert(kernel, memkernel, fetched, write)
+        cost += insert(kernel, fetched, write)
     return cost
 
 
-def insert(kernel, memkernel, vpn, write):
+def insert(kernel, vpn, write):
     """Admit one fetched page, writing back any dirty victim to the
     memory pool."""
     cost = 0
@@ -87,8 +87,8 @@ def insert(kernel, memkernel, vpn, write):
         kernel.stats.cache_evictions += 1
         if victim_dirty:
             kernel.stats.dirty_writebacks += 1
-            cost += memkernel.pool.write_back((victim_vpn,))
-            cost += kernel.network.pages_out_ps(1)
+            cost += kernel.memkernel.pool.write_back((victim_vpn,))
+            cost += kernel.network.pages_out_ps(1, batch=1)
         if kernel.protocol is not None:
             kernel.protocol.on_compute_evict(victim_vpn)
     if kernel.protocol is not None and kernel.platform.sanitizers is not None:

@@ -1,6 +1,7 @@
 """Direct unit tests for the compute- and memory-side kernels."""
 
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,19 +28,19 @@ class TestComputeKernel:
     def test_miss_then_hit(self, kernels):
         platform, _process, region, compute, memory = kernels
         vpn = region.start_vpn
-        miss_cost = compute.touch_runs(memory, [vpn], [0], False, 0)
+        miss_cost = compute.touch_runs([vpn], [0], False, 0)
         assert miss_cost > platform.config.dram_random_ps
         assert platform.stats.cache_misses == 1
-        hit_cost = compute.touch_runs(memory, [vpn], [0], False, 0)
+        hit_cost = compute.touch_runs([vpn], [0], False, 0)
         assert hit_cost == platform.config.dram_random_ps
         assert platform.stats.cache_hits == 1
 
     def test_silent_upgrade_without_protocol(self, kernels):
         platform, _process, region, compute, memory = kernels
         vpn = region.start_vpn
-        compute.touch_runs(memory, [vpn], [0], False, 0)
+        compute.touch_runs([vpn], [0], False, 0)
         assert not compute.cache.peek(vpn).writable
-        cost = compute.touch_runs(memory, [vpn], [0], True, 0)
+        cost = compute.touch_runs([vpn], [0], True, 0)
         assert cost == platform.config.dram_random_ps  # no other sharer: silent upgrade
         assert compute.cache.peek(vpn).writable
         assert compute.cache.peek(vpn).dirty
@@ -48,14 +49,14 @@ class TestComputeKernel:
         platform, _process, region, compute, memory = kernels
         degree = platform.config.prefetch_degree
         npages = degree * 4
-        compute.touch_sequential(memory, region.start_vpn, npages, write=False)
+        compute.touch_sequential(region.start_vpn, npages, write=False)
         # One fault event per prefetch batch, all pages moved.
         assert platform.stats.cache_misses == 4
         assert platform.stats.remote_pages_in == npages
 
     def test_sequential_write_marks_dirty(self, kernels):
         _platform, _process, region, compute, memory = kernels
-        compute.touch_sequential(memory, region.start_vpn, 4, write=True)
+        compute.touch_sequential(region.start_vpn, 4, write=True)
         assert set(compute.cache.dirty_vpns()) == set(
             range(region.start_vpn, region.start_vpn + 4)
         )
@@ -63,18 +64,16 @@ class TestComputeKernel:
     def test_eviction_writes_back_dirty_pages(self, kernels):
         platform, _process, region, compute, memory = kernels
         capacity = compute.cache.capacity_pages
-        compute.touch_sequential(memory, region.start_vpn, capacity, write=True)
+        compute.touch_sequential(region.start_vpn, capacity, write=True)
         assert platform.stats.dirty_writebacks == 0
         # Overflow the cache: dirty LRU victims must be written back.
-        compute.touch_sequential(
-            memory, region.start_vpn + capacity, capacity, write=False
-        )
+        compute.touch_sequential(region.start_vpn + capacity, capacity, write=False)
         assert platform.stats.dirty_writebacks > 0
         assert platform.stats.remote_pages_out > 0
 
     def test_flush_dirty_scoped(self, kernels):
         _platform, _process, region, compute, memory = kernels
-        compute.touch_sequential(memory, region.start_vpn, 8, write=True)
+        compute.touch_sequential(region.start_vpn, 8, write=True)
         cost, count = compute.flush_dirty([region.start_vpn, region.start_vpn + 1])
         assert count == 2
         assert cost > 0
@@ -87,15 +86,15 @@ class TestComputeKernel:
 
     def test_evict_all_clears_cache(self, kernels):
         _platform, _process, region, compute, memory = kernels
-        compute.touch_sequential(memory, region.start_vpn, 10, write=True)
+        compute.touch_sequential(region.start_vpn, 10, write=True)
         cost = compute.evict_all()
         assert cost > 0  # dirty write-backs
         assert len(compute.cache) == 0
 
     def test_resident_snapshot_permissions(self, kernels):
         _platform, _process, region, compute, memory = kernels
-        compute.touch_runs(memory, [region.start_vpn], [0], False, 0)
-        compute.touch_runs(memory, [region.start_vpn + 1], [0], True, 0)
+        compute.touch_runs([region.start_vpn], [0], False, 0)
+        compute.touch_runs([region.start_vpn + 1], [0], True, 0)
         snapshot = dict(compute.resident_snapshot())
         assert snapshot[region.start_vpn] is False
         assert snapshot[region.start_vpn + 1] is True
@@ -137,7 +136,7 @@ class TestMemoryKernel:
         big = alloc_floats(process, "big", 400_000)
         compute, memory = platform.kernels_for(process)
         assert not memory.is_resident(big.start_vpn)
-        cost = compute.touch_runs(memory, [big.start_vpn], [0], False, 0)
+        cost = compute.touch_runs([big.start_vpn], [0], False, 0)
         # Paid both the storage fault and the network fault.
         assert cost > platform.config.remote_fault_ps(1) + platform.config.dram_random_ps
         assert platform.stats.storage_faults >= 1
@@ -177,10 +176,10 @@ class TestMemoryPoolDirtyBit:
         compute, memory = platform.kernels_for(process)
         memory.pool._resident = lru = _RecordingLru(memory.pool._resident)
         page0 = region.start_vpn
-        compute.touch_runs(memory, [page0], [0], True, 0)
+        compute.touch_runs([page0], [0], True, 0)
         # Stream 24 more pages: the first few evict page 0 from the cache
         # (a dirty write-back), the rest push it out of the pool.
-        compute.touch_sequential(memory, page0 + 1, 24, write=False)
+        compute.touch_sequential(page0 + 1, 24, write=False)
         assert page0 not in compute.cache
         assert platform.stats.dirty_writebacks == 1
         assert page0 not in memory.pool
@@ -196,8 +195,8 @@ class TestMemoryPoolDirtyBit:
         # The pool kept the region's last 8 pages at allocation; fault the
         # first one in clean, then push it out of the cache.
         page = region.start_vpn
-        compute.touch_runs(memory, [page], [0], False, 0)
-        compute.touch_sequential(memory, page + 1, 4, write=False)
+        compute.touch_runs([page], [0], False, 0)
+        compute.touch_sequential(page + 1, 4, write=False)
         assert page not in compute.cache and memory.pool._resident[page] is False
         lru_order = list(memory.pool._resident)
 
@@ -211,3 +210,42 @@ class TestMemoryPoolDirtyBit:
         assert memory.pool._resident[page] is True
         # A memory-side touch leaves the pool's LRU order as it was.
         assert list(memory.pool._resident) == lru_order
+
+
+class _CountingLru(OrderedDict):
+    """An LRU that counts its ``move_to_end`` calls."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.moves = 0
+
+    def move_to_end(self, key, last=True):
+        self.moves += 1
+        super().move_to_end(key, last)
+
+
+@pytest.mark.parametrize("write", [False, True])
+def test_uncached_stream_on_a_pool_that_never_spills_is_charged_per_run(write):
+    """An 8 192-page stream through a 16-page cache, on a memory pool that
+    holds the whole region, is charged as one run: at most two
+    ``pages_in_ps`` calls, one pool pass (each page moved to the MRU end
+    once) and no per-batch pool call."""
+    platform = make_platform("ddc", DdcConfig(compute_cache_bytes=16 * PAGE))
+    process = platform.new_process()
+    npages = 8192
+    region = alloc_floats(process, "a", npages * PAGE // 8)
+    compute, memory = platform.kernels_for(process)
+    pool = memory.pool
+    pool._resident = lru = _CountingLru(pool._resident)
+    network = platform.network
+    with mock.patch.object(network, "pages_in_ps", wraps=network.pages_in_ps) as pages_in, \
+            mock.patch.object(pool, "touch_range", wraps=pool.touch_range) as touch_range, \
+            mock.patch.object(pool, "touch", wraps=pool.touch) as touch:
+        compute.touch_sequential(region.start_vpn, npages, write)
+    assert pages_in.call_count <= 2
+    assert touch_range.call_count + touch.call_count <= 1
+    assert lru.moves == npages
+    degree = platform.config.prefetch_degree
+    assert platform.stats.cache_misses == npages // degree
+    assert platform.stats.rpc_messages == 2 * (npages // degree) + (npages - 16 if write else 0)
+    assert platform.stats.storage_faults == 0

@@ -53,9 +53,7 @@ def reference_cost(ctx, vpns, write):
         if ctx.pool is Pool.LOCAL:
             cost += ctx.platform.swap.touch(vpn, dirty=write)
         elif ctx.pool is Pool.COMPUTE:
-            cost += reference_kernel.touch_random(
-                ctx.compkernel, ctx.memkernel, vpn, write, now + cost
-            )
+            cost += reference_kernel.touch_random(ctx.compkernel, vpn, write, now + cost)
         else:
             cost += ctx.protocol.memory_touch(vpn, write, now + cost)
         cost += config.dram_line_ps if vpn == prev else config.dram_random_ps
@@ -153,9 +151,9 @@ def heads_served_inline():
         assert vpn not in self, f"a hit on page {vpn} went through SwapDevice._fault_in"
         return fault_in(self, vpn, dirty)
 
-    def checked_fetch(self, memkernel, vpn, npages, write):
+    def checked_fetch(self, vpn, npages, write):
         assert vpn not in self.cache, f"a hit on page {vpn} went through ComputeKernel._fetch"
-        return fetch(self, memkernel, vpn, npages, write)
+        return fetch(self, vpn, npages, write)
 
     def checked_memory_touch(self, vpn, write, now):
         pte = self.t_mm.peek(vpn)
@@ -277,8 +275,8 @@ def every_head_through_fault_in(self, heads, repeats, write):
     return sum(self._fault_in(vpn, write) for vpn in heads)
 
 
-def every_head_through_fetch(self, memkernel, heads, repeats, write, now):
-    return sum(self._fetch(memkernel, vpn, 1, write) for vpn in heads)
+def every_head_through_fetch(self, heads, repeats, write, now):
+    return sum(self._fetch(vpn, 1, write) for vpn in heads)
 
 
 def every_head_through_memory_touch(self, heads, repeats, write, now):

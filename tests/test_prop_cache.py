@@ -142,3 +142,20 @@ def test_clear_accounts_for_every_page(vpns):
     dropped = cache.clear()
     assert {vpn for vpn, _dirty in dropped} == inserted
     assert all(dirty for _vpn, dirty in dropped)
+
+
+@given(
+    capacity=st.integers(1, 8),
+    pages=st.lists(VPNS, max_size=20),
+    start=VPNS,
+    length=st.integers(0, 40),
+)
+@settings(max_examples=300, deadline=None)
+def test_first_cached_is_the_smallest_cached_vpn(capacity, pages, start, length):
+    """Spans shorter and longer than the cache (which is then scanned in
+    LRU order, not vpn order) both give the smallest cached vpn."""
+    cache = PageCache(capacity)
+    for page in pages:
+        cache.insert(page, writable=False)
+    cached = [page for page in range(start, start + length) if page in cache]
+    assert cache.first_cached(start, start + length) == min(cached, default=start + length)

@@ -63,7 +63,7 @@ def test_swmr_holds_under_random_interleavings(initial, ops):
     for side, page, write in ops:
         vpn = region.start_vpn + page
         if side == "compute":
-            now += compute.touch_runs(memory, [vpn], [0], write, now)
+            now += compute.touch_runs([vpn], [0], write, now)
         else:
             now += protocol.memory_touch(vpn, write, now)
         protocol.check_swmr()
@@ -78,13 +78,13 @@ def test_no_page_is_lost(initial, ops):
     for side, page, write in ops:
         vpn = region.start_vpn + page
         if side == "compute":
-            now += compute.touch_runs(memory, [vpn], [0], write, now)
+            now += compute.touch_runs([vpn], [0], write, now)
         else:
             now += protocol.memory_touch(vpn, write, now)
     # After the dust settles, both sides can still read every page.
     for page in range(N_PAGES):
         vpn = region.start_vpn + page
-        compute.touch_runs(memory, [vpn], [0], False, now)
+        compute.touch_runs([vpn], [0], False, now)
         protocol.memory_touch(vpn, write=False, now=now)
     protocol.check_swmr()
 
@@ -116,7 +116,7 @@ def test_write_propagation(writes):
         index = page * 512  # first element of the page
         vpn = region.start_vpn + page
         if side == "compute":
-            now += compute.touch_runs(memory, [vpn], [0], True, now)
+            now += compute.touch_runs([vpn], [0], True, now)
         else:
             now += protocol.memory_touch(vpn, write=True, now=now)
         region.array[index] = value

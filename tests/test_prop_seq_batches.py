@@ -9,9 +9,16 @@ must be equal, the counters and ``fault`` trace events identical, and the
 compute cache (LRU order and flags) and the memory pool (LRU order) the
 same. The cases cover a cache smaller than a
 prefetch batch, streams over cached pages (including ones the stream
-evicts before reaching them), a memory pool that spills to storage, and no
-protocol or a live MESI, PSO or WEAK one, with the sanitizers armed (so
-any SWMR violation fails the example).
+evicts before reaching them), and no protocol or a live MESI, PSO or WEAK
+one, with the sanitizers armed (so any SWMR violation fails the example).
+
+Each case runs with the tracer on and off, and on a memory pool that
+spills the region to storage and on one that holds all of it. In the
+latter every page stays dirty, so a protocol-less stream over uncached
+pages is charged per run. In the former it is charged per run only up to
+the pool's first absent page and only if no victim is dirty, and per
+batch after that. The tracer must change no path, so both settings must
+agree with the reference, ``fault`` events included when it is on.
 """
 
 import numpy as np
@@ -29,6 +36,11 @@ N_PAGES = 48
 PAGE_ELEMENTS = 4 * KIB // 8
 #: Compute-cache sizes in pages: below, near and above a prefetch batch.
 CACHE_PAGES = [3, 9, 20]
+#: Memory-pool sizes in pages: one the region spills from, one that holds it.
+POOL_PAGES = [24, 64]
+#: (tracing, pool pages): the settings under which a stream may take a
+#: different path.
+SETTINGS = [(tracing, pool_pages) for tracing in (True, False) for pool_pages in POOL_PAGES]
 MODES = [None, ConsistencyMode.MESI, ConsistencyMode.PSO, ConsistencyMode.WEAK]
 
 
@@ -36,13 +48,13 @@ class NewKernel:
     """The kernel under test, with the reference's call signatures."""
 
     @staticmethod
-    def touch_random(kernel, memkernel, vpn, write, now):
+    def touch_random(kernel, vpn, write, now):
         """A one-access run: its fault cost plus ``dram_random_ps``."""
-        return kernel.touch_runs(memkernel, [vpn], [0], write, now)
+        return kernel.touch_runs([vpn], [0], write, now)
 
     @staticmethod
-    def touch_sequential(kernel, memkernel, vpn, npages, write, now):
-        return kernel.touch_sequential(memkernel, vpn, npages, write, now)
+    def touch_sequential(kernel, vpn, npages, write, now):
+        return kernel.touch_sequential(vpn, npages, write, now)
 
 
 class Reference:
@@ -50,24 +62,25 @@ class Reference:
     ``dram_random_ps``, as ``touch_runs`` charges it."""
 
     @staticmethod
-    def touch_random(kernel, memkernel, vpn, write, now):
-        fault = reference_kernel.touch_random(kernel, memkernel, vpn, write, now)
+    def touch_random(kernel, vpn, write, now):
+        fault = reference_kernel.touch_random(kernel, vpn, write, now)
         return fault + kernel.config.dram_random_ps
 
     touch_sequential = staticmethod(reference_kernel.touch_sequential)
 
 
-def play(impl, cache_pages, degree, mode, warmup, ops):
+def play(impl, cache_pages, degree, mode, warmup, ops, tracing=True, pool_pages=24):
     """Run ``warmup`` without a protocol, attach one (if ``mode``), then run
     ``ops``; return everything the two kernels must agree on."""
     config = DdcConfig(
         compute_cache_bytes=cache_pages * 4 * KIB,
-        memory_pool_bytes=24 * 4 * KIB,
+        memory_pool_bytes=pool_pages * 4 * KIB,
         prefetch_degree=degree,
         sanitizers=True,
     )
     platform = make_platform("teleport", config)
-    platform.tracer.enable(kinds={"fault"})
+    if tracing:
+        platform.tracer.enable(kinds={"fault"})
     process = platform.new_process()
     region = process.alloc_array("data", np.zeros(N_PAGES * PAGE_ELEMENTS))
     compute, memory = platform.kernels_for(process)
@@ -81,11 +94,11 @@ def play(impl, cache_pages, degree, mode, warmup, ops):
             vpn = base + page
             if kind == "seq":
                 npages = min(length, N_PAGES - page)
-                cost = impl.touch_sequential(compute, memory, vpn, npages, write, now)
+                cost = impl.touch_sequential(compute, vpn, npages, write, now)
             elif kind == "mem" and compute.protocol is not None:
                 cost = compute.protocol.memory_touch(vpn, write, now)
             else:
-                cost = impl.touch_random(compute, memory, vpn, write, now)
+                cost = impl.touch_random(compute, vpn, write, now)
             costs.append(cost)
             now += cost
 
@@ -102,8 +115,9 @@ def play(impl, cache_pages, degree, mode, warmup, ops):
             (vpn, entry.writable, entry.dirty) for vpn, entry in compute.cache.resident_items()
         ],
         "memory_pool": list(memory.pool._resident.items()),
-        "events": list(platform.tracer.events),
     }
+    if tracing:
+        state["events"] = list(platform.tracer.events)
     if compute.protocol is not None:
         state["t_mm"] = sorted(
             (vpn, pte.present, pte.writable, pte.dirty)
@@ -123,9 +137,9 @@ OPS = st.lists(
 )
 
 
-def assert_same(cache_pages, degree, mode, warmup, ops):
-    expected = play(Reference, cache_pages, degree, mode, warmup, ops)
-    actual = play(NewKernel, cache_pages, degree, mode, warmup, ops)
+def assert_same(cache_pages, degree, mode, warmup, ops, tracing=True, pool_pages=24):
+    expected = play(Reference, cache_pages, degree, mode, warmup, ops, tracing, pool_pages)
+    actual = play(NewKernel, cache_pages, degree, mode, warmup, ops, tracing, pool_pages)
     # Bit-equal, not approximately equal.
     assert actual["costs"] == expected["costs"]
     assert actual == expected
@@ -138,9 +152,10 @@ def assert_same(cache_pages, degree, mode, warmup, ops):
     mode=st.sampled_from(MODES),
     warmup=OPS,
     ops=OPS,
+    setting=st.sampled_from(SETTINGS),
 )
-def test_batched_faults_match_per_page_kernel(cache_pages, degree, mode, warmup, ops):
-    assert_same(cache_pages, degree, mode, warmup, ops)
+def test_batched_faults_match_per_page_kernel(cache_pages, degree, mode, warmup, ops, setting):
+    assert_same(cache_pages, degree, mode, warmup, ops, *setting)
 
 
 def test_stream_evicts_cached_page_before_reaching_it():
@@ -149,7 +164,8 @@ def test_stream_evicts_cached_page_before_reaching_it():
     warmup = [("rand", 10, 1, True), ("rand", 30, 1, False), ("rand", 31, 1, True)]
     ops = [("seq", 0, 24, True)]
     for cache_pages in CACHE_PAGES:
-        assert_same(cache_pages, 8, None, warmup, ops)
+        for setting in SETTINGS:
+            assert_same(cache_pages, 8, None, warmup, ops, *setting)
 
 
 def test_closed_form_run_spills_memory_pool():
@@ -158,7 +174,31 @@ def test_closed_form_run_spills_memory_pool():
     state = play(NewKernel, 9, 8, None, [], [("seq", 0, N_PAGES, True)])
     assert state["stats"]["storage_faults"] > 0
     assert state["stats"]["dirty_writebacks"] == N_PAGES - 9
-    assert_same(9, 8, None, [], [("seq", 0, N_PAGES, True)])
+    for tracing in (True, False):
+        assert_same(9, 8, None, [], [("seq", 0, N_PAGES, True)], tracing)
+
+
+def test_closed_form_run_in_a_pool_that_holds_the_region():
+    """The same streams on a pool that never spills: every run is charged
+    in one closed form (read and write streams, over a warm cache holding
+    dirty pages), and the pool's LRU order and dirty bits still match."""
+    warmup = [("rand", 40, 1, True), ("rand", 41, 1, False), ("seq", 20, 6, True)]
+    ops = [("seq", 0, N_PAGES, True), ("seq", 0, N_PAGES, False), ("seq", 5, 30, True)]
+    state = play(NewKernel, 9, 8, None, warmup, ops, pool_pages=64)
+    assert state["stats"]["storage_faults"] == 0
+    assert all(dirty for _vpn, dirty in state["memory_pool"])
+    for tracing in (True, False):
+        assert_same(9, 8, None, warmup, ops, tracing, pool_pages=64)
+
+
+def test_run_whose_resident_prefix_ends_mid_batch():
+    """A read stream over uncached pages on a spilled pool that holds only
+    the run's first 6 pages: with batches of 4, the first batch is charged
+    per run and the second, which faults page 6 in, per batch."""
+    warmup = [("rand", page, 1, False) for page in (0, 1, 2, 3, 4, 5, 40, 41, 42)]
+    ops = [("seq", 0, 12, False)]
+    for tracing in (True, False):
+        assert_same(3, 4, None, warmup, ops, tracing)
 
 
 def test_mesi_batch_that_evicts_its_own_page_keeps_swmr():
@@ -177,4 +217,5 @@ def test_mesi_batch_that_evicts_its_own_page_keeps_swmr():
     for vpn, writable in cached.items():
         if writable:
             assert not mapped.get(vpn, False)
-    assert_same(3, 4, ConsistencyMode.MESI, warmup, ops)
+    for setting in SETTINGS:
+        assert_same(3, 4, ConsistencyMode.MESI, warmup, ops, *setting)

@@ -122,3 +122,50 @@ def test_touch_range_matches_page_by_page(capacity, readahead, touches, start_vp
     assert list(device._resident.items()) == expected_lru
     assert device.stats.as_dict() == reference.stats.as_dict()
     assert device._last_fault_vpn == expected_last
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    readahead=st.integers(1, 8),
+    start_vpn=st.integers(0, 40),
+    npages=st.integers(1, 30),
+    others=st.lists(TOUCHED_VPNS, max_size=20),
+    last_absent=st.booleans(),
+    slack=st.sampled_from([0, 1, 8]),
+    dirty=st.booleans(),
+)
+# Only the last page is absent and the device is full: its fault evicts the
+# oldest page outside the range.
+@example(data=None, readahead=4, start_vpn=0, npages=4, others=[9], last_absent=True,
+         slack=0, dirty=False)
+def test_touch_range_over_resident_pages_matches_page_by_page(
+    data, readahead, start_vpn, npages, others, last_absent, slack, dirty
+):
+    """A range the device holds whole, or all but its last page, prefilled
+    in a drawn LRU order with drawn dirty bits (clean and dirty streams):
+    the hits are served in one pass, and everything must match the
+    page-by-page reference."""
+    span = range(start_vpn, start_vpn + npages)
+    pages = sorted((set(span) | set(others)) - ({span[-1]} if last_absent else set()))
+    if data is None:
+        order, bits = pages, [True] * len(pages)
+    else:
+        order = data.draw(st.permutations(pages))
+        bits = data.draw(st.lists(st.booleans(), min_size=len(pages), max_size=len(pages)))
+    touches = list(zip(order, bits))
+    config = DdcConfig(ssd_readahead_pages=readahead)
+    capacity = len(pages) + slack
+    device = prefilled(capacity, touches, config)
+    reference = prefilled(capacity, touches, config)
+    assert device.resident_pages == len(pages)
+
+    cost = device.touch_range(start_vpn, npages, dirty=dirty)
+    expected_cost, expected_lru, expected_last = touch_range_page_by_page(
+        reference, start_vpn, npages, dirty
+    )
+
+    assert cost == expected_cost
+    assert list(device._resident.items()) == expected_lru
+    assert device.stats.as_dict() == reference.stats.as_dict()
+    assert device._last_fault_vpn == expected_last

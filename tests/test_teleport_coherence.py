@@ -387,7 +387,7 @@ class TestComputeSide:
         )
         mctx.touch_seq(region, 0, 4 * PAGE_ELEMENTS, write=True)
         assert protocol.online_sync_ps == 4 * 2 * platform.config.coherence_msg_ps
-        compute.touch_runs(memory, [vpns[-1]], [0], True, to_ps(upgrade_at_ns))
+        compute.touch_runs([vpns[-1]], [0], True, to_ps(upgrade_at_ns))
         assert platform.stats.coherence_tiebreaks == tiebreaks
 
 
