@@ -5,6 +5,10 @@ pytest-benchmark, asserts the paper's qualitative shape (who wins, which
 way the trend bends), prints the reproduced table, and archives it under
 ``benchmarks/results/`` for EXPERIMENTS.md.
 
+The session shares simulated runs across figures (Figs 3 and 13 show the
+same runs, and so do Figs 1a and 14): run one file alone to time that
+figure cold.
+
 Set ``REPRO_EFFORT=full`` for larger workloads (closer to the paper's
 scales, minutes instead of seconds).
 """
@@ -14,12 +18,21 @@ import pathlib
 
 import pytest
 
+from repro.bench.workloads import shared_runs
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
 def effort():
     return os.environ.get("REPRO_EFFORT", "quick")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _shared_runs():
+    """Make each distinct simulated run once per session."""
+    with shared_runs():
+        yield
 
 
 @pytest.fixture

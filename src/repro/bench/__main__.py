@@ -16,6 +16,7 @@ import sys
 from repro.analysis import sanitizers
 from repro.bench.registry import FIGURES, run_figure
 from repro.bench.timing import wall_timer
+from repro.bench.workloads import shared_runs
 
 
 def main(argv=None):
@@ -49,14 +50,19 @@ def main(argv=None):
 
     targets = sorted(FIGURES) if args.figures == ["all"] else args.figures
     armed = sanitizers.sanitized() if args.sanitize else contextlib.nullcontext()
-    with armed as suite:
+    # The figures of one invocation share their runs (Figs 3 and 13 show the same ones).
+    with armed as suite, shared_runs() as runs:
         # Under an already-armed process (pytest --sanitize) count only this run.
         checks_before = (suite.swmr_checks, suite.leak_checks) if suite else (0, 0)
         for figure_id in targets:
+            hits_before = runs.hits
             with wall_timer() as timer:
                 result = run_figure(figure_id, effort=args.effort)
             print(result.format_table())
-            print(f"[{figure_id} completed in {timer.seconds:.1f}s wall]\n")
+            print(
+                f"[{figure_id} completed in {timer.seconds:.1f}s wall, "
+                f"{runs.hits - hits_before} shared runs reused]\n"
+            )
     if suite is not None:
         swmr_checks = suite.swmr_checks - checks_before[0]
         leak_checks = suite.leak_checks - checks_before[1]

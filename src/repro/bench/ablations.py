@@ -8,7 +8,7 @@ of them with everything else fixed.
 """
 
 from repro.bench.results import FigureResult
-from repro.bench.workloads import effort_params, tpch_dataset, tpch_run
+from repro.bench.workloads import effort_params, tpch_dataset, tpch_runs
 from repro.ddc import make_platform
 from repro.micro import MicroSpec, run_micro, shared_space
 from repro.sim.config import scaled_config
@@ -24,7 +24,7 @@ def run_ablation_prefetch(effort="quick"):
     several times slower than local no matter the degree.
     """
     dataset = tpch_dataset(effort)
-    local_ns = tpch_run(dataset, "local").run("Q6").time_ns
+    local_ns = tpch_runs(dataset, "local", ("Q6",))[0].time_ns
     result = FigureResult(
         figure="ablation-prefetch",
         title="Q6 on the base DDC vs sequential prefetch degree",
@@ -32,8 +32,9 @@ def run_ablation_prefetch(effort="quick"):
         notes="prefetching helps but cannot close the gap (per-page trap cost)",
     )
     for degree in (1, 2, 4, 8, 16):
-        run = tpch_run(dataset, "ddc", config_overrides={"prefetch_degree": degree})
-        ddc_ns = run.run("Q6").time_ns
+        ddc_ns = tpch_runs(
+            dataset, "ddc", ("Q6",), config_overrides={"prefetch_degree": degree}
+        )[0].time_ns
         result.add(
             prefetch_degree=degree,
             ddc_s=ddc_ns / SEC,

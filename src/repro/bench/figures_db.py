@@ -1,22 +1,23 @@
 """Figure runners for the DBMS experiments (Figures 1, 12, 14, 15, 16, 18)."""
 
 from repro.bench.results import FigureResult, geomean
-from repro.bench.workloads import tpch_dataset, tpch_run
+from repro.bench.workloads import tpch_dataset, tpch_runs
 from repro.db import CostBasedOptimizer, IntensityPlanner
 from repro.distdb import SPARKSQL, VERTICA, DistributedEngine
+from repro.sim.config import scaled_config
 from repro.sim.units import SEC
 
 #: The memory-intensive queries of the paper's headline experiments.
 HEADLINE_QUERIES = ("Q9", "Q3", "Q6")
 
 
-def run_fig14_vs_ssd(effort="quick", dataset=None):
+def run_fig14_vs_ssd(effort="quick"):
     """Figure 14: remote memory vs NVMe-SSD spill, per query.
 
     All three systems get the same small local memory (the paper's 1 GB);
     Linux spills to SSD, the DDCs page to the memory pool.
     """
-    dataset = dataset or tpch_dataset(effort)
+    dataset = tpch_dataset(effort)
     cache_ratio = 0.02
     result = FigureResult(
         figure="fig14",
@@ -26,16 +27,14 @@ def run_fig14_vs_ssd(effort="quick", dataset=None):
         notes="local memory = 2% of working set on every system",
     )
     # Linux with DRAM limited like the DDC cache: everything else swaps.
-    ssd = tpch_run(
-        dataset, "local", cache_ratio,
+    ssd = tpch_runs(
+        dataset, "local", HEADLINE_QUERIES, cache_ratio,
         config_overrides={"local_ram_bytes": max(1, int(dataset.nbytes * cache_ratio))},
     )
-    ddc = tpch_run(dataset, "ddc", cache_ratio)
-    teleport = tpch_run(dataset, "teleport", cache_ratio)
-    for query in HEADLINE_QUERIES:
-        ssd_ns = ssd.run(query).time_ns
-        ddc_ns = ddc.run(query).time_ns
-        tp_ns = teleport.run(query).time_ns
+    ddc = tpch_runs(dataset, "ddc", HEADLINE_QUERIES, cache_ratio)
+    teleport = tpch_runs(dataset, "teleport", HEADLINE_QUERIES, cache_ratio)
+    for query, *runs in zip(HEADLINE_QUERIES, ssd, ddc, teleport):
+        ssd_ns, ddc_ns, tp_ns = (run.time_ns for run in runs)
         result.add(
             query=query,
             linux_ssd_s=ssd_ns / SEC,
@@ -75,15 +74,12 @@ def run_fig01b_cost_of_scaling(effort="quick"):
         engine = DistributedEngine(profile, n_workers=4)
         result.add(system=profile.name, cost_of_scaling=engine.cost_of_scaling(dataset))
 
-    local = tpch_run(dataset, "local", cache_ratio)
-    ddc = tpch_run(dataset, "ddc", cache_ratio)
-    teleport = tpch_run(dataset, "teleport", cache_ratio)
-    ratios_ddc = []
-    ratios_tp = []
-    for query in ("Q1",) + HEADLINE_QUERIES:
-        local_ns = local.run(query).time_ns
-        ratios_ddc.append(ddc.run(query).time_ns / local_ns)
-        ratios_tp.append(teleport.run(query).time_ns / local_ns)
+    local, ddc, teleport = (
+        tpch_runs(dataset, kind, ("Q1",) + HEADLINE_QUERIES, cache_ratio)
+        for kind in ("local", "ddc", "teleport")
+    )
+    ratios_ddc = [run.time_ns / base.time_ns for run, base in zip(ddc, local)]
+    ratios_tp = [run.time_ns / base.time_ns for run, base in zip(teleport, local)]
     result.add(system="MonetDB (Base DDC)", cost_of_scaling=geomean(ratios_ddc))
     result.add(system="MonetDB (TELEPORT)", cost_of_scaling=geomean(ratios_tp))
     return result
@@ -92,12 +88,10 @@ def run_fig01b_cost_of_scaling(effort="quick"):
 def run_fig12_qfilter(effort="quick"):
     """Figure 12: pushing Q_filter's operators down (paper: 2.1-5.5x)."""
     dataset = tpch_dataset(effort)
-    runs = {
-        "local": tpch_run(dataset, "local"),
-        "ddc": tpch_run(dataset, "ddc"),
-        "teleport": tpch_run(dataset, "teleport", pushdown="all"),
+    profiles = {
+        kind: tpch_runs(dataset, kind, ("Qfilter",), pushdown="all")[0].profiles
+        for kind in ("local", "ddc", "teleport")
     }
-    profiles = {kind: run.run("Qfilter").profiles for kind, run in runs.items()}
     result = FigureResult(
         figure="fig12",
         title="Q_filter per-operator times (selection + projection + aggregation)",
@@ -134,29 +128,17 @@ def run_fig15_memory_sweep(effort="quick"):
         memory_bytes = max(cache_bytes, int(dataset.nbytes * fraction))
         linux_ns = None
         if index != len(fractions) - 1:
-            linux = tpch_run(
-                dataset, "local", config_overrides={"local_ram_bytes": memory_bytes}
-            )
-            linux_ns = linux.run("Q9").time_ns
-        ddc = tpch_run(
-            dataset, "ddc",
-            config_overrides={
-                "memory_pool_bytes": memory_bytes,
-                "compute_cache_bytes": cache_bytes,
-            },
-        )
-        teleport = tpch_run(
-            dataset, "teleport",
-            config_overrides={
-                "memory_pool_bytes": memory_bytes,
-                "compute_cache_bytes": cache_bytes,
-            },
-        )
+            linux_ns = tpch_runs(
+                dataset, "local", ("Q9",), config_overrides={"local_ram_bytes": memory_bytes}
+            )[0].time_ns
+        pool = {"memory_pool_bytes": memory_bytes, "compute_cache_bytes": cache_bytes}
+        ddc = tpch_runs(dataset, "ddc", ("Q9",), config_overrides=pool)[0]
+        teleport = tpch_runs(dataset, "teleport", ("Q9",), config_overrides=pool)[0]
         result.add(
             memory_fraction=fraction,
             linux_s=None if linux_ns is None else linux_ns / SEC,
-            base_ddc_s=ddc.run("Q9").time_ns / SEC,
-            teleport_s=teleport.run("Q9").time_ns / SEC,
+            base_ddc_s=ddc.time_ns / SEC,
+            teleport_s=teleport.time_ns / SEC,
         )
     return result
 
@@ -165,18 +147,16 @@ def run_fig16_clock_sweep(effort="quick"):
     """Figure 16: pushdown speedup vs memory-pool CPU clock (paper: 17x at
     0.4 GHz rising to a ~29x plateau above 1.7 GHz)."""
     dataset = tpch_dataset(effort)
-    ddc = tpch_run(dataset, "ddc")
-    base_ns = ddc.run("Q9").time_ns
+    base_ns = tpch_runs(dataset, "ddc", ("Q9",))[0].time_ns
     result = FigureResult(
         figure="fig16",
         title="Q9 pushdown speedup vs memory-pool clock speed",
         columns=["clock_ghz", "teleport_s", "speedup_vs_base_ddc"],
     )
     for clock in (0.4, 0.8, 1.2, 1.7, 2.1):
-        teleport = tpch_run(
-            dataset, "teleport", config_overrides={"memory_clock_ghz": clock}
-        )
-        tp_ns = teleport.run("Q9").time_ns
+        tp_ns = tpch_runs(
+            dataset, "teleport", ("Q9",), config_overrides={"memory_clock_ghz": clock}
+        )[0].time_ns
         result.add(
             clock_ghz=clock,
             teleport_s=tp_ns / SEC,
@@ -192,9 +172,8 @@ def run_fig18_pushdown_level(effort="quick"):
 
     # Profile once on the base DDC to rank operator kinds by memory
     # intensity (the paper ranks Q9's 8 operator types this way).
-    ddc = tpch_run(dataset, "ddc")
-    profile_result = ddc.run("Q9")
-    planner = IntensityPlanner(profile_result.profiles)
+    profiles = tpch_runs(dataset, "ddc", ("Q9",))[0].profiles
+    planner = IntensityPlanner(profiles)
     n_kinds = len(planner.kind_intensities())
     levels = [
         ("none", 0),
@@ -214,24 +193,19 @@ def run_fig18_pushdown_level(effort="quick"):
         times = {}
         pushed_counts = {}
         for level_name, k in levels:
-            run = tpch_run(
-                dataset, "teleport",
+            times[level_name] = tpch_runs(
+                dataset, "teleport", ("Q9",),
                 pushdown=planner.top_kinds(k, min_time_share=0.02),
                 config_overrides=throttled,
-            )
-            times[level_name] = run.run("Q9").time_ns
+            )[0].time_ns
             pushed_counts[level_name] = k
         # The cost-based optimizer (future work of Section 5.1) picks its
         # own operator set from the profile and the throttled cost model.
-        optimizer = CostBasedOptimizer(
-            profile_result.profiles,
-            tpch_run(dataset, "teleport", config_overrides=throttled).platform.config,
-        )
+        optimizer = CostBasedOptimizer(profiles, scaled_config(dataset.nbytes, **throttled))
         chosen = optimizer.choose()
-        run = tpch_run(
-            dataset, "teleport", pushdown=chosen, config_overrides=throttled
-        )
-        times["cost-based"] = run.run("Q9").time_ns
+        times["cost-based"] = tpch_runs(
+            dataset, "teleport", ("Q9",), pushdown=chosen, config_overrides=throttled
+        )[0].time_ns
         pushed_counts["cost-based"] = len(chosen)
         for level_name in [name for name, _k in levels] + ["cost-based"]:
             result.add(
@@ -247,8 +221,7 @@ def run_fig18_pushdown_level(effort="quick"):
 def run_fig18_intensity_profile(effort="quick"):
     """Companion to Figure 18: the profiled memory-intensity ranking."""
     dataset = tpch_dataset(effort)
-    ddc = tpch_run(dataset, "ddc")
-    planner = IntensityPlanner(ddc.run("Q9").profiles)
+    planner = IntensityPlanner(tpch_runs(dataset, "ddc", ("Q9",))[0].profiles)
     result = FigureResult(
         figure="fig18-profile",
         title="Q9 operators ranked by memory intensity (remote pages / s)",

@@ -3,67 +3,14 @@
 import inspect
 
 from repro.bench.results import FigureResult
-from repro.bench.workloads import effort_params, tpch_dataset, tpch_run
-from repro.ddc import make_platform
-from repro.graph import GraphEngine, connected_components, reachability, social_graph, sssp
-from repro.mapreduce import GrepJob, MapReduceEngine, WordCountJob, make_corpus
+from repro.bench.workloads import engine_run, tpch_dataset, tpch_runs
+from repro.graph import GraphEngine
+from repro.mapreduce import MapReduceEngine
 from repro.db.operators import Aggregate, HashJoin, Projection, Selection
 from repro.graph import algorithms as graph_algorithms
-from repro.sim.config import scaled_config
 from repro.sim.units import SEC
 
-#: TELEPORTed phases per system (the paper's choices, Section 5).
-GRAPH_PUSHDOWN = ("finalize", "gather", "scatter")
-MR_PUSHDOWN = ("map_shuffle",)
-
 WORKLOADS = ("Q9", "Q3", "Q6", "SSSP", "RE", "CC", "WC", "Grep")
-
-
-def _graph_inputs(effort):
-    params = effort_params(effort)
-    n = params["graph_vertices"]
-    src, dst, weight = social_graph(n, avg_degree=params["graph_degree"], seed=2022)
-    nbytes = src.nbytes + dst.nbytes + weight.nbytes + 4 * n * 8
-    return n, src, dst, weight, nbytes
-
-
-def _graph_time(kind, effort, algorithm):
-    n, src, dst, weight, nbytes = _graph_inputs(effort)
-    config = scaled_config(nbytes, cache_ratio=0.02)
-    platform = make_platform(kind, config)
-    ctx = platform.main_context()
-    pushdown = GRAPH_PUSHDOWN if kind == "teleport" else ()
-    engine = GraphEngine(ctx, n, src, dst, weight, pushdown=pushdown)
-    algorithm(engine)
-    return engine
-
-
-def _mr_engine(kind, effort, job):
-    params = effort_params(effort)
-    corpus = make_corpus(params["corpus_tokens"], vocabulary=50_000, seed=2022)
-    config = scaled_config(corpus.nbytes * 4, cache_ratio=0.02)
-    platform = make_platform(kind, config)
-    ctx = platform.main_context()
-    pushdown = MR_PUSHDOWN if kind == "teleport" else ()
-    engine = MapReduceEngine(ctx, corpus, pushdown=pushdown)
-    engine.run(job)
-    return engine
-
-
-GRAPH_ALGOS = {
-    "SSSP": lambda engine: sssp(engine, 0),
-    "RE": lambda engine: reachability(engine, 0),
-    "CC": connected_components,
-}
-
-MR_JOBS = {
-    "WC": WordCountJob,
-    # Grep for the hottest words (a common-word pattern, like grepping
-    # Reddit comments for an everyday term): ~30% of tokens match, so the
-    # shuffle of matches is substantial — without this, the match buffers
-    # fit the scaled cache and the DDC penalty vanishes.
-    "Grep": lambda: GrepJob(range(25)),
-}
 
 
 def workload_times(effort, kinds):
@@ -75,19 +22,16 @@ def workload_times(effort, kinds):
     times = {workload: {} for workload in WORKLOADS}
     dataset = tpch_dataset(effort)
     for kind in kinds:
-        run = tpch_run(dataset, kind)
-        for query in ("Q9", "Q3", "Q6"):
-            times[query][kind] = run.run(query).time_ns
-        for name, algorithm in GRAPH_ALGOS.items():
-            times[name][kind] = _graph_time(kind, effort, algorithm).total_time_ns()
-        for name, job_factory in MR_JOBS.items():
-            times[name][kind] = _mr_engine(kind, effort, job_factory()).total_time_ns()
+        runs = tpch_runs(dataset, kind, WORKLOADS[:3])
+        runs += tuple(engine_run(effort, kind, name) for name in WORKLOADS[3:])
+        for workload, run in zip(WORKLOADS, runs):
+            times[workload][kind] = run.time_ns
     return times
 
 
-def run_fig03_ddc_overhead(effort="quick", times=None):
+def run_fig03_ddc_overhead(effort="quick"):
     """Figure 3: DDC overhead vs a monolithic server (paper: 5-52.4x)."""
-    times = times or workload_times(effort, ("local", "ddc"))
+    times = workload_times(effort, ("local", "ddc"))
     result = FigureResult(
         figure="fig03",
         title="Base-DDC execution time vs local execution",
@@ -137,8 +81,7 @@ def run_fig10_breakdown(effort="quick"):
     )
     # --- MonetDB-analogue: Q9 by operator kind -------------------------
     dataset = tpch_dataset(effort)
-    local = tpch_run(dataset, "local").run("Q9")
-    ddc = tpch_run(dataset, "ddc").run("Q9")
+    local, ddc = (tpch_runs(dataset, kind, ("Q9",))[0] for kind in ("local", "ddc"))
     local_by_kind = local.breakdown_by_kind()
     ddc_by_kind = ddc.breakdown_by_kind()
     remote_by_kind = {}
@@ -154,28 +97,20 @@ def run_fig10_breakdown(effort="quick"):
             ddc_s=ddc_by_kind.get(kind, 0.0) / SEC,
             ddc_remote_mb=remote_by_kind.get(kind, 0) / 1e6,
         )
-    # --- PowerGraph-analogue: SSSP by phase ----------------------------
-    local_engine = _graph_time("local", effort, GRAPH_ALGOS["SSSP"])
-    ddc_engine = _graph_time("ddc", effort, GRAPH_ALGOS["SSSP"])
-    for phase in ("finalize", "scatter", "apply", "gather"):
-        result.add(
-            system="Graph/SSSP",
-            component=phase,
-            local_s=local_engine.profile(phase).time_s,
-            ddc_s=ddc_engine.profile(phase).time_s,
-            ddc_remote_mb=ddc_engine.profile(phase).remote_bytes() / 1e6,
-        )
-    # --- Phoenix-analogue: WordCount by phase --------------------------
-    local_mr = _mr_engine("local", effort, WordCountJob())
-    ddc_mr = _mr_engine("ddc", effort, WordCountJob())
-    for phase in ("map_compute", "map_shuffle", "reduce", "merge"):
-        result.add(
-            system="MapReduce/WC",
-            component=phase,
-            local_s=local_mr.profile(phase).time_s,
-            ddc_s=ddc_mr.profile(phase).time_s,
-            ddc_remote_mb=ddc_mr.profile(phase).remote_bytes() / 1e6,
-        )
+    # --- PowerGraph-analogue: SSSP by phase; Phoenix-analogue: WordCount by phase
+    for system, workload, phases in (
+        ("Graph/SSSP", "SSSP", ("finalize", "scatter", "apply", "gather")),
+        ("MapReduce/WC", "WC", ("map_compute", "map_shuffle", "reduce", "merge")),
+    ):
+        local, ddc = (engine_run(effort, kind, workload).profiles for kind in ("local", "ddc"))
+        for phase in phases:
+            result.add(
+                system=system,
+                component=phase,
+                local_s=local[phase].time_s,
+                ddc_s=ddc[phase].time_s,
+                ddc_remote_mb=ddc[phase].remote_bytes() / 1e6,
+            )
     return result
 
 

@@ -25,11 +25,19 @@ from repro.sim.rng import make_rng
 # Tokens mapped per pass, so the bucket indices stay in cache.
 CHUNK_TOKENS = 1 << 16
 
+# (n_tokens, vocabulary, skew, seed) -> corpus; the last CORPUS_MEMO used.
+CORPUS_MEMO = 4
+_corpus_memo = {}
+
 
 def make_corpus(n_tokens, vocabulary=50_000, skew=1.1, seed=2022):
     """Generate a Zipfian token stream (int32 array).
 
     ``skew`` is the Zipf exponent; 1.0-1.2 matches natural language.
+
+    Engines only read their corpus, so an ``int`` seed's corpus is drawn
+    once, shared and read-only (a write raises). A ``Generator`` seed
+    bypasses the memo, since drawing consumes its state.
     """
     if n_tokens < 1:
         raise ConfigError(f"n_tokens must be positive, got {n_tokens}")
@@ -37,8 +45,17 @@ def make_corpus(n_tokens, vocabulary=50_000, skew=1.1, seed=2022):
         raise ConfigError(f"vocabulary must be at least 2, got {vocabulary}")
     if not (math.isfinite(skew) and skew >= 0):
         raise ConfigError(f"skew must be finite and non-negative, got {skew}")
-    rng = make_rng(seed)
-    return inverse_cdf(zipf_cdf(vocabulary, skew), rng.random(n_tokens))
+    if not isinstance(seed, int):
+        return inverse_cdf(zipf_cdf(vocabulary, skew), make_rng(seed).random(n_tokens))
+    key = (n_tokens, vocabulary, skew, seed)
+    tokens = _corpus_memo.pop(key, None)
+    if tokens is None:
+        if len(_corpus_memo) >= CORPUS_MEMO:
+            del _corpus_memo[next(iter(_corpus_memo))]  # release before drawing
+        tokens = make_corpus(n_tokens, vocabulary, skew, make_rng(seed))
+        tokens.flags.writeable = False
+    _corpus_memo[key] = tokens
+    return tokens
 
 
 def zipf_cdf(vocabulary, skew):

@@ -1,11 +1,19 @@
 """Tests for the figure registry, CLI, and shared workload helpers."""
 
+import re
+
 import pytest
 
-from repro.bench import FIGURES, run_figure
+from repro.bench import FIGURES, run_figure, workloads
 from repro.bench.__main__ import main as bench_main
-from repro.bench.figures_systems import run_fig11_code_table
-from repro.bench.workloads import effort_params, tpch_dataset, tpch_run
+from repro.bench.figures_db import run_fig01a_motivation, run_fig14_vs_ssd
+from repro.bench.figures_systems import (
+    run_fig03_ddc_overhead,
+    run_fig11_code_table,
+    run_fig13_effectiveness,
+)
+from repro.bench.workloads import effort_params, shared_runs, tpch_dataset, tpch_runs
+from repro.ddc import make_platform
 from repro.errors import ReproError
 
 #: Every evaluation artefact of the paper must have a bench target.
@@ -72,16 +80,77 @@ def test_tpch_run_platforms_agree():
     dataset = tpch_dataset("quick", seed=5)
     values = set()
     for kind in ("local", "ddc", "teleport"):
-        run = tpch_run(dataset, kind)
-        values.add(round(run.run("Q6").value, 6))
+        (result,) = tpch_runs(dataset, kind, ("Q6",))
+        values.add(round(result.value, 6))
     assert len(values) == 1
 
 
 def test_tpch_run_teleport_gets_default_pushdown():
     dataset = tpch_dataset("quick", seed=5)
-    run = tpch_run(dataset, "teleport")
-    result = run.run("Q6")
+    (result,) = tpch_runs(dataset, "teleport", ("Q6",))
     assert any(profile.pushed_down for profile in result.profiles)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The kind of every platform the shared run path builds, in order."""
+    built = []
+
+    def counted(kind, config=None):
+        built.append(kind)
+        return make_platform(kind, config)
+
+    monkeypatch.setattr(workloads, "make_platform", counted)
+    return built
+
+
+def test_fig03_reads_fig13s_runs_inside_a_scope(builds):
+    cold = run_fig03_ddc_overhead()
+    # Per kind: one TPC-H session (Q9, Q3, Q6) and five engine runs.
+    assert len(builds) == 2 * 6
+    with shared_runs() as runs:
+        run_fig13_effectiveness()
+        made = len(builds)
+        warm = run_fig03_ddc_overhead()
+    assert len(builds) == made == 2 * 6 + 3 * 6
+    assert runs.hits == 2 * 6
+    assert warm.rows == cold.rows
+
+
+def test_fig01a_reads_fig14s_runs_inside_a_scope(builds):
+    cold = run_fig01a_motivation()
+    assert run_fig01a_motivation().rows == cold.rows
+    assert len(builds) == 6  # outside a scope every run is made again
+    with shared_runs() as runs:
+        run_fig14_vs_ssd()
+        warm = run_fig01a_motivation()
+    assert len(builds) == 9
+    assert runs.hits == 3
+    assert warm.rows == cold.rows
+
+
+def test_scope_files_prefixes_and_ends_with_its_block(builds):
+    dataset = tpch_dataset("quick", seed=5)
+    with shared_runs() as runs:
+        q6, q1 = tpch_runs(dataset, "local", ("Q6", "Q1"))
+        # The first query of a fresh platform is the same run alone.
+        assert tpch_runs(dataset, "local", ("Q6",))[0] is q6
+        # A session's later query depends on what ran before it.
+        assert tpch_runs(dataset, "local", ("Q1",))[0] is not q1
+        with shared_runs() as inner:
+            tpch_runs(dataset, "local", ("Q6",))
+        assert inner.hits == 0
+    assert runs.hits == 1
+    assert builds == ["local"] * 3
+    tpch_runs(dataset, "local", ("Q6",))
+    assert len(builds) == 4
+
+
+def test_cli_says_how_many_shared_runs_a_figure_reused(capsys):
+    assert bench_main(["fig14", "fig01a"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"\[fig14 completed in \d+\.\ds wall, 0 shared runs reused\]", out)
+    assert re.search(r"\[fig01a completed in \d+\.\ds wall, 3 shared runs reused\]", out)
 
 
 def test_code_table_counts_real_source():

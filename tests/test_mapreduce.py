@@ -1,6 +1,7 @@
 """Tests for the MapReduce engine, jobs, and corpus generator."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from repro.ddc import make_platform
 from repro.ddc.phases import PhaseRunner
 from repro.errors import ConfigError, ReproError
-from repro.mapreduce import GrepJob, MapReduceEngine, WordCountJob, make_corpus
+from repro.mapreduce import GrepJob, MapReduceEngine, WordCountJob, make_corpus, textgen
 from repro.mapreduce.textgen import CHUNK_TOKENS, guide_buckets, inverse_cdf, zipf_cdf
 from repro.sim.config import DdcConfig
 from repro.sim.rng import make_rng
@@ -65,6 +66,65 @@ class TestTextgen:
         assert cdf[-1] == 1.0
         u = np.array([np.nextafter(1.0, 0.0)])
         assert inverse_cdf(cdf, u).tolist() == [vocabulary - 1]
+
+
+class TestCorpusMemo:
+    """An ``int`` seed's corpus is drawn once and shared read-only."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(textgen, "_corpus_memo", {})
+
+    @staticmethod
+    def cold(n_tokens, vocabulary, skew, seed):
+        return inverse_cdf(zipf_cdf(vocabulary, skew), make_rng(seed).random(n_tokens))
+
+    def test_corpus_is_read_only(self):
+        tokens = make_corpus(1000, seed=3)
+        with pytest.raises(ValueError):
+            tokens[0] = 1
+
+    def test_same_key_shares_one_draw_equal_to_a_cold_one(self):
+        tokens = make_corpus(5000, vocabulary=300, skew=1.2, seed=11)
+        assert make_corpus(5000, vocabulary=300, skew=1.2, seed=11) is tokens
+        cold = self.cold(5000, 300, 1.2, 11)
+        assert tokens.dtype == cold.dtype
+        assert np.array_equal(tokens, cold)
+
+    def test_fifth_key_drops_the_least_recently_used(self):
+        first = weakref.ref(make_corpus(1000, seed=0))
+        second = weakref.ref(make_corpus(1000, seed=1))
+        make_corpus(1000, seed=2)
+        make_corpus(1000, seed=3)
+        assert first() is not None
+        make_corpus(1000, seed=0)  # now the most recently used
+        make_corpus(1000, seed=4)
+        assert second() is None
+        assert first() is not None
+        assert len(textgen._corpus_memo) == textgen.CORPUS_MEMO
+
+    def test_generator_seed_bypasses_the_memo(self):
+        shared = make_corpus(1000, seed=5)
+        memo = list(textgen._corpus_memo.items())
+        tokens = make_corpus(1000, seed=np.random.default_rng(5))
+        assert tokens is not shared
+        assert tokens.flags.writeable
+        assert [(key, id(value)) for key, value in textgen._corpus_memo.items()] == [
+            (key, id(value)) for key, value in memo
+        ]
+        assert np.array_equal(tokens, shared)
+
+    @pytest.mark.parametrize(
+        "change", [{"skew": 1.0}, {"vocabulary": 400}, {"n_tokens": 1001}, {"seed": 7}]
+    )
+    def test_other_key_redraws(self, change):
+        base = {"n_tokens": 1000, "vocabulary": 300, "skew": 1.1, "seed": 6}
+        shared = make_corpus(**base)
+        args = {**base, **change}
+        other = make_corpus(**args)
+        assert other is not shared
+        assert np.array_equal(other, self.cold(**args))
+        assert make_corpus(**base) is shared
 
 
 def searchsorted_corpus(n_tokens, vocabulary, skew, seed):
