@@ -82,15 +82,32 @@ def effort_params(effort):
 
 
 def tpch_dataset(effort, large=False, seed=2022):
+    """The TPC-H dataset of an effort. Inside a :func:`shared_runs` scope
+    each (scale factor, seed) is generated once, and its arrays are
+    read-only, since every run that loads it shares them."""
     params = effort_params(effort)
     sf = params["tpch_sf_large"] if large else params["tpch_sf"]
-    return generate(scale_factor=sf, seed=seed)
+    scope = _scope
+    if scope is None:
+        return generate(scale_factor=sf, seed=seed)
+    dataset = scope.datasets.get((sf, seed))
+    if dataset is None:
+        dataset = scope.datasets[sf, seed] = generate(scale_factor=sf, seed=seed)
+        for table in dataset.tables.values():
+            for array in table.values():
+                array.flags.writeable = False
+    return dataset
 
 
 class SharedRuns(dict):
-    """The results of the runs made inside one :func:`shared_runs` scope, by key."""
+    """The results of the runs made inside one :func:`shared_runs` scope, by
+    key, and the TPC-H datasets they load (:attr:`datasets`)."""
 
     hits = 0  # lookups answered here instead of by a new run
+
+    def __init__(self):
+        super().__init__()
+        self.datasets = {}
 
 
 _scope = None

@@ -59,9 +59,6 @@ class IntensityPlanner:
             if profile.memory_intensity > threshold
         }
 
-    def all_labels(self):
-        return set(self.ranked_labels())
-
     # ------------------------------------------------------------------
     # Kind-level planning (the paper ranks operator *types*: projection,
     # hash join, ... — Figure 18's levels are counts of those).

@@ -24,12 +24,11 @@ from repro.errors import ReproError
 class ExecutionContext:
     """Cost-charging handle for application code on one thread."""
 
-    def __init__(self, platform, thread, memkernel=None, compkernel=None, protocol=None):
+    def __init__(self, platform, thread, compkernel=None, protocol=None):
         self.platform = platform
         self.thread = thread
         self.config = platform.config
         self.stats = platform.stats
-        self.memkernel = memkernel
         self.compkernel = compkernel
         self.protocol = protocol
 

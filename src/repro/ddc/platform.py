@@ -123,8 +123,8 @@ class DdcPlatform(Platform):
         memory.on_free(region)
 
     def context_for(self, thread):
-        compute, memory = self.kernels_for(thread.process)
-        return ExecutionContext(self, thread, memkernel=memory, compkernel=compute)
+        compute, _memory = self.kernels_for(thread.process)
+        return ExecutionContext(self, thread, compkernel=compute)
 
 
 class TeleportPlatform(DdcPlatform):

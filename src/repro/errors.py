@@ -34,8 +34,9 @@ class PushdownTimeout(PushdownError):
 
     def __init__(self, message, cancelled):
         super().__init__(message)
-        #: True if the request was removed from the memory pool's workqueue
-        #: before it started executing (safe to re-run the function locally).
+        #: True if try_cancel discarded the function's work: the request
+        #: left the queue before it started, or the function was killed
+        #: mid-run. Either way it is safe to re-run the function locally.
         self.cancelled = cancelled
 
 

@@ -35,12 +35,6 @@ class Region:
         """One past the last vpn of the region."""
         return self.start_vpn + self.npages
 
-    def vpn_of_index(self, index):
-        """Virtual page number holding element ``index``."""
-        if index < 0 or index >= len(self.array):
-            raise AccessError(f"index {index} out of range for region {self.name!r}")
-        return self.start_vpn + (index * self.itemsize) // self.page_size
-
     def vpns_of_indices(self, indices):
         """Vectorised vpn lookup for an array of element indices."""
         indices = np.asarray(indices, dtype=np.int64)

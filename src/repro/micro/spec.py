@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.sim.units import MIB, SEC
+from repro.sim.units import MIB
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,3 @@ class MicroResult:
     coherence_messages: int
     coherence_tiebreaks: int
     remote_pages: int
-
-    @property
-    def total_s(self):
-        return self.total_ns / SEC
-
-    def speedup_over(self, other):
-        """How much faster this run is than ``other``."""
-        return other.total_ns / self.total_ns

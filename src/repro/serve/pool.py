@@ -41,8 +41,7 @@ import dataclasses
 import enum
 
 from repro.errors import ConfigError, PushdownTimeout, ReproError
-from repro.sim.units import ns_property, to_ns, to_ps
-from repro.teleport.flags import TimeoutAction
+from repro.sim.units import ns_property, to_ns
 
 
 def _remaining_timeout(options, waited_ps):
@@ -135,12 +134,9 @@ class QueuedRequest:
 
     def expiry_ps(self):
         """When this request's queued wait times out (None: never)."""
-        options = self.options
-        if options is None or options.timeout_ns is None:
+        if self.options is None:
             return None
-        if options.on_timeout is TimeoutAction.WAIT:
-            return None
-        return self.arrival_ps + to_ps(options.timeout_ns)
+        return self.options.deadline_ps(self.arrival_ps)
 
 
 class PoolScheduler:

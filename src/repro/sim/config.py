@@ -250,10 +250,6 @@ class DdcConfig:
         """Capacity of the monolithic baseline's DRAM, in pages."""
         return max(1, self.local_ram_bytes // self.page_size)
 
-    def pages_of(self, nbytes):
-        """Number of pages covering ``nbytes``."""
-        return (int(nbytes) + self.page_size - 1) // self.page_size
-
     #: One RDMA message with no payload: latency plus RPC software.
     net_message_base_ps = _in_ps("net_latency_ns", "rpc_software_ns")
     dram_page_ps = _in_ps("dram_page_ns")

@@ -7,6 +7,8 @@ syscall (Section 3.1) and the relaxations of Section 4.2.
 import enum
 from dataclasses import dataclass
 
+from repro.sim.units import to_ps
+
 
 class ConsistencyMode(enum.Enum):
     """How coherence is maintained during pushdown."""
@@ -77,6 +79,14 @@ class PushdownOptions:
     on_timeout: TimeoutAction = TimeoutAction.RAISE
 
     DEFAULT = None  # set below
+
+    def deadline_ps(self, start_ps):
+        """When a call made at ``start_ps`` times out: the instant the
+        caller issues try_cancel, or None if it never does (no timeout, or
+        ``TimeoutAction.WAIT``)."""
+        if self.timeout_ns is None or self.on_timeout is TimeoutAction.WAIT:
+            return None
+        return start_ps + to_ps(self.timeout_ns)
 
 
 # Frozen default instance, analogous to passing flags=0 to the syscall.

@@ -10,24 +10,21 @@ and the completion flows back.
 finish) so the interleaved microbenchmark scheduler can step the pushed
 function concurrently with compute-pool threads.
 
-Fault handling (the rest of Section 3.2) layers on top:
-
-* an optional :class:`~repro.faults.injector.FaultInjector` drops, delays
-  or partitions messages and degrades or kills the memory pool;
-* a retry layer retransmits lost requests/responses with bounded
-  exponential backoff, using idempotent request IDs for at-most-once
-  execution, every cost charged to the caller's virtual clock;
-* ``timeout_ns`` now also fires *mid-execution* with ``try_cancel``
-  semantics — cancellation succeeds iff the function is still running
-  when the cancel arrives; :class:`~repro.teleport.flags.TimeoutAction`
-  picks between raising, waiting, and automatic local fallback;
-* a per-process :class:`~repro.faults.breaker.CircuitBreaker` stops
-  pushing down after consecutive infrastructure failures and routes
-  operators to the compute pool until a probe succeeds;
-* a :class:`~repro.faults.detector.HeartbeatDetector` replaces the old
-  instant-panic boolean: suspicion after missed heartbeats, lease-based
-  recovery from transient partitions, kernel panic only on confirmed
-  loss — with every coherence protocol released on the way down.
+A pushdown has one lifecycle (Section 3.2), and each way it fails is one
+exception. Before dispatch, ``begin_session`` raises
+:class:`~repro.errors.PushdownRetryExhausted` (request lost),
+:class:`~repro.errors.PushdownTimeout` (cancelled in the RPC queue) or
+:class:`~repro.errors.KernelPanic` (memory pool confirmed lost, every
+protocol released). After dispatch, ``finish`` raises ``PushdownTimeout``
+(mid-run; ``cancelled`` iff try_cancel discarded the function's work),
+:class:`~repro.errors.PushdownAborted` (watchdog) or
+``PushdownRetryExhausted`` (response lost). One loop retransmits lost
+requests and responses, with bounded backoff and idempotent request IDs
+(at-most-once), charged to the caller's virtual clock. Every end after
+dispatch, ``abandon`` included, goes through one teardown. ``pushdown``
+hands each exception to :meth:`TeleportRuntime.fail`, which counts it
+against the per-process circuit breaker and falls back to the compute pool
+only if the function's work never happened: it never runs twice.
 """
 
 from repro.ddc.context import ExecutionContext
@@ -36,6 +33,7 @@ from repro.ddc.thread import SimThread
 from repro.errors import (
     KernelPanic,
     PushdownAborted,
+    PushdownError,
     PushdownRetryExhausted,
     PushdownTimeout,
     PushdownUserError,
@@ -196,15 +194,10 @@ class TeleportRuntime:
             return fn(ctx, *args)
         try:
             session = self.begin_session(ctx, options)
-        except PushdownRetryExhausted as exc:
+        except PushdownError as exc:
+            # Lost or cancelled before reaching an instance: fn never ran.
             return self.fail(ctx, ctx.now, exc, options, fn, args)
-        if session.cancelled:
-            return self.fail(ctx, ctx.now, PushdownTimeout(
-                f"pushdown cancelled after {options.timeout_ns:.0f}ns in queue",
-                cancelled=True,
-            ), options, fn, args)
-        error = None
-        result = None
+        error = result = None
         try:
             result = fn(session.mctx, *args)
         except ReproError:
@@ -214,18 +207,11 @@ class TeleportRuntime:
             error = exc
         try:
             session.finish()
-        except (PushdownTimeout, PushdownRetryExhausted) as exc:
-            # A timeout after a failed cancel, or a lost response: the
-            # function already ran once, so it is never re-run locally.
-            return self.fail(ctx, ctx.now, exc, options)
-        if session.fallback_pending:
-            # Mid-execution timeout, try_cancel succeeded: the paper's
-            # recipe is to re-run the (idempotent) function locally.
-            return self.fail(ctx, ctx.now, None, options, fn, args)
-        if session.aborted:
-            return self.fail(ctx, ctx.now, PushdownAborted(
-                f"pushdown function exceeded the {self.config.watchdog_timeout_ns:.0f}ns watchdog"
-            ), options)
+        except PushdownError as exc:
+            # A successful try_cancel discarded fn's work, so it may re-run
+            # locally; after any other end it ran once and never runs twice.
+            discarded = isinstance(exc, PushdownTimeout) and exc.cancelled
+            return self.fail(ctx, ctx.now, exc, options, fn if discarded else None, args)
         breaker.record_success(ctx.now)
         if error is not None:
             raise PushdownUserError(error) from error
@@ -251,6 +237,14 @@ class TeleportRuntime:
     # Session API (two-phase pushdown, used by the interleaved scheduler)
     # ------------------------------------------------------------------
     def begin_session(self, ctx, options=PushdownOptions.DEFAULT):
+        """Send a pushdown request and dispatch it; returns the running
+        :class:`PushdownSession`.
+
+        Raises :class:`~repro.errors.KernelPanic` on a lost memory pool,
+        :class:`PushdownRetryExhausted` when the request kept getting lost
+        and :class:`PushdownTimeout` (``cancelled=True``) when it was
+        cancelled in the RPC queue. In each case the function never ran.
+        """
         self._check_memory_pool(ctx)
         self.stats.pushdown_calls += 1
         if self.platform.tracer.enabled:
@@ -286,7 +280,12 @@ class TeleportRuntime:
 
 
 class PushdownSession:
-    """One in-flight pushdown: request, context setup, execution, reply."""
+    """One in-flight pushdown: request, context setup, execution, reply.
+
+    Constructing a session sends the request; it raises if the request
+    never reaches an instance. Once dispatched, every end — :meth:`finish`
+    or :meth:`abandon` — goes through :meth:`_end`.
+    """
 
     def __init__(self, runtime, ctx, options):
         self.runtime = runtime
@@ -294,18 +293,13 @@ class PushdownSession:
         self.options = options
         self.config = runtime.config
         self.breakdown = PushdownBreakdown()
-        self.cancelled = False
-        self.aborted = False
-        self.fallback_pending = False
         self._finished = False
         process = ctx.thread.process
         platform = runtime.platform
-        compkernel, memkernel = platform.kernels_for(process)
+        compkernel, _memkernel = platform.kernels_for(process)
         self._compkernel = compkernel
         self._process = process
-        call_ps = ctx.now
-        self._call_ps = call_ps
-        self._timeout_ps = None if options.timeout_ns is None else to_ps(options.timeout_ns)
+        self._deadline_ps = options.deadline_ps(ctx.now)
 
         # --- (1) pre-pushdown synchronisation --------------------------
         pre_cost, resident, refetch = self._pre_sync(compkernel)
@@ -313,58 +307,42 @@ class PushdownSession:
         ctx.charge_ps(pre_cost)
         self._refetch_vpns = refetch
 
-        # --- (2) request transfer (RLE-compressed resident list), with
-        #         bounded retransmission of lost requests ----------------
+        # --- (2) request transfer (RLE-compressed resident list) --------
         request_bytes = _ENVELOPE_BYTES + self.config.page_list_message_bytes(len(resident))
-        request_cost = runtime.network.message_ps(request_bytes, now=ctx.now)
+
+        def send(now):
+            return runtime.network.message_ps(request_bytes, now=now)
+
+        request_cost, delivered = self._transmit(
+            ctx.now, send, send, FaultInjector.request_delivered
+        )
         ctx.charge_ps(request_cost)
-        total_request_cost = request_cost
-        injector = runtime.injector
-        if injector is not None:
-            policy = runtime.retry_policy
-            attempts = 1
-            while not injector.request_delivered(ctx.now):
-                runtime.stats.messages_dropped += 1
-                if attempts >= policy.max_attempts:
-                    self.breakdown.request_ns = to_ns(total_request_cost)
-                    raise PushdownRetryExhausted(
-                        f"pushdown request lost {attempts} times; giving up"
-                    )
-                attempts += 1
-                runtime.stats.pushdown_retries += 1
-                # Retransmission timer + seeded-jitter backoff, all charged
-                # to the caller's virtual clock.
-                wait = to_ps(policy.retransmit_timeout_ns + policy.backoff_ns(
-                    attempts - 1, injector.rng
-                ))
-                ctx.charge_ps(wait)
-                retry_cost = runtime.network.message_ps(request_bytes, now=ctx.now)
-                ctx.charge_ps(retry_cost)
-                total_request_cost += wait + retry_cost
-        self.breakdown.request_ns = to_ns(total_request_cost)
+        self.breakdown.request_ns = to_ns(request_cost)
+        if not delivered:
+            raise PushdownRetryExhausted(
+                f"pushdown request lost {runtime.retry_policy.max_attempts} times; giving up"
+            )
         self._request_id = runtime.next_request_id()
 
         # --- (3) dispatch / queueing at the RPC server ------------------
         arrival = ctx.now
         index, start_ps, cpu_scale = runtime.rpc.plan(arrival)
         self.breakdown.queue_wait_ns = to_ns(start_ps - arrival)
-        timeout = self._timeout_ps
-        if (
-            timeout is not None
-            and options.on_timeout is not TimeoutAction.WAIT
-            and start_ps - call_ps > timeout
-        ):
+        deadline = self._deadline_ps
+        if deadline is not None and start_ps > deadline:
             # try_cancel succeeds: the request had not started executing,
             # so it is simply removed from the workqueue (Section 3.2).
             runtime.rpc.cancel_queued()
             runtime.stats.pushdown_timeouts += 1
             runtime.stats.pushdown_cancellations += 1
-            ctx.thread.clock.advance_to(call_ps + timeout)
+            ctx.thread.clock.advance_to(deadline)
             ctx.charge_ps(self.config.net_roundtrip_ps(_CONTROL_BYTES, _CONTROL_BYTES))
-            self.cancelled = True
-            if runtime.platform.tracer.enabled:
-                runtime.platform.tracer.emit(ctx.now, "pushdown", phase="cancelled")
-            return
+            if platform.tracer.enabled:
+                platform.tracer.emit(ctx.now, "pushdown", phase="cancelled")
+            raise PushdownTimeout(
+                f"pushdown cancelled after {options.timeout_ns:.0f}ns in queue",
+                cancelled=True,
+            )
         runtime.rpc.commit(index, self._request_id)
         self._instance = index
 
@@ -386,10 +364,10 @@ class PushdownSession:
         self.breakdown.context_setup_ns = to_ns(setup_cost)
 
         # --- (5) the temporary context's execution thread ---------------
-        if injector is not None:
+        if runtime.injector is not None:
             # A degraded memory pool (thermal throttle, noisy neighbour)
             # stretches the pushed function's clock.
-            cpu_scale *= injector.degrade_factor(start_ps)
+            cpu_scale *= runtime.injector.degrade_factor(start_ps)
         mem_thread = SimThread(
             process, name=f"{ctx.thread.name}/pushdown", pool=Pool.MEMORY,
             start_ps=start_ps + setup_cost,
@@ -399,8 +377,7 @@ class PushdownSession:
         self._exec_start = mem_thread.clock.now
         self._online_sync_base = protocol.online_sync_ps
         self.mctx = ExecutionContext(
-            runtime.platform, mem_thread, memkernel=memkernel,
-            compkernel=compkernel, protocol=protocol,
+            platform, mem_thread, compkernel=compkernel, protocol=protocol,
         )
 
     def _pre_sync(self, compkernel):
@@ -418,52 +395,67 @@ class PushdownSession:
             return cost, [], []
         raise ReproError(f"unknown sync method {sync!r}")
 
-    def finish(self, check_invariant=False):
-        """Complete the pushdown: reply, post-sync, unblock the caller."""
-        if self.cancelled or self._finished:
-            return
-        self._finished = True
-        runtime = self.runtime
-        protocol = self.protocol
-        caller_clock = self.caller.thread.clock
-        exec_end = self.mem_thread.clock.now
-        exec_total = exec_end - self._exec_start
-        online = protocol.online_sync_ps - self._online_sync_base
-        self.breakdown.online_sync_ns = to_ns(online)
-        self.breakdown.function_ns = to_ns(max(0, exec_total - online))
+    def _transmit(self, at_ps, send, resend, delivered):
+        """Send one message at ``at_ps``, retransmitting it while the
+        fabric loses it, at most ``max_attempts`` times in all.
 
-        # --- caller-side timeout that expired mid-execution --------------
-        # (Section 3.2: the caller issues try_cancel; cancellation succeeds
-        # iff the function is still running when the cancel arrives.)
-        timeout = self._timeout_ps
-        if (
-            timeout is not None
-            and self.options.on_timeout is not TimeoutAction.WAIT
-            and exec_end > self._call_ps + timeout
-        ):
-            timeout_instant = self._call_ps + timeout
+        ``send(now)`` and ``resend(now)`` price the first transmission and
+        each retransmission; a retransmission waits out the retransmit
+        timer plus a seeded-jitter backoff first. ``delivered`` is the
+        injector's verdict for a message that lands at a given instant.
+        Returns ``(elapsed_ps, delivered)``: the time from ``at_ps`` until
+        the message landed, or until the last loss once the attempts ran out.
+        """
+        runtime = self.runtime
+        elapsed = send(at_ps)
+        injector = runtime.injector
+        if injector is None:
+            return elapsed, True
+        policy = runtime.retry_policy
+        attempt = 1
+        while not delivered(injector, at_ps + elapsed):
+            runtime.stats.messages_dropped += 1
+            if attempt == policy.max_attempts:
+                return elapsed, False
+            runtime.stats.pushdown_retries += 1
+            elapsed += to_ps(policy.retransmit_timeout_ns + policy.backoff_ns(
+                attempt, injector.rng
+            ))
+            elapsed += resend(at_ps + elapsed)
+            attempt += 1
+        return elapsed, True
+
+    def finish(self, check_invariant=False):
+        """Complete the pushdown: reply, post-sync, unblock the caller.
+
+        Raises, after the session is torn down, if the pushdown did not
+        complete: :class:`PushdownTimeout` when the caller's timeout expired
+        mid-run (``cancelled`` says whether try_cancel discarded the
+        function's work), :class:`PushdownAborted` when the watchdog killed
+        the function, :class:`PushdownRetryExhausted` when its response
+        was lost. A second call does nothing.
+        """
+        if self._finished:
+            return
+        runtime = self.runtime
+        exec_end = self.mem_thread.clock.now
+        deadline = self._deadline_ps
+        if deadline is not None and exec_end > deadline:
+            # Section 3.2: at its deadline the caller issues try_cancel,
+            # which succeeds iff the function is still running when the
+            # cancel arrives.
             runtime.stats.pushdown_timeouts += 1
-            cancel_send = runtime.network.message_ps(_CONTROL_BYTES, now=timeout_instant)
-            cancel_arrival = timeout_instant + cancel_send
+            cancel_send = runtime.network.message_ps(_CONTROL_BYTES, now=deadline)
+            cancel_arrival = deadline + cancel_send
             cancel_ack = runtime.network.message_ps(_CONTROL_BYTES, now=cancel_arrival)
-            caller_clock.advance_to(timeout_instant)
+            caller_clock = self.caller.thread.clock
+            caller_clock.advance_to(deadline)
             caller_clock.advance(cancel_send + cancel_ack)
             if cancel_arrival < exec_end:
-                # Cancel succeeded: the temporary context is killed at the
-                # cancel's arrival; work after that instant never happened.
-                self.breakdown.function_ns = to_ns(max(
-                    0, (cancel_arrival - self._exec_start) - online
-                ))
+                # The temporary context is killed at the cancel's arrival;
+                # work after that instant never happened.
                 runtime.stats.pushdown_cancellations += 1
-                post = self._teardown(cancel_arrival, check_invariant)
-                caller_clock.advance(post)
-                if runtime.platform.tracer.enabled:
-                    runtime.platform.tracer.emit(
-                        caller_clock.now, "pushdown", phase="cancelled-running"
-                    )
-                if self.options.on_timeout is TimeoutAction.FALLBACK:
-                    self.fallback_pending = True
-                    return
+                self._end(cancel_arrival, "cancelled-running", check_invariant=check_invariant)
                 raise PushdownTimeout(
                     f"pushdown timed out after {self.options.timeout_ns:.0f}ns mid-execution "
                     "(try_cancel succeeded; safe to re-run locally)",
@@ -472,130 +464,104 @@ class PushdownSession:
             if self.options.on_timeout is TimeoutAction.RAISE:
                 # Cancel failed: the function completed first. Under RAISE
                 # the late result is discarded.
-                post = self._teardown(exec_end, check_invariant)
-                caller_clock.advance_to(exec_end)
-                caller_clock.advance(post)
-                if runtime.platform.tracer.enabled:
-                    runtime.platform.tracer.emit(
-                        caller_clock.now, "pushdown", phase="timeout"
-                    )
+                self._end(exec_end, "timeout", check_invariant=check_invariant)
                 raise PushdownTimeout(
                     f"pushdown timed out after {self.options.timeout_ns:.0f}ns mid-execution "
                     "(try_cancel failed: function already complete)",
                     cancelled=False,
                 )
             # TimeoutAction.FALLBACK with a failed cancel: accept the late
-            # remote result — fall through to normal completion.
+            # remote result.
 
         # Watchdog: buggy code that fails to complete is killed so it does
         # not block other pushdown requests (Section 3.2).
-        if exec_total > self.config.watchdog_timeout_ps:
-            self.aborted = True
+        watchdog = self.config.watchdog_timeout_ps
+        aborted = exec_end - self._exec_start > watchdog
+        if aborted:
             runtime.stats.pushdown_aborts += 1
-            exec_end = self._exec_start + self.config.watchdog_timeout_ps
-        runtime.rpc.complete(self._instance, exec_end)
+            exec_end = self._exec_start + watchdog
+
+        # --- (6/7) completion notification + response transfer ----------
+        network = runtime.network
+
+        def resend(now):
+            # The caller retransmits the request ID; the server answers
+            # from its completion record without re-executing.
+            control = network.message_ps(_CONTROL_BYTES, now=now)
+            runtime.rpc.replay_response(self._request_id)
+            runtime.stats.pushdown_dedup_hits += 1
+            return control + network.message_ps(_ENVELOPE_BYTES, now=now + control)
+
+        reply, delivered = self._transmit(
+            exec_end, lambda now: network.message_ps(_ENVELOPE_BYTES, now=now),
+            resend, FaultInjector.response_delivered,
+        )
+        if not delivered:
+            # The function executed exactly once (at-most-once), but its
+            # result is lost.
+            self._end(exec_end, "response-lost", reply, check_invariant)
+            raise PushdownRetryExhausted(
+                f"pushdown response lost {runtime.retry_policy.max_attempts} times; "
+                "result discarded"
+            )
+        self._end(exec_end, "aborted" if aborted else "finish", reply, check_invariant)
+        if aborted:
+            raise PushdownAborted(
+                f"pushdown function exceeded the {self.config.watchdog_timeout_ns:.0f}ns watchdog"
+            )
+
+    def abandon(self):
+        """Tear down after a simulation-level error inside ``fn``: the
+        caller resumes at the function's end plus the post-sync, and the
+        partial breakdown is recorded. A no-op once the session ended."""
+        if not self._finished:
+            self._end(self.mem_thread.clock.now, "abandoned")
+
+    def _end(self, end_ps, phase, reply_ps=0, check_invariant=False):
+        """The one teardown of a dispatched session, however it ended.
+
+        The function's work ends at ``end_ps``, where its instance frees.
+        The caller resumes there after ``reply_ps`` of response transfer
+        and the post-sync (never earlier than it already is). Every end
+        runs the boundary sync and the session-end leak check, so no path
+        can leak relaxed-consistency dirty state or a protocol refcount.
+        """
+        self._finished = True
+        runtime = self.runtime
+        protocol = self.protocol
+        breakdown = self.breakdown
+        online = protocol.online_sync_ps - self._online_sync_base
+        breakdown.online_sync_ns = to_ns(online)
+        breakdown.function_ns = to_ns(max(0, end_ps - self._exec_start - online))
+        breakdown.response_ns = to_ns(reply_ps)
+        runtime.rpc.complete(self._instance, end_ps)
         if check_invariant:
             protocol.check_swmr()
-
-        # --- (6/7) completion notification + response transfer, with
-        #           retransmission of lost responses ----------------------
-        response_cost = runtime.network.message_ps(_ENVELOPE_BYTES, now=exec_end)
-        injector = runtime.injector
-        if injector is not None:
-            policy = runtime.retry_policy
-            attempts = 1
-            t = exec_end + response_cost
-            while not injector.response_delivered(t):
-                runtime.stats.messages_dropped += 1
-                if attempts >= policy.max_attempts:
-                    # The reply never arrived. The function executed exactly
-                    # once (at-most-once), but its result is lost.
-                    self.breakdown.response_ns = to_ns(response_cost)
-                    post = protocol.boundary_sync()
-                    self.breakdown.post_sync_ns = to_ns(post)
-                    runtime.release_protocol(self._process)
-                    caller_clock.advance_to(t)
-                    caller_clock.advance(post)
-                    runtime.breakdowns.append(self.breakdown)
-                    raise PushdownRetryExhausted(
-                        f"pushdown response lost {attempts} times; result discarded"
-                    )
-                attempts += 1
-                runtime.stats.pushdown_retries += 1
-                wait = to_ps(policy.retransmit_timeout_ns + policy.backoff_ns(
-                    attempts - 1, injector.rng
-                ))
-                # The caller retransmits the request ID; the server answers
-                # from its completion record without re-executing.
-                resend = runtime.network.message_ps(_CONTROL_BYTES, now=t + wait)
-                runtime.rpc.replay_response(self._request_id)
-                runtime.stats.pushdown_dedup_hits += 1
-                redo = runtime.network.message_ps(
-                    _ENVELOPE_BYTES, now=t + wait + resend
-                )
-                response_cost += wait + resend + redo
-                t = exec_end + response_cost
-        self.breakdown.response_ns = to_ns(response_cost)
 
         # --- (8) post-pushdown synchronisation ---------------------------
         # Relaxed consistency propagates writes at this explicit boundary.
         post_cost = protocol.boundary_sync()
         runtime.release_protocol(self._process)
-        if self.options.sync is SyncMethod.EAGER and self._refetch_vpns:
+        if self._refetch_vpns:
             # Page-by-page refetch of everything the cache used to hold —
             # the strawman cost the on-demand protocol avoids (Figure 20).
             post_cost += runtime.network.pages_in_ps(len(self._refetch_vpns), batch=1)
             for vpn in self._refetch_vpns:
                 self._compkernel.cache.insert(vpn, writable=False)
-        self.breakdown.post_sync_ns = to_ns(post_cost)
+        breakdown.post_sync_ns = to_ns(post_cost)
 
-        caller_clock.advance_to(exec_end)
-        caller_clock.advance(response_cost + post_cost)
-        runtime.breakdowns.append(self.breakdown)
-        if runtime.platform.tracer.enabled:
-            runtime.platform.tracer.emit(
-                caller_clock.now, "pushdown",
-                phase="aborted" if self.aborted else "finish",
-                function_ms=round(self.breakdown.function_ns / 1e6, 3),
+        caller_clock = self.caller.thread.clock
+        caller_clock.advance_to(end_ps)
+        caller_clock.advance(reply_ps + post_cost)
+        runtime.breakdowns.append(breakdown)
+        platform = runtime.platform
+        if platform.tracer.enabled:
+            platform.tracer.emit(
+                caller_clock.now, "pushdown", phase=phase,
+                function_ms=round(breakdown.function_ns / 1e6, 3),
             )
-        sanitizers = runtime.platform.sanitizers
-        if sanitizers is not None:
-            sanitizers.check_session_end(runtime, self._process)
-
-    def _teardown(self, end_ps, check_invariant=False):
-        """Free the instance and release coherence state; returns the
-        boundary-sync cost. Shared by every abort path so no path can leak
-        relaxed-consistency dirty state or protocol refcounts."""
-        runtime = self.runtime
-        runtime.rpc.complete(self._instance, end_ps)
-        if check_invariant:
-            self.protocol.check_swmr()
-        post = self.protocol.boundary_sync()
-        self.breakdown.post_sync_ns = to_ns(post)
-        runtime.release_protocol(self._process)
-        runtime.breakdowns.append(self.breakdown)
-        sanitizers = runtime.platform.sanitizers
-        if sanitizers is not None:
-            sanitizers.check_session_end(runtime, self._process)
-        return post
-
-    def abandon(self):
-        """Tear down after a simulation-level error inside ``fn``.
-
-        Unlike the old fire-and-forget version this records the partial
-        breakdown (Figure 20 would otherwise undercount) and runs the
-        boundary synchronisation, so relaxed-consistency (PSO/weak) dirty
-        state cannot leak past an abandoned session.
-        """
-        if self.cancelled or self._finished:
-            return
-        self._finished = True
-        exec_end = self.mem_thread.clock.now
-        exec_total = exec_end - self._exec_start
-        online = self.protocol.online_sync_ps - self._online_sync_base
-        self.breakdown.online_sync_ns = to_ns(online)
-        self.breakdown.function_ns = to_ns(max(0, exec_total - online))
-        self._teardown(exec_end)
+        if platform.sanitizers is not None:
+            platform.sanitizers.check_session_end(runtime, self._process)
 
 
 def _resolve_options(options, consistency, sync, timeout_ns, sync_regions, on_timeout=None):

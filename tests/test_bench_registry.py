@@ -146,6 +146,16 @@ def test_scope_files_prefixes_and_ends_with_its_block(builds):
     assert len(builds) == 4
 
 
+def test_scope_generates_each_tpch_dataset_once():
+    with shared_runs() as runs:
+        dataset = tpch_dataset("quick", seed=5)
+        assert tpch_dataset("quick", seed=5) is dataset
+        assert tpch_dataset("quick", seed=6) is not dataset
+        assert not dataset.tables["lineitem"]["quantity"].flags.writeable
+    assert runs.hits == 0
+    assert tpch_dataset("quick", seed=5) is not dataset
+
+
 def test_cli_says_how_many_shared_runs_a_figure_reused(capsys):
     assert bench_main(["fig14", "fig01a"]) == 0
     out = capsys.readouterr().out

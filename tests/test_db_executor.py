@@ -190,14 +190,14 @@ class TestIntensityPlanner:
         planner = IntensityPlanner(profile_plan(self.build, config))
         assert len(planner.top(1)) == 1
         assert planner.top(0) == set()
-        assert planner.top(99) == planner.all_labels()
+        assert planner.top(99) == set(planner.ranked_labels())
         with pytest.raises(ReproError):
             planner.top(-1)
 
     def test_threshold_sets(self):
         config = DdcConfig(compute_cache_bytes=64 * KIB)
         planner = IntensityPlanner(profile_plan(self.build, config))
-        assert planner.above(0.0) == planner.all_labels()
+        assert planner.above(0.0) == set(planner.ranked_labels())
         assert planner.above(float("inf")) == set()
 
     def test_empty_profiles_rejected(self):

@@ -38,17 +38,16 @@ def test_duplicate_name_rejected(space):
 
 def test_vpn_of_index(space):
     region = space.alloc_array("a", np.zeros(1024, dtype=np.float64))
-    assert region.vpn_of_index(0) == region.start_vpn
-    assert region.vpn_of_index(511) == region.start_vpn  # last of page 0
-    assert region.vpn_of_index(512) == region.start_vpn + 1
+    vpns = region.vpns_of_indices([0, 511, 512])  # 511: last of page 0
+    assert vpns.tolist() == [region.start_vpn, region.start_vpn, region.start_vpn + 1]
 
 
 def test_vpn_of_index_out_of_range(space):
     region = space.alloc_array("a", np.zeros(10, dtype=np.int64))
     with pytest.raises(AccessError):
-        region.vpn_of_index(10)
+        region.vpns_of_indices([10])
     with pytest.raises(AccessError):
-        region.vpn_of_index(-1)
+        region.vpns_of_indices([-1])
 
 
 def test_vpns_of_indices_vectorised(space):

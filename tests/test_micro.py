@@ -94,12 +94,6 @@ class TestFigure6Shapes:
             < results["teleport_coherence"].coherence_messages / 10
         )
 
-    def test_results_dataclass_helpers(self, results):
-        local = results["local"]
-        base = results["base_ddc"]
-        assert local.speedup_over(base) > 1
-        assert local.total_s == pytest.approx(local.total_ns / 1e9)
-
 
 class TestContention:
     """Figures 21/22: default grows with contention, relaxed stays flat."""

@@ -16,14 +16,6 @@ def test_defaults_match_the_paper_testbed():
     assert config.ssd_bandwidth_bytes_per_ns == pytest.approx(3.0)  # 3 GB/s
 
 
-def test_pages_of_rounds_up():
-    config = DdcConfig()
-    assert config.pages_of(1) == 1
-    assert config.pages_of(4096) == 1
-    assert config.pages_of(4097) == 2
-    assert config.pages_of(0) == 0
-
-
 def test_cache_pages_derived_from_bytes():
     config = DdcConfig(compute_cache_bytes=1 * MIB)
     assert config.compute_cache_pages == 256

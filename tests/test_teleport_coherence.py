@@ -374,7 +374,7 @@ class TestComputeSide:
         not 3.2 us, and a compute upgrade of that page before then loses
         the tie-break."""
         platform, process, region = env
-        compute, memory = platform.kernels_for(process)
+        compute, _memory = platform.kernels_for(process)
         vpns = range(region.start_vpn, region.start_vpn + 4)
         for vpn in vpns:
             compute.cache.insert(vpn, writable=False)
@@ -383,7 +383,7 @@ class TestComputeSide:
         compute.protocol = protocol
         mctx = ExecutionContext(
             platform, SimThread(process, pool=Pool.MEMORY),
-            memkernel=memory, compkernel=compute, protocol=protocol,
+            compkernel=compute, protocol=protocol,
         )
         mctx.touch_seq(region, 0, 4 * PAGE_ELEMENTS, write=True)
         assert protocol.online_sync_ps == 4 * 2 * platform.config.coherence_msg_ps

@@ -4,16 +4,21 @@ import pytest
 
 from repro.ddc import make_platform
 from repro.errors import (
+    AccessError,
     KernelPanic,
     PushdownAborted,
+    PushdownRetryExhausted,
     PushdownTimeout,
     RemotePushdownFault,
 )
+from repro.faults import FaultPlan, drop_responses
 from repro.sim.config import DdcConfig
 from repro.sim.units import MIB, to_ns, to_ps
 from repro.teleport.flags import PushdownOptions, TimeoutAction
 
 from tests.conftest import alloc_floats
+
+pytestmark = pytest.mark.faults
 
 
 @pytest.fixture
@@ -151,7 +156,6 @@ class TestTimeoutAndCancel:
         )
         session.mem_thread.clock.advance_to(to_ps(1e6 + 10.0))
         session.finish()  # no raise: the late remote result is accepted
-        assert not session.fallback_pending
         assert platform.stats.pushdown_timeouts == 1
 
     def test_timeout_paths_release_coherence_protocol(self, env):
@@ -162,6 +166,41 @@ class TestTimeoutAndCancel:
         assert compkernel.protocol is None
         protocol = platform.teleport._protocols.get(process.pid)
         assert protocol is None or protocol.refcount == 0
+
+
+class TestTeardown:
+    """Every end of a dispatched pushdown is torn down the same way."""
+
+    def test_lost_response_runs_the_session_end_leak_check(self):
+        platform = make_platform(
+            "teleport", DdcConfig(compute_cache_bytes=1 * MIB, sanitizers=True)
+        )
+        ctx = platform.main_context(platform.new_process())
+        suite = platform.sanitizers
+        before = suite.leak_checks
+        ctx.pushdown(lambda mctx: None)
+        completed = suite.leak_checks - before
+        platform.inject_faults(FaultPlan(specs=(drop_responses(1.0),)))
+        before = suite.leak_checks
+        with pytest.raises(PushdownRetryExhausted):
+            ctx.pushdown(lambda mctx: None)
+        assert suite.leak_checks - before == completed == 2
+
+    def test_abandoned_function_charges_the_caller_for_its_work(self, env):
+        """A function that computes and then raises a simulation error
+        still cost its caller the time it ran."""
+        platform, _process, region, ctx = env
+
+        def fails_late(mctx):
+            mctx.compute(1_000_000)
+            mctx.load_slice(region, 0, len(region) + 1)
+
+        before = ctx.now
+        with pytest.raises(AccessError):
+            ctx.pushdown(fails_late)
+        function_ns = platform.teleport.breakdowns[-1].function_ns
+        assert function_ns > 0
+        assert to_ns(ctx.now - before) >= function_ns
 
 
 class TestWatchdog:
@@ -175,6 +214,8 @@ class TestWatchdog:
         with pytest.raises(PushdownAborted):
             ctx.pushdown(wedged)
         assert platform.stats.pushdown_aborts == 1
+        # Work after the kill never happened.
+        assert platform.teleport.breakdowns[-1].function_ns == to_ns(watchdog)
 
     def test_abort_frees_the_instance(self, env):
         platform, _process, region, ctx = env
