@@ -23,7 +23,7 @@ def protocol_walkthrough():
     platform = make_platform("teleport", scaled_config(8 * MIB))
     process = platform.new_process()
     region = process.alloc_array("shared", np.zeros(4096))
-    compute, _memory = platform.kernels_for(process)
+    compute = platform.kernel_for(process)
     vpn = region.start_vpn
 
     # The compute pool holds the page writable (dirty) before pushdown.

@@ -164,7 +164,7 @@ BUILTIN_EXCEPTION_BASES = frozenset({
 #: importing half the library here.
 COMPUTE_LOCAL_TYPE_NAMES = (
     ("repro.ddc.platform", ("Platform",)),
-    ("repro.ddc.kernels", ("ComputeKernel", "MemoryKernel")),
+    ("repro.ddc.kernels", ("ComputeKernel",)),
     ("repro.mem.cache", ("PageCache",)),
     ("repro.mem.storage", ("SwapDevice",)),
     ("repro.teleport.rpc", ("RpcServer",)),

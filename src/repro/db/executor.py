@@ -85,7 +85,8 @@ class QueryExecutor:
         start = ctx.now
         stats = ctx.stats
         for op in plan.operators:
-            before = stats.snapshot()
+            pages_before = stats.remote_pages_in + stats.remote_pages_out
+            faults_before = stats.storage_faults
             t0 = ctx.now
             push = self._predicate(op)
             if push:
@@ -94,8 +95,7 @@ class QueryExecutor:
                 value = op.run(ctx, env)
             if op.out is not None:
                 env[op.out] = value
-            delta = stats.delta(before)
-            remote_pages = delta.remote_pages_in + delta.remote_pages_out
+            remote_pages = stats.remote_pages_in + stats.remote_pages_out - pages_before
             profiles.append(
                 OperatorProfile(
                     label=op.label,
@@ -103,7 +103,7 @@ class QueryExecutor:
                     time_ns=to_ns(ctx.now - t0),
                     remote_pages=remote_pages,
                     remote_bytes=remote_pages * ctx.config.page_size,
-                    storage_faults=delta.storage_faults,
+                    storage_faults=stats.storage_faults - faults_before,
                     pushed_down=push,
                 )
             )

@@ -1,13 +1,21 @@
 """Application-facing execution contexts.
 
-An :class:`ExecutionContext` binds a thread to the machinery of the pool it
-is executing in and exposes the memory/CPU accounting API that all the data
+An :class:`ExecutionContext` binds a thread to the pager of the pool it is
+executing in and exposes the memory/CPU accounting API that all the data
 systems in this repository are written against:
 
 * ``compute(ops)`` — charge CPU work (scaled by the executing pool's clock).
 * ``touch_seq`` / ``touch_random`` — charge page accesses without data.
 * ``load_slice`` / ``store_slice`` / ``gather`` / ``scatter`` — combined
   data access + cost charging on a region's numpy buffer.
+
+The pager is the one component that serves the thread's page accesses:
+the local swap device (:class:`~repro.mem.storage.SwapDevice`) on the
+monolithic baseline, the process's
+:class:`~repro.ddc.kernels.ComputeKernel` in the compute pool, and the
+pushdown's :class:`~repro.teleport.coherence.CoherenceProtocol` in the
+memory pool. Each has ``touch_runs(heads, repeats, write, now)`` and
+``touch_sequential(start_vpn, npages, write, now)``.
 
 The same application code therefore runs unmodified on the monolithic
 baseline, the base DDC, and TELEPORT — mirroring the paper's premise that
@@ -18,19 +26,18 @@ every memory access.
 import numpy as np
 
 from repro.ddc.pool import Pool
-from repro.errors import ReproError
 
 
 class ExecutionContext:
     """Cost-charging handle for application code on one thread."""
 
-    def __init__(self, platform, thread, compkernel=None, protocol=None):
+    def __init__(self, platform, thread, pager):
         self.platform = platform
         self.thread = thread
         self.config = platform.config
         self.stats = platform.stats
-        self.compkernel = compkernel
-        self.protocol = protocol
+        #: Serves this thread's page accesses (see the module docstring).
+        self.pager = pager
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -138,54 +145,31 @@ class ExecutionContext:
     # Placement-specific cost paths
     # ------------------------------------------------------------------
     def _seq_cost(self, start_vpn, npages, write):
-        pool = self.pool
-        if pool is Pool.LOCAL:
-            cost = self.platform.swap.touch_range(start_vpn, npages, dirty=write)
-            return cost + npages * self.config.dram_page_ps
-        if pool is Pool.COMPUTE:
-            return self.compkernel.touch_sequential(start_vpn, npages, write, self.now)
-        if pool is Pool.MEMORY:
-            # Each page is touched at the stream's start plus the cost
-            # charged before it, so a write upgrade's tie-break window
-            # ends when that upgrade does.
-            protocol = self.protocol
-            now = self.now
-            cost = 0
-            for vpn in range(start_vpn, start_vpn + npages):
-                cost += protocol.memory_touch(vpn, write, now + cost)
-            self.stats.memory_side_page_touches += npages
-            return cost + npages * self.config.dram_page_ps
-        raise ReproError(f"unknown pool {pool!r}")
+        """Cost of a sequential pass over ``npages`` pages: the pager's
+        faults plus DRAM streaming for every page."""
+        return self.pager.touch_sequential(start_vpn, npages, write, self.now)
 
     def _random_cost(self, vpns, write):
         """Cost of a batch of random page touches: every access simulated
-        exactly, one pool access per run.
+        exactly, one pager access per run.
 
         Per-access DRAM cost depends on locality: an access to the same
         page as the previous one is a row-buffer hit (``dram_line_ps``); a
         page change pays full DRAM latency (``dram_random_ps``). Misses
         additionally pay the pool-specific fault path.
 
-        A run of k accesses to one page goes through the pool's machinery
-        (swap, compute cache, coherence protocol) once, at its head. After
-        that access the page is resident, most recently used and, for a
-        write, writable and dirty, so each of the k-1 repeats would cost
-        exactly ``dram_line_ps`` and change nothing but the compute cache's
-        hit counter. Each pool's ``touch_runs`` serves the heads in order,
-        in one pass over live state, and charges the runs' DRAM time as
+        A run of k accesses to one page goes through the pager (swap,
+        compute cache, coherence protocol) once, at its head. After that
+        access the page is resident, most recently used and, for a write,
+        writable and dirty, so each of the k-1 repeats would cost exactly
+        ``dram_line_ps`` and change nothing but the compute cache's hit
+        counter. The pager's ``touch_runs`` serves the heads in order, in
+        one pass over live state, and charges the runs' DRAM time as
         products; time is integer, so the total is the per-access loop's
         exactly.
         """
-        pool = self.pool
         heads, repeats = _page_runs(vpns)
-        if pool is Pool.LOCAL:
-            return self.platform.swap.touch_runs(heads, repeats, write)
-        if pool is Pool.COMPUTE:
-            return self.compkernel.touch_runs(heads, repeats, write, self.now)
-        if pool is Pool.MEMORY:
-            self.stats.memory_side_page_touches += len(vpns)
-            return self.protocol.touch_runs(heads, repeats, write, self.now)
-        raise ReproError(f"unknown pool {pool!r}")
+        return self.pager.touch_runs(heads, repeats, write, self.now)
 
     # ------------------------------------------------------------------
     # TELEPORT surface (overridden behaviour on TeleportPlatform)
@@ -206,17 +190,17 @@ class ExecutionContext:
 
         No-op outside the compute pool or on the monolithic baseline.
         """
-        if self.pool is not Pool.COMPUTE or self.compkernel is None:
+        if self.pool is not Pool.COMPUTE:
             return
         self.stats.syncmem_calls += 1
         if self.platform.tracer.enabled:
             scope = "all" if regions is None else ",".join(r.name for r in regions)
             self.platform.tracer.emit(self.now, "syncmem", scope=scope)
         if regions is None:
-            cost, _count = self.compkernel.flush_dirty()
+            cost, _count = self.pager.flush_dirty()
         else:
             vpns = [vpn for region in regions for vpn in region.all_vpns()]
-            cost, _count = self.compkernel.flush_dirty(vpns)
+            cost, _count = self.pager.flush_dirty(vpns)
         self.thread.clock.advance(cost)
 
     def __repr__(self):

@@ -1,14 +1,14 @@
-"""The splitkernel's compute-side and memory-side components.
+"""The splitkernel's compute-side component.
 
-The :class:`MemoryKernel` owns the memory pool's DRAM (an LRU over the pool
-capacity, spilling to the storage pool); the process's full page table,
-which also lives in the memory pool, is kept on its address space.
-The :class:`ComputeKernel` owns the compute pool's local page cache and
-serves application accesses, forwarding misses over the fabric — exactly
-the recursive-fault flow described in Section 2.1 of the paper.
+A :class:`ComputeKernel` owns the compute pool's local page cache and the
+process's memory-pool DRAM (an LRU over the pool capacity, spilling to the
+storage pool); the process's full page table, which also lives in the
+memory pool, is kept on its address space. It serves application accesses
+from the cache, forwarding misses over the fabric to the memory pool —
+exactly the recursive-fault flow described in Section 2.1 of the paper.
 
-When a TELEPORT pushdown is active with coherence enabled, both kernels
-route the relevant transitions through the attached
+When a TELEPORT pushdown is active with coherence enabled, the kernel
+routes the relevant transitions through the attached
 :class:`~repro.teleport.coherence.CoherenceProtocol` so that the
 Single-Writer-Multiple-Reader invariant holds across the pools.
 """
@@ -19,15 +19,22 @@ from repro.mem.cache import CacheEntry, PageCache
 from repro.mem.storage import SwapDevice
 
 
-class MemoryKernel:
-    """Memory-pool component: pool DRAM + storage spill."""
+class ComputeKernel:
+    """Compute-pool pager: local page cache in front of the memory pool."""
 
     def __init__(self, platform, process):
         self.platform = platform
         self.config = platform.config
         self.stats = platform.stats
+        self.network = platform.network
         self.process = process
+        self.cache = PageCache(self.config.compute_cache_pages)
+        #: The memory pool's DRAM: every fault is served from it and every
+        #: write-back of a dirty page lands in it.
         self.pool = SwapDevice(self.config, self.stats, self.config.memory_pool_pages)
+        #: Active coherence protocol, set by the TELEPORT runtime for the
+        #: duration of a pushdown (None when no pushdown is running).
+        self.protocol = None
 
     def on_alloc(self, region):
         """New allocations become memory-pool resident.
@@ -40,44 +47,11 @@ class MemoryKernel:
         self.pool.admit_new_range(region.start_vpn, region.npages)
 
     def on_free(self, region):
-        """Freed pages vacate pool DRAM immediately (no write-back)."""
-        for vpn in region.all_vpns():
-            self.pool.drop(vpn)
-
-    def is_resident(self, vpn):
-        """True if the page is in memory-pool DRAM (not spilled)."""
-        return vpn in self.pool
-
-    def ensure_resident(self, vpn, write=False):
-        """Bring a page into pool DRAM; returns the storage-fault cost."""
-        return self.pool.touch(vpn, dirty=write)
-
-    def ensure_resident_range(self, start_vpn, npages, write=False):
-        """Bring a run of pages into pool DRAM (readahead applies)."""
-        return self.pool.touch_range(start_vpn, npages, dirty=write)
-
-
-class ComputeKernel:
-    """Compute-pool component: local page cache + fault forwarding."""
-
-    def __init__(self, platform, process, memkernel):
-        self.platform = platform
-        self.config = platform.config
-        self.stats = platform.stats
-        self.network = platform.network
-        self.process = process
-        #: The process's memory kernel, whose pool DRAM every write-back
-        #: of a dirty page lands in.
-        self.memkernel = memkernel
-        self.cache = PageCache(self.config.compute_cache_pages)
-        #: Active coherence protocol, set by the TELEPORT runtime for the
-        #: duration of a pushdown (None when no pushdown is running).
-        self.protocol = None
-
-    def on_free(self, region):
-        """Drop cached pages of a freed region without write-back."""
+        """Drop a freed region's pages from the cache and the memory pool
+        without write-back."""
         for vpn in region.all_vpns():
             self.cache.invalidate(vpn)
+            self.pool.drop(vpn)
 
     # ------------------------------------------------------------------
     # Access paths (cost only; data lives in the region's numpy buffer)
@@ -106,7 +80,7 @@ class ComputeKernel:
         protocol = self.protocol
         tracer = self.platform.tracer
         tracing = tracer.enabled
-        pool = self.memkernel.pool
+        pool = self.pool
         in_pool = pool._resident
         pool_move_to_end = in_pool.move_to_end
         config = self.config
@@ -237,8 +211,7 @@ class ComputeKernel:
         hook gives ``t_mm`` write access back, and the later page's fetch
         hook must then take it away again.
         """
-        memkernel = self.memkernel
-        cost = memkernel.ensure_resident_range(vpn, npages, write=False)
+        cost = self.pool.touch_range(vpn, npages)
         cost += self.network.pages_in_ps(npages, batch=npages)
         protocol = self.protocol
         if protocol is None:
@@ -259,7 +232,7 @@ class ComputeKernel:
         self.stats.cache_evictions += len(victims)
         written = [victim_vpn for victim_vpn, was_dirty in victims if was_dirty]
         self.stats.dirty_writebacks += len(written)
-        cost += memkernel.pool.write_back(written)
+        cost += self.pool.write_back(written)
         return cost + self.network.pages_out_ps(len(written), batch=1)
 
     def _stream_absent(self, start_vpn, npages, write, now, cost):
@@ -298,7 +271,7 @@ class ComputeKernel:
         config = self.config
         degree = config.prefetch_degree
         tracer = self.platform.tracer
-        pool = self.memkernel.pool
+        pool = self.pool
         free = cache.capacity_pages - len(cache)
         old_victims, run_evicted = cache.insert_absent_run(start_vpn, npages, write, dirty=write)
         old_dirty = [was_dirty for _vpn, was_dirty in old_victims]
@@ -370,13 +343,13 @@ class ComputeKernel:
     # ------------------------------------------------------------------
     # Synchronisation helpers used by TELEPORT (Section 4.2)
     # ------------------------------------------------------------------
-    def flush_dirty(self, vpns=None, batched=True):
+    def flush_dirty(self, vpns=None):
         """Write dirty pages back to the memory pool; returns (cost, count).
 
-        ``vpns=None`` flushes everything. ``syncmem`` uses the batched
-        (optimised) transfer; the eager-sync strawman pays page by page,
-        matching the paper's "synchronous transfer of all dirty pages"
-        accounting (Section 4 / Figure 20).
+        ``vpns=None`` flushes everything. The pages cross the fabric in one
+        batched transfer, for ``syncmem`` and for the eager-sync ablation's
+        pre-sync alike (Section 4 / Figure 20); that ablation's strawman
+        costs are the eviction and the page-by-page refetch around it.
         """
         if vpns is None:
             targets = self.cache.dirty_vpns()
@@ -391,9 +364,8 @@ class ComputeKernel:
         if not flushed:
             return 0, 0
         self.stats.dirty_writebacks += len(flushed)
-        cost = self.memkernel.pool.write_back(flushed)
-        batch = len(flushed) if batched else 1
-        return cost + self.network.pages_out_ps(len(flushed), batch=batch), len(flushed)
+        cost = self.pool.write_back(flushed)
+        return cost + self.network.pages_out_ps(len(flushed), batch=len(flushed)), len(flushed)
 
     def evict_all(self):
         """Drop the whole cache (full-process migration); returns cost.
@@ -405,7 +377,7 @@ class ComputeKernel:
         written = [vpn for vpn, was_dirty in dropped if was_dirty]
         if written:
             self.stats.dirty_writebacks += len(written)
-            cost += self.memkernel.pool.write_back(written)
+            cost += self.pool.write_back(written)
             cost += self.network.pages_out_ps(len(written), batch=1)
         self.stats.cache_evictions += len(dropped)
         return cost
@@ -426,7 +398,7 @@ class ComputeKernel:
                     written.append(vpn)
         if written:
             self.stats.dirty_writebacks += len(written)
-            cost += self.memkernel.pool.write_back(written)
+            cost += self.pool.write_back(written)
             cost += self.network.pages_out_ps(len(written), batch=1)
         self.stats.cache_evictions += dropped
         return cost

@@ -57,16 +57,16 @@ class PhaseRunner:
             raise ReproError(f"unknown phase {name!r}")
         ctx = self.ctx
         push = name in self.pushdown
-        before = ctx.stats.snapshot()
+        stats = ctx.stats
+        pages_before = stats.remote_pages_in + stats.remote_pages_out
         t0 = ctx.now
         if push:
             result = ctx.pushdown(body, *args, **self.pushdown_options)
         else:
             result = body(ctx, *args)
-        delta = ctx.stats.delta(before)
         profile = self.profiles.setdefault(name, PhaseProfile(name))
         profile.time_ps += ctx.now - t0
-        profile.remote_pages += delta.remote_pages_in + delta.remote_pages_out
+        profile.remote_pages += stats.remote_pages_in + stats.remote_pages_out - pages_before
         profile.calls += 1
         profile.pushed_down = push
         return result

@@ -7,7 +7,7 @@ application code :class:`~repro.ddc.context.ExecutionContext` objects.
 
 from repro.analysis.sanitizers import suite_for
 from repro.ddc.context import ExecutionContext
-from repro.ddc.kernels import ComputeKernel, MemoryKernel
+from repro.ddc.kernels import ComputeKernel
 from repro.ddc.pool import Pool
 from repro.ddc.process import Process
 from repro.ddc.thread import SimThread
@@ -89,7 +89,7 @@ class LocalPlatform(Platform):
             self.swap.drop(vpn)
 
     def context_for(self, thread):
-        return ExecutionContext(self, thread)
+        return ExecutionContext(self, thread, self.swap)
 
 
 class DdcPlatform(Platform):
@@ -104,27 +104,22 @@ class DdcPlatform(Platform):
     def _thread_pool(self):
         return Pool.COMPUTE
 
-    def kernels_for(self, process):
-        """The (compute, memory) kernel pair managing one process."""
-        pair = self._kernels.get(process.pid)
-        if pair is None:
-            memory = MemoryKernel(self, process)
-            pair = (ComputeKernel(self, process, memory), memory)
-            self._kernels[process.pid] = pair
-        return pair
+    def kernel_for(self, process):
+        """The compute kernel managing one process: its cache and its
+        memory-pool DRAM."""
+        kernel = self._kernels.get(process.pid)
+        if kernel is None:
+            kernel = self._kernels[process.pid] = ComputeKernel(self, process)
+        return kernel
 
     def on_alloc(self, process, region):
-        _compute, memory = self.kernels_for(process)
-        memory.on_alloc(region)
+        self.kernel_for(process).on_alloc(region)
 
     def on_free(self, process, region):
-        compute, memory = self.kernels_for(process)
-        compute.on_free(region)
-        memory.on_free(region)
+        self.kernel_for(process).on_free(region)
 
     def context_for(self, thread):
-        compute, _memory = self.kernels_for(thread.process)
-        return ExecutionContext(self, thread, compkernel=compute)
+        return ExecutionContext(self, thread, self.kernel_for(thread.process))
 
 
 class TeleportPlatform(DdcPlatform):

@@ -2,9 +2,11 @@
 
 Used in two places: the memory pool spills pages here when its capacity is
 exceeded (Figure 15), and the monolithic-Linux baseline swaps here when its
-DRAM is exhausted (Figure 1a / Figure 14). The device model distinguishes
-sequential faults (readahead amortises latency) from random ones (pay the
-full device + software path each time).
+DRAM is exhausted (Figure 1a / Figure 14); there it is the platform's pager,
+whose :meth:`SwapDevice.touch_runs` and :meth:`SwapDevice.touch_sequential`
+serve every access. The device model distinguishes sequential faults
+(readahead amortises latency) from random ones (pay the full device +
+software path each time).
 """
 
 from collections import OrderedDict, deque
@@ -79,13 +81,14 @@ class SwapDevice:
             return 0
         return self._fault_in(vpn, dirty)
 
-    def touch_runs(self, heads, repeats, write):
+    def touch_runs(self, heads, repeats, write, now):
         """The cost of a batch of random runs of page accesses.
 
         Each run touches its page (its head) as :meth:`touch` would and
         costs ``dram_random_ps``, plus one ``dram_line_ps`` per repeat. A
         DRAM hit is served inline (LRU move, and the dirty bit for a write)
         and adds no fault cost; a miss goes through :meth:`_fault_in`.
+        No cost depends on the batch's start time ``now``.
         """
         resident = self._resident
         get = resident.get
@@ -101,6 +104,13 @@ class SwapDevice:
                 if write and not entry_dirty:
                     resident[vpn] = True
         return cost
+
+    def touch_sequential(self, start_vpn, npages, write, now):
+        """The cost of a sequential pass over ``npages`` pages: their
+        faults (:meth:`touch_range`) plus DRAM streaming for each page.
+        No cost depends on the stream's start time ``now``."""
+        cost = self.touch_range(start_vpn, npages, dirty=write)
+        return cost + npages * self.config.dram_page_ps
 
     def touch_range(self, start_vpn, npages, dirty=False):
         """Access consecutive pages in order; returns total fault cost.

@@ -123,7 +123,7 @@ class OffloadController:
         Uses membership probes only — recency order must not change, or
         the decision itself would perturb the workload it is costing.
         """
-        cache = ctx.compkernel.cache
+        cache = ctx.pager.cache
         cached = 0
         for entry in request.regions:
             for vpn in _vpn_range(entry):

@@ -96,16 +96,6 @@ class Stats:
         """Total bytes of page traffic over the fabric."""
         return (self.remote_pages_in + self.remote_pages_out) * page_size
 
-    def snapshot(self):
-        """Copy of the current counter values."""
-        return Stats(**{f.name: getattr(self, f.name) for f in fields(self)})
-
-    def delta(self, earlier):
-        """Counters accumulated since an earlier :meth:`snapshot`."""
-        return Stats(
-            **{f.name: getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)}
-        )
-
     def merge(self, other):
         """Add another Stats object's counters into this one."""
         for f in fields(self):

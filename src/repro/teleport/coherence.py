@@ -47,10 +47,12 @@ class CoherenceProtocol:
         #: unless the platform was built with sanitizers armed.
         self.sanitizer = platform.sanitizers
         self.mode = mode
-        compkernel, memkernel = platform.kernels_for(process)
+        compkernel = platform.kernel_for(process)
         self.compkernel = compkernel
-        self.memkernel = memkernel
         self.cache = compkernel.cache
+        #: The memory pool's DRAM, which the temporary context accesses
+        #: directly.
+        self.pool = compkernel.pool
         self.full_table = process.address_space.full_table
         self.t_mm = None
         #: Coherence time (ps) accumulated during execution (Figure 20's
@@ -130,6 +132,18 @@ class CoherenceProtocol:
             self.sanitizer.swmr_transition(self, "memory_touch", vpn)
         return cost
 
+    def touch_sequential(self, start_vpn, npages, write, now):
+        """The cost of a sequential pass over ``npages`` pages from the
+        temporary context: a :meth:`memory_touch` per page, each at ``now``
+        plus the cost charged before it (so a write upgrade's tie-break
+        window ends when that upgrade does), plus DRAM streaming for each
+        page."""
+        cost = 0
+        for vpn in range(start_vpn, start_vpn + npages):
+            cost += self.memory_touch(vpn, write, now + cost)
+        self.stats.memory_side_page_touches += npages
+        return cost + npages * self.config.dram_page_ps
+
     def touch_runs(self, heads, repeats, write, now):
         """The cost of a batch of random runs of page accesses from the
         temporary context.
@@ -142,9 +156,10 @@ class CoherenceProtocol:
         :meth:`memory_touch` costs nothing and changes nothing but a
         write's dirty bits, set here: the memory pool's, and the owned
         PTE's (made first if not yet owned, as ``ensure`` does); the
-        sanitizer still checks it.
+        sanitizer still checks it. Every access of the batch counts as a
+        memory-side page touch.
         """
-        pool = self.memkernel.pool
+        pool = self.pool
         in_pool = pool._resident
         # While the pool is all dirty, a quiet write has no bit to set;
         # only a memory_touch call in the loop can clear the flag.
@@ -188,7 +203,9 @@ class CoherenceProtocol:
                 at = now + cost + index * random_ps + lines_before[index] * line_ps
                 cost += touch(vpn, write, at)
                 all_dirty = pool.all_dirty
-        return cost + len(heads) * random_ps + sum(repeats) * line_ps
+        lines = lines_before[-1]
+        self.stats.memory_side_page_touches += len(heads) + lines
+        return cost + len(heads) * random_ps + lines * line_ps
 
     def _memory_touch(self, vpn, write, now):
         cost = 0
@@ -198,8 +215,8 @@ class CoherenceProtocol:
         # If the compute pool still caches the page (the memory pool
         # spilled its own copy), ``t_mm`` already holds the permission the
         # protocol left it, and the access continues as on a resident page.
-        if not self.memkernel.is_resident(vpn):
-            cost += self.memkernel.ensure_resident(vpn, write=write)
+        if vpn not in self.pool:
+            cost += self.pool.touch(vpn, dirty=write)
             if t_mm is not None and vpn not in self.cache:
                 pte = t_mm.ensure(vpn)
                 pte.present = True
@@ -209,7 +226,7 @@ class CoherenceProtocol:
         elif write:
             # The write lands in pool DRAM: the page is dirty there. Its
             # LRU position stays; only faults and write-backs move it.
-            self.memkernel.pool._resident[vpn] = True
+            self.pool._resident[vpn] = True
         if t_mm is None:
             # No temporary context (coherence fully off): plain local access.
             return cost
@@ -263,7 +280,7 @@ class CoherenceProtocol:
                 dirty = evicted is not None and evicted.dirty
             if dirty:
                 self.stats.dirty_writebacks += 1
-                cost += self.memkernel.pool.write_back((vpn,))
+                cost += self.pool.write_back((vpn,))
             cost += self.network.coherence_message_ps(with_page=dirty)  # reply
             pte.present = True
             pte.writable = True
@@ -275,7 +292,7 @@ class CoherenceProtocol:
             self.stats.coherence_downgrades += 1
             if was_dirty:
                 self.stats.dirty_writebacks += 1
-                cost += self.memkernel.pool.write_back((vpn,))
+                cost += self.pool.write_back((vpn,))
             cost += self.network.coherence_message_ps(with_page=was_dirty)  # reply
             pte.present = True
             pte.writable = False

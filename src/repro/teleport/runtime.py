@@ -272,7 +272,7 @@ class TeleportRuntime:
         protocol.refcount -= 1
         if protocol.refcount <= 0:
             protocol.finish()
-            compkernel, _memkernel = self.platform.kernels_for(process)
+            compkernel = protocol.compkernel
             compkernel.protocol = None
             sanitizers = self.platform.sanitizers
             if sanitizers is not None:
@@ -296,7 +296,7 @@ class PushdownSession:
         self._finished = False
         process = ctx.thread.process
         platform = runtime.platform
-        compkernel, _memkernel = platform.kernels_for(process)
+        compkernel = platform.kernel_for(process)
         self._compkernel = compkernel
         self._process = process
         self._deadline_ps = options.deadline_ps(ctx.now)
@@ -376,9 +376,7 @@ class PushdownSession:
         self.mem_thread = mem_thread
         self._exec_start = mem_thread.clock.now
         self._online_sync_base = protocol.online_sync_ps
-        self.mctx = ExecutionContext(
-            platform, mem_thread, compkernel=compkernel, protocol=protocol,
-        )
+        self.mctx = ExecutionContext(platform, mem_thread, protocol)
 
     def _pre_sync(self, compkernel):
         """Returns (cost, resident_list, refetch_vpns) per the sync method."""
@@ -425,7 +423,7 @@ class PushdownSession:
             attempt += 1
         return elapsed, True
 
-    def finish(self, check_invariant=False):
+    def finish(self):
         """Complete the pushdown: reply, post-sync, unblock the caller.
 
         Raises, after the session is torn down, if the pushdown did not
@@ -455,7 +453,7 @@ class PushdownSession:
                 # The temporary context is killed at the cancel's arrival;
                 # work after that instant never happened.
                 runtime.stats.pushdown_cancellations += 1
-                self._end(cancel_arrival, "cancelled-running", check_invariant=check_invariant)
+                self._end(cancel_arrival, "cancelled-running")
                 raise PushdownTimeout(
                     f"pushdown timed out after {self.options.timeout_ns:.0f}ns mid-execution "
                     "(try_cancel succeeded; safe to re-run locally)",
@@ -464,14 +462,15 @@ class PushdownSession:
             if self.options.on_timeout is TimeoutAction.RAISE:
                 # Cancel failed: the function completed first. Under RAISE
                 # the late result is discarded.
-                self._end(exec_end, "timeout", check_invariant=check_invariant)
+                self._end(exec_end, "timeout")
                 raise PushdownTimeout(
                     f"pushdown timed out after {self.options.timeout_ns:.0f}ns mid-execution "
                     "(try_cancel failed: function already complete)",
                     cancelled=False,
                 )
             # TimeoutAction.FALLBACK with a failed cancel: accept the late
-            # remote result.
+            # remote result, which lands in parallel with the cancel
+            # exchange.
 
         # Watchdog: buggy code that fails to complete is killed so it does
         # not block other pushdown requests (Section 3.2).
@@ -499,12 +498,12 @@ class PushdownSession:
         if not delivered:
             # The function executed exactly once (at-most-once), but its
             # result is lost.
-            self._end(exec_end, "response-lost", reply, check_invariant)
+            self._end(exec_end, "response-lost", reply)
             raise PushdownRetryExhausted(
                 f"pushdown response lost {runtime.retry_policy.max_attempts} times; "
                 "result discarded"
             )
-        self._end(exec_end, "aborted" if aborted else "finish", reply, check_invariant)
+        self._end(exec_end, "aborted" if aborted else "finish", reply)
         if aborted:
             raise PushdownAborted(
                 f"pushdown function exceeded the {self.config.watchdog_timeout_ns:.0f}ns watchdog"
@@ -517,14 +516,16 @@ class PushdownSession:
         if not self._finished:
             self._end(self.mem_thread.clock.now, "abandoned")
 
-    def _end(self, end_ps, phase, reply_ps=0, check_invariant=False):
+    def _end(self, end_ps, phase, reply_ps=0):
         """The one teardown of a dispatched session, however it ended.
 
         The function's work ends at ``end_ps``, where its instance frees.
-        The caller resumes there after ``reply_ps`` of response transfer
-        and the post-sync (never earlier than it already is). Every end
-        runs the boundary sync and the session-end leak check, so no path
-        can leak relaxed-consistency dirty state or a protocol refcount.
+        The response, sent then, lands ``reply_ps`` later. The caller
+        resumes at the later of that instant and its own time (a failed
+        try_cancel's ack may land after the response), plus the post-sync.
+        Every end runs the boundary sync and the session-end leak check, so
+        no path can leak relaxed-consistency dirty state or a protocol
+        refcount.
         """
         self._finished = True
         runtime = self.runtime
@@ -535,8 +536,6 @@ class PushdownSession:
         breakdown.function_ns = to_ns(max(0, end_ps - self._exec_start - online))
         breakdown.response_ns = to_ns(reply_ps)
         runtime.rpc.complete(self._instance, end_ps)
-        if check_invariant:
-            protocol.check_swmr()
 
         # --- (8) post-pushdown synchronisation ---------------------------
         # Relaxed consistency propagates writes at this explicit boundary.
@@ -551,8 +550,8 @@ class PushdownSession:
         breakdown.post_sync_ns = to_ns(post_cost)
 
         caller_clock = self.caller.thread.clock
-        caller_clock.advance_to(end_ps)
-        caller_clock.advance(reply_ps + post_cost)
+        caller_clock.advance_to(end_ps + reply_ps)
+        caller_clock.advance(post_cost)
         runtime.breakdowns.append(breakdown)
         platform = runtime.platform
         if platform.tracer.enabled:

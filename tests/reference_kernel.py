@@ -70,7 +70,7 @@ def touch_sequential(kernel, start_vpn, npages, write, now=0):
 def fetch(kernel, vpn, npages, write):
     """Fault ``npages`` in from the memory pool, inserting page by page;
     each page's fetch hook runs just before its own insert."""
-    cost = kernel.memkernel.ensure_resident_range(vpn, npages, write=False)
+    cost = kernel.pool.touch_range(vpn, npages)
     cost += kernel.network.pages_in_ps(npages, batch=npages)
     for fetched in range(vpn, vpn + npages):
         if kernel.protocol is not None:
@@ -87,7 +87,7 @@ def insert(kernel, vpn, write):
         kernel.stats.cache_evictions += 1
         if victim_dirty:
             kernel.stats.dirty_writebacks += 1
-            cost += kernel.memkernel.pool.write_back((victim_vpn,))
+            cost += kernel.pool.write_back((victim_vpn,))
             cost += kernel.network.pages_out_ps(1, batch=1)
         if kernel.protocol is not None:
             kernel.protocol.on_compute_evict(victim_vpn)

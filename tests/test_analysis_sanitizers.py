@@ -107,7 +107,7 @@ class TestSwmrSanitizer:
         platform, process, ctx = build_env()
         assert platform.sanitizers is suite_or_none or suite_or_none is None
         alloc_and_warm(process, ctx)
-        compkernel, _memkernel = platform.kernels_for(process)
+        compkernel = platform.kernel_for(process)
         runtime = platform.teleport
         protocol = runtime.acquire_protocol(process, ConsistencyMode.MESI)
         protocol.setup(compkernel.resident_snapshot())

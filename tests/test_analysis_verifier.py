@@ -120,7 +120,7 @@ class TestBadCorpus:
 
     def test_compute_local_partial_argument(self, teleport_env):
         platform, process, _ctx = teleport_env
-        compkernel, _memkernel = platform.kernels_for(process)
+        compkernel = platform.kernel_for(process)
 
         def takes_kernel(kernel, mctx):
             return kernel

@@ -202,7 +202,7 @@ class TestSyncmem:
         region = alloc_floats(process, "a", 10_000)
         ctx = platform.main_context(process)
         ctx.touch_seq(region, 0, len(region), write=True)
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         assert compute.cache.dirty_vpns()
         ctx.syncmem()
         assert not compute.cache.dirty_vpns()
@@ -218,7 +218,7 @@ class TestSyncmem:
         ctx.touch_seq(a, 0, len(a), write=True)
         ctx.touch_seq(b, 0, len(b), write=True)
         ctx.syncmem([a])
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         dirty = set(compute.cache.dirty_vpns())
         assert not dirty.intersection(set(a.all_vpns()))
         assert dirty.intersection(set(b.all_vpns()))

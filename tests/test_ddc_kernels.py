@@ -1,4 +1,4 @@
-"""Direct unit tests for the compute- and memory-side kernels."""
+"""Direct unit tests for the compute kernel and its memory pool."""
 
 from collections import OrderedDict
 from unittest import mock
@@ -20,13 +20,12 @@ def kernels():
     platform = make_platform("ddc", DdcConfig(compute_cache_bytes=64 * KIB))
     process = platform.new_process()
     region = alloc_floats(process, "a", 200_000)  # 1.6 MB >> 64 KiB cache
-    compute, memory = platform.kernels_for(process)
-    return platform, process, region, compute, memory
+    return platform, process, region, platform.kernel_for(process)
 
 
 class TestComputeKernel:
     def test_miss_then_hit(self, kernels):
-        platform, _process, region, compute, memory = kernels
+        platform, _process, region, compute = kernels
         vpn = region.start_vpn
         miss_cost = compute.touch_runs([vpn], [0], False, 0)
         assert miss_cost > platform.config.dram_random_ps
@@ -36,7 +35,7 @@ class TestComputeKernel:
         assert platform.stats.cache_hits == 1
 
     def test_silent_upgrade_without_protocol(self, kernels):
-        platform, _process, region, compute, memory = kernels
+        platform, _process, region, compute = kernels
         vpn = region.start_vpn
         compute.touch_runs([vpn], [0], False, 0)
         assert not compute.cache.peek(vpn).writable
@@ -46,7 +45,7 @@ class TestComputeKernel:
         assert compute.cache.peek(vpn).dirty
 
     def test_sequential_batches_by_prefetch_degree(self, kernels):
-        platform, _process, region, compute, memory = kernels
+        platform, _process, region, compute = kernels
         degree = platform.config.prefetch_degree
         npages = degree * 4
         compute.touch_sequential(region.start_vpn, npages, write=False)
@@ -55,14 +54,14 @@ class TestComputeKernel:
         assert platform.stats.remote_pages_in == npages
 
     def test_sequential_write_marks_dirty(self, kernels):
-        _platform, _process, region, compute, memory = kernels
+        _platform, _process, region, compute = kernels
         compute.touch_sequential(region.start_vpn, 4, write=True)
         assert set(compute.cache.dirty_vpns()) == set(
             range(region.start_vpn, region.start_vpn + 4)
         )
 
     def test_eviction_writes_back_dirty_pages(self, kernels):
-        platform, _process, region, compute, memory = kernels
+        platform, _process, region, compute = kernels
         capacity = compute.cache.capacity_pages
         compute.touch_sequential(region.start_vpn, capacity, write=True)
         assert platform.stats.dirty_writebacks == 0
@@ -72,7 +71,7 @@ class TestComputeKernel:
         assert platform.stats.remote_pages_out > 0
 
     def test_flush_dirty_scoped(self, kernels):
-        _platform, _process, region, compute, memory = kernels
+        _platform, _process, region, compute = kernels
         compute.touch_sequential(region.start_vpn, 8, write=True)
         cost, count = compute.flush_dirty([region.start_vpn, region.start_vpn + 1])
         assert count == 2
@@ -80,19 +79,19 @@ class TestComputeKernel:
         assert len(compute.cache.dirty_vpns()) == 6
 
     def test_flush_dirty_nothing_to_do(self, kernels):
-        _platform, _process, _region, compute, _memory = kernels
+        _platform, _process, _region, compute = kernels
         cost, count = compute.flush_dirty()
         assert (cost, count) == (0, 0)
 
     def test_evict_all_clears_cache(self, kernels):
-        _platform, _process, region, compute, memory = kernels
+        _platform, _process, region, compute = kernels
         compute.touch_sequential(region.start_vpn, 10, write=True)
         cost = compute.evict_all()
         assert cost > 0  # dirty write-backs
         assert len(compute.cache) == 0
 
     def test_resident_snapshot_permissions(self, kernels):
-        _platform, _process, region, compute, memory = kernels
+        _platform, _process, region, compute = kernels
         compute.touch_runs([region.start_vpn], [0], False, 0)
         compute.touch_runs([region.start_vpn + 1], [0], True, 0)
         snapshot = dict(compute.resident_snapshot())
@@ -100,10 +99,10 @@ class TestComputeKernel:
         assert snapshot[region.start_vpn + 1] is True
 
 
-class TestMemoryKernel:
+class TestMemoryPool:
     def test_alloc_is_resident(self, kernels):
-        _platform, _process, region, _compute, memory = kernels
-        assert memory.is_resident(region.start_vpn)
+        _platform, _process, region, compute = kernels
+        assert region.start_vpn in compute.pool
 
     def test_spill_and_fault_back(self):
         platform = make_platform(
@@ -112,18 +111,18 @@ class TestMemoryKernel:
         )
         process = platform.new_process()
         big = alloc_floats(process, "big", 400_000)  # 3.2 MB > 1 MiB pool
-        _compute, memory = platform.kernels_for(process)
+        pool = platform.kernel_for(process).pool
         # The earliest pages were displaced to storage.
-        assert not memory.is_resident(big.start_vpn)
-        cost = memory.ensure_resident(big.start_vpn)
+        assert big.start_vpn not in pool
+        cost = pool.touch(big.start_vpn)
         assert cost > 0
-        assert memory.is_resident(big.start_vpn)
+        assert big.start_vpn in pool
         assert platform.stats.storage_faults >= 1
 
     def test_free_drops_residency(self, kernels):
-        _platform, process, region, _compute, memory = kernels
+        _platform, process, region, compute = kernels
         process.free(region)
-        assert not memory.is_resident(region.start_vpn)
+        assert region.start_vpn not in compute.pool
 
     def test_compute_fetch_triggers_recursive_fault(self):
         """Section 2.1's recursive fault: compute fault -> memory pool
@@ -134,8 +133,8 @@ class TestMemoryKernel:
         )
         process = platform.new_process()
         big = alloc_floats(process, "big", 400_000)
-        compute, memory = platform.kernels_for(process)
-        assert not memory.is_resident(big.start_vpn)
+        compute = platform.kernel_for(process)
+        assert big.start_vpn not in compute.pool
         cost = compute.touch_runs([big.start_vpn], [0], False, 0)
         # Paid both the storage fault and the network fault.
         assert cost > platform.config.remote_fault_ps(1) + platform.config.dram_random_ps
@@ -173,8 +172,8 @@ class TestMemoryPoolDirtyBit:
         platform = small_pool_platform("ddc")
         process = platform.new_process()
         region = alloc_floats(process, "a", 32 * PAGE // 8)
-        compute, memory = platform.kernels_for(process)
-        memory.pool._resident = lru = _RecordingLru(memory.pool._resident)
+        compute = platform.kernel_for(process)
+        compute.pool._resident = lru = _RecordingLru(compute.pool._resident)
         page0 = region.start_vpn
         compute.touch_runs([page0], [0], True, 0)
         # Stream 24 more pages: the first few evict page 0 from the cache
@@ -182,7 +181,7 @@ class TestMemoryPoolDirtyBit:
         compute.touch_sequential(page0 + 1, 24, write=False)
         assert page0 not in compute.cache
         assert platform.stats.dirty_writebacks == 1
-        assert page0 not in memory.pool
+        assert page0 not in compute.pool
         assert [dirty for vpn, dirty in lru.evicted if vpn == page0] == [True]
 
     @pytest.mark.parametrize("access", ["random", "sequential"])
@@ -191,14 +190,14 @@ class TestMemoryPoolDirtyBit:
         ctx = platform.main_context()
         process = ctx.thread.process
         region = alloc_floats(process, "a", 16 * PAGE // 8)
-        compute, memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         # The pool kept the region's last 8 pages at allocation; fault the
         # first one in clean, then push it out of the cache.
         page = region.start_vpn
         compute.touch_runs([page], [0], False, 0)
         compute.touch_sequential(page + 1, 4, write=False)
-        assert page not in compute.cache and memory.pool._resident[page] is False
-        lru_order = list(memory.pool._resident)
+        assert page not in compute.cache and compute.pool._resident[page] is False
+        lru_order = list(compute.pool._resident)
 
         def write_page(mctx):
             if access == "random":
@@ -207,9 +206,9 @@ class TestMemoryPoolDirtyBit:
                 mctx.touch_seq(region, 0, 1, write=True)
 
         ctx.pushdown(write_page)
-        assert memory.pool._resident[page] is True
+        assert compute.pool._resident[page] is True
         # A memory-side touch leaves the pool's LRU order as it was.
-        assert list(memory.pool._resident) == lru_order
+        assert list(compute.pool._resident) == lru_order
 
 
 class _CountingLru(OrderedDict):
@@ -234,8 +233,8 @@ def test_uncached_stream_on_a_pool_that_never_spills_is_charged_per_run(write):
     process = platform.new_process()
     npages = 8192
     region = alloc_floats(process, "a", npages * PAGE // 8)
-    compute, memory = platform.kernels_for(process)
-    pool = memory.pool
+    compute = platform.kernel_for(process)
+    pool = compute.pool
     pool._resident = lru = _CountingLru(pool._resident)
     network = platform.network
     with mock.patch.object(network, "pages_in_ps", wraps=network.pages_in_ps) as pages_in, \

@@ -6,6 +6,7 @@ import pytest
 from repro.ddc import DdcPlatform, LocalPlatform, Pool, TeleportPlatform, make_platform
 from repro.errors import AllocationError, ConfigError
 from repro.sim.config import DdcConfig
+from repro.teleport.coherence import CoherenceProtocol
 
 
 def test_factory_builds_each_kind():
@@ -44,8 +45,8 @@ def test_alloc_on_ddc_is_memory_pool_resident():
     platform = make_platform("ddc")
     process = platform.new_process()
     region = process.alloc_array("a", np.zeros(4096, dtype=np.float64))
-    _compute, memory = platform.kernels_for(process)
-    assert all(memory.is_resident(vpn) for vpn in region.all_vpns())
+    pool = platform.kernel_for(process).pool
+    assert all(vpn in pool for vpn in region.all_vpns())
 
 
 def test_alloc_on_local_is_ram_resident():
@@ -59,8 +60,17 @@ def test_kernels_are_per_process_and_cached():
     platform = make_platform("ddc")
     a = platform.new_process()
     b = platform.new_process()
-    assert platform.kernels_for(a) is platform.kernels_for(a)
-    assert platform.kernels_for(a) is not platform.kernels_for(b)
+    assert platform.kernel_for(a) is platform.kernel_for(a)
+    assert platform.kernel_for(a) is not platform.kernel_for(b)
+
+
+def test_each_placement_pages_through_one_pager():
+    local = make_platform("local")
+    assert local.main_context().pager is local.swap
+    teleport = make_platform("teleport")
+    ctx = teleport.main_context()
+    assert ctx.pager is teleport.kernel_for(ctx.thread.process)
+    assert isinstance(ctx.pushdown(lambda mctx: mctx.pager), CoherenceProtocol)
 
 
 def test_main_context_spawns_thread():
@@ -96,8 +106,7 @@ def test_freeing_a_stale_handle_leaves_the_live_region_alone():
     assert space.regions["a"] is live
     assert space.allocated_bytes == live.nbytes
     assert live.start_vpn in space.full_table
-    _compute, memory = platform.kernels_for(process)
-    assert memory.is_resident(live.start_vpn)
+    assert live.start_vpn in platform.kernel_for(process).pool
 
 
 def test_processes_on_one_local_platform_keep_their_own_swap_pages():

@@ -66,7 +66,7 @@ def expected_sums(region, n=3):
 
 def assert_clean(platform, process):
     """No orphaned coherence state: the SWMR machinery is fully released."""
-    compkernel, _memkernel = platform.kernels_for(process)
+    compkernel = platform.kernel_for(process)
     assert compkernel.protocol is None
     protocol = platform.teleport._protocols.get(process.pid)
     assert protocol is None or protocol.refcount == 0

@@ -133,14 +133,20 @@ class TestProcessIsolation:
         ctx_a = platform.main_context(proc_a)
         ctx_b = platform.main_context(proc_b)
         ctx_a.touch_seq(region_a, 0, 50_000)
-        compute_a, _m = platform.kernels_for(proc_a)
-        compute_b, _m2 = platform.kernels_for(proc_b)
+        compute_a = platform.kernel_for(proc_a)
+        compute_b = platform.kernel_for(proc_b)
         assert len(compute_a.cache) > 0
         assert len(compute_b.cache) == 0
         ctx_b.touch_seq(region_b, 0, 50_000)
         assert len(compute_b.cache) > 0
-        # Address spaces are independent (vpns may overlap across pids).
         assert proc_a.address_space is not proc_b.address_space
+        # Each process's pages lie in its own vpn span, so no vpn is shared.
+        span = platform.PROCESS_VPN_SPAN
+        spans = [
+            {region.start_vpn // span, (region.start_vpn + region.npages - 1) // span}
+            for region in (region_a, region_b)
+        ]
+        assert spans == [{0}, {1}]
 
     def test_mixed_workloads_share_one_data_center(self):
         """A DBMS process and a graph process on the same platform."""

@@ -113,5 +113,5 @@ class TestReprs:
         texts = [repr(process), repr(region), repr(ctx), repr(ctx.thread)]
         assert any("Process" in text for text in texts)
         assert any("Region" in text for text in texts)
-        compute, memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         assert "PageCache" in repr(compute.cache)

@@ -53,9 +53,9 @@ def reference_cost(ctx, vpns, write):
         if ctx.pool is Pool.LOCAL:
             cost += ctx.platform.swap.touch(vpn, dirty=write)
         elif ctx.pool is Pool.COMPUTE:
-            cost += reference_kernel.touch_random(ctx.compkernel, vpn, write, now + cost)
+            cost += reference_kernel.touch_random(ctx.pager, vpn, write, now + cost)
         else:
-            cost += ctx.protocol.memory_touch(vpn, write, now + cost)
+            cost += ctx.pager.memory_touch(vpn, write, now + cost)
         cost += config.dram_line_ps if vpn == prev else config.dram_random_ps
         prev = vpn
     if ctx.pool is Pool.MEMORY:
@@ -96,7 +96,7 @@ def play(kind, where, mode, warmup, batches, cost_fn, line_ns=4.0, traced=False,
     t_mm = []
 
     def run_batches(c):
-        protocol = c.protocol or getattr(c.compkernel, "protocol", None)
+        protocol = c.pager if c.pool is Pool.MEMORY else getattr(c.pager, "protocol", None)
         for runs, write in batches:
             cost = cost_fn(c, expand(runs, region.start_vpn), write)
             costs.append(cost)
@@ -113,7 +113,7 @@ def play(kind, where, mode, warmup, batches, cost_fn, line_ns=4.0, traced=False,
     if where == "memory":
         ctx.pushdown(run_batches, consistency=mode)
     elif where == "compute+protocol":
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         protocol = CoherenceProtocol(platform, process, mode)
         protocol.setup(compute.resident_snapshot())
         compute.protocol = protocol
@@ -128,11 +128,11 @@ def play(kind, where, mode, warmup, batches, cost_fn, line_ns=4.0, traced=False,
     if kind == "local":
         state["swap"] = list(platform.swap._resident.items())
     else:
-        compute, memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         state["cache"] = [
             (vpn, entry.writable, entry.dirty) for vpn, entry in compute.cache.resident_items()
         ]
-        state["memory_pool"] = list(memory.pool._resident.items())
+        state["memory_pool"] = list(compute.pool._resident.items())
     return state
 
 
@@ -159,7 +159,7 @@ def heads_served_inline():
         pte = self.t_mm.peek(vpn)
         relaxed = self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF)
         quiet = (
-            self.memkernel.is_resident(vpn)
+            vpn in self.pool
             and pte is not None
             and pte.present
             and (pte.writable or not (write or relaxed))
@@ -271,7 +271,7 @@ def test_spilled_miss_adds_write_back_after_remote_fault():
     assert state["stats"]["dirty_writebacks"] == 3
 
 
-def every_head_through_fault_in(self, heads, repeats, write):
+def every_head_through_fault_in(self, heads, repeats, write, now):
     return sum(self._fault_in(vpn, write) for vpn in heads)
 
 

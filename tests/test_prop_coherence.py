@@ -40,13 +40,13 @@ def build_env(initial_cache):
     region = process.alloc_array(
         "r", np.zeros(N_PAGES * 512, dtype=np.float64)
     )  # 512 floats per page
-    compute, memory = platform.kernels_for(process)
+    compute = platform.kernel_for(process)
     for page, writable in initial_cache:
         compute.cache.insert(region.start_vpn + page, writable=writable, dirty=writable)
     protocol = CoherenceProtocol(platform, process, ConsistencyMode.MESI)
     protocol.setup(compute.resident_snapshot())
     compute.protocol = protocol
-    return platform, process, region, compute, memory, protocol
+    return platform, process, region, compute, protocol
 
 
 INITIAL = st.lists(
@@ -58,7 +58,7 @@ INITIAL = st.lists(
 @given(initial=INITIAL, ops=OPS)
 @settings(max_examples=150, deadline=None)
 def test_swmr_holds_under_random_interleavings(initial, ops):
-    platform, _process, region, compute, memory, protocol = build_env(initial)
+    platform, _process, region, compute, protocol = build_env(initial)
     now = 0.0
     for side, page, write in ops:
         vpn = region.start_vpn + page
@@ -73,7 +73,7 @@ def test_swmr_holds_under_random_interleavings(initial, ops):
 @settings(max_examples=100, deadline=None)
 def test_no_page_is_lost(initial, ops):
     """Every page stays accessible from both sides at all times."""
-    platform, _process, region, compute, memory, protocol = build_env(initial)
+    platform, _process, region, compute, protocol = build_env(initial)
     now = 0.0
     for side, page, write in ops:
         vpn = region.start_vpn + page
@@ -108,7 +108,7 @@ def test_write_propagation(writes):
     backing array through the protocol-managed access path, and a final
     read from each side must observe the latest value.
     """
-    platform, process, region, compute, memory, protocol = build_env([])
+    platform, process, region, compute, protocol = build_env([])
     mem_thread = platform.spawn_thread(process, name="mem")
     now = 0.0
     expected = {}
@@ -129,7 +129,7 @@ def test_write_propagation(writes):
 @given(ops=OPS)
 @settings(max_examples=50, deadline=None)
 def test_weak_mode_never_communicates(ops):
-    platform, _process, region, compute, memory, _protocol = build_env([])
+    platform, _process, region, compute, _protocol = build_env([])
     weak = CoherenceProtocol(platform, compute.process, ConsistencyMode.WEAK)
     weak.setup(compute.resident_snapshot())
     before = platform.stats.coherence_messages

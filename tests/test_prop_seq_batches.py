@@ -83,7 +83,7 @@ def play(impl, cache_pages, degree, mode, warmup, ops, tracing=True, pool_pages=
         platform.tracer.enable(kinds={"fault"})
     process = platform.new_process()
     region = process.alloc_array("data", np.zeros(N_PAGES * PAGE_ELEMENTS))
-    compute, memory = platform.kernels_for(process)
+    compute = platform.kernel_for(process)
     base = region.start_vpn
     costs = []
     now = 0
@@ -114,7 +114,7 @@ def play(impl, cache_pages, degree, mode, warmup, ops, tracing=True, pool_pages=
         "cache": [
             (vpn, entry.writable, entry.dirty) for vpn, entry in compute.cache.resident_items()
         ],
-        "memory_pool": list(memory.pool._resident.items()),
+        "memory_pool": list(compute.pool._resident.items()),
     }
     if tracing:
         state["events"] = list(platform.tracer.events)

@@ -63,7 +63,7 @@ def test_cached_probe_does_not_disturb_lru():
     """Costing a request must not change cache recency order."""
     platform, ctx, region = _platform_with_region()
     ctx.load_slice(region)
-    cache = ctx.compkernel.cache
+    cache = ctx.pager.cache
     order_before = list(cache._entries)
     request = OffloadRequest("r", _scan, args=(region,), regions=(region,))
     OffloadController(platform.config).cached_pages(ctx, request)

@@ -1,8 +1,16 @@
 """Tests for statistics counters and pushdown breakdowns."""
 
+import numpy as np
 import pytest
 
+from repro.db import PhysicalPlan, QueryExecutor
+from repro.db.expr import Col
+from repro.db.operators import Aggregate, Projection, Selection
+from repro.db.table import Table
+from repro.ddc import make_platform
 from repro.errors import ConfigError
+from repro.sim.config import DdcConfig
+from repro.sim.units import KIB
 from repro.sim.stats import (
     PushdownBreakdown,
     Stats,
@@ -19,23 +27,39 @@ def test_stats_start_at_zero():
     assert stats.pushdown_calls == 0
 
 
-def test_snapshot_is_independent_copy():
-    stats = Stats()
-    snap = stats.snapshot()
-    stats.cache_hits += 5
-    assert snap.cache_hits == 0
-    assert stats.cache_hits == 5
-
-
-def test_delta_measures_interval():
-    stats = Stats()
-    stats.remote_pages_in = 10
-    snap = stats.snapshot()
-    stats.remote_pages_in = 25
-    stats.rpc_messages = 3
-    delta = stats.delta(snap)
-    assert delta.remote_pages_in == 15
-    assert delta.rpc_messages == 3
+def test_operator_profiles_sum_to_the_platform_totals():
+    """Each operator's profile counts the remote pages (both directions)
+    and storage faults accrued while it ran, pushed down or not, so a
+    query's profiles sum to what the platform accrued over the query. The
+    memory pool holds under half the table, so the query faults to
+    storage."""
+    platform = make_platform("teleport", DdcConfig(
+        compute_cache_bytes=64 * KIB, memory_pool_bytes=128 * KIB,
+    ))
+    process = platform.new_process()
+    rows = 20_000
+    table = Table.create(process, "t", {
+        "key": np.arange(rows, dtype=np.int64),
+        "value": np.random.default_rng(3).random(rows),
+    })
+    plan = PhysicalPlan("spilling", [
+        Selection(table, Col("value") < 0.5, out="sel"),
+        Projection(table["value"], out="v", candidates="sel"),
+        Aggregate("v", "sum", out="result"),
+    ], result="result")
+    ctx = platform.main_context(process)
+    stats = platform.stats
+    before = stats.as_dict()
+    result = QueryExecutor(ctx, pushdown={"projection:v"}).execute(plan)
+    accrued = {name: value - before[name] for name, value in stats.as_dict().items()}
+    assert accrued["remote_pages_in"] > 0 and accrued["remote_pages_out"] > 0
+    assert accrued["storage_faults"] > 0
+    profiles = result.profiles
+    assert [profile.pushed_down for profile in profiles] == [False, True, False]
+    assert sum(profile.remote_pages for profile in profiles) == (
+        accrued["remote_pages_in"] + accrued["remote_pages_out"]
+    )
+    assert sum(profile.storage_faults for profile in profiles) == accrued["storage_faults"]
 
 
 def test_remote_bytes_counts_both_directions():

@@ -68,7 +68,7 @@ class TestSetup:
 
     def test_setup_invariant_holds(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         # Populate the cache with a mix of permissions.
         compute.cache.insert(region.start_vpn, writable=True, dirty=True)
         compute.cache.insert(region.start_vpn + 1, writable=False)
@@ -132,7 +132,7 @@ class TestSnapshot:
 
     def test_read_only_checks_copy_nothing(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         for offset in range(4):
             compute.cache.insert(region.start_vpn + offset, writable=offset % 2 == 0)
         protocol = make_protocol(platform, process)
@@ -146,7 +146,7 @@ class TestSnapshot:
 
     def test_setup_copies_only_resident_pages(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         compute.cache.insert(region.start_vpn, writable=True)
         protocol = make_protocol(platform, process)
         protocol.setup(compute.resident_snapshot())
@@ -178,7 +178,7 @@ class TestMemoryTouch:
 
     def test_write_to_compute_writable_page_invalidates(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         vpn = region.start_vpn
         compute.cache.insert(vpn, writable=True, dirty=True)
         protocol = make_protocol(platform, process)
@@ -192,7 +192,7 @@ class TestMemoryTouch:
 
     def test_read_of_compute_writable_page_downgrades(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         vpn = region.start_vpn
         compute.cache.insert(vpn, writable=True, dirty=True)
         protocol = make_protocol(platform, process)
@@ -208,7 +208,7 @@ class TestMemoryTouch:
 
     def test_upgrade_of_shared_read_page(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         vpn = region.start_vpn
         compute.cache.insert(vpn, writable=False)
         protocol = make_protocol(platform, process)
@@ -221,7 +221,7 @@ class TestMemoryTouch:
 
     def test_compute_evicted_page_regained_silently(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         vpn = region.start_vpn
         compute.cache.insert(vpn, writable=True)
         protocol = make_protocol(platform, process)
@@ -263,9 +263,9 @@ class TestMemoryTouch:
         )
         process = tiny.new_process()
         big = process.alloc_array("big", np.zeros(1_000_000, dtype=np.float64))
-        compute, memory = tiny.kernels_for(process)
+        compute = tiny.kernel_for(process)
         vpn = big.start_vpn
-        assert not memory.is_resident(vpn)
+        assert vpn not in compute.pool
         compute.cache.insert(vpn, writable=True, dirty=True)
         protocol = make_protocol(tiny, process)
         protocol.setup(compute.resident_snapshot())
@@ -277,7 +277,7 @@ class TestMemoryTouch:
 
     def test_dirty_transfer_costs_more_than_clean_invalidate(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         clean_vpn = region.start_vpn
         dirty_vpn = region.start_vpn + 1
         compute.cache.insert(clean_vpn, writable=True, dirty=False)
@@ -314,7 +314,7 @@ class TestComputeSide:
 
     def test_compute_upgrade_invalidates_memory_copy(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         vpn = region.start_vpn
         compute.cache.insert(vpn, writable=False)
         protocol = make_protocol(platform, process)
@@ -325,7 +325,7 @@ class TestComputeSide:
 
     def test_tiebreak_favours_memory_pool(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         vpn = region.start_vpn
         compute.cache.insert(vpn, writable=False)
         protocol = make_protocol(platform, process)
@@ -352,7 +352,7 @@ class TestComputeSide:
         random one does: it loses the tie-break to a memory-pool upgrade in
         flight, never to one that finished a second earlier."""
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         compute.cache.insert(region.start_vpn, writable=False)
         protocol = platform.teleport.acquire_protocol(process, ConsistencyMode.PSO)
         protocol.setup(compute.resident_snapshot())
@@ -374,17 +374,14 @@ class TestComputeSide:
         not 3.2 us, and a compute upgrade of that page before then loses
         the tie-break."""
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         vpns = range(region.start_vpn, region.start_vpn + 4)
         for vpn in vpns:
             compute.cache.insert(vpn, writable=False)
         protocol = platform.teleport.acquire_protocol(process, ConsistencyMode.PSO)
         protocol.setup(compute.resident_snapshot())
         compute.protocol = protocol
-        mctx = ExecutionContext(
-            platform, SimThread(process, pool=Pool.MEMORY),
-            compkernel=compute, protocol=protocol,
-        )
+        mctx = ExecutionContext(platform, SimThread(process, pool=Pool.MEMORY), protocol)
         mctx.touch_seq(region, 0, 4 * PAGE_ELEMENTS, write=True)
         assert protocol.online_sync_ps == 4 * 2 * platform.config.coherence_msg_ps
         compute.touch_runs([vpns[-1]], [0], True, to_ps(upgrade_at_ns))
@@ -396,7 +393,7 @@ class TestRelaxations:
 
     def test_pso_downgrades_instead_of_removing(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         vpn = region.start_vpn
         compute.cache.insert(vpn, writable=True)
         protocol = make_protocol(platform, process, ConsistencyMode.PSO)
@@ -409,7 +406,7 @@ class TestRelaxations:
 
     def test_weak_mode_sends_no_coherence_messages(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         vpn = region.start_vpn
         compute.cache.insert(vpn, writable=True, dirty=True)
         protocol = make_protocol(platform, process, ConsistencyMode.WEAK)
@@ -420,7 +417,7 @@ class TestRelaxations:
 
     def test_weak_upgrade_is_silent(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         vpn = region.start_vpn
         compute.cache.insert(vpn, writable=False)
         protocol = make_protocol(platform, process, ConsistencyMode.WEAK)
@@ -432,7 +429,7 @@ class TestBoundarySync:
     """Explicit synchronisation points of the relaxed modes."""
 
     def _dirty_shared_page(self, platform, process, region, mode):
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         vpn = region.start_vpn
         compute.cache.insert(vpn, writable=False)
         protocol = make_protocol(platform, process, mode)
@@ -495,7 +492,7 @@ class TestFinish:
 
     def test_state_of_reports_pair(self, env):
         platform, process, region = env
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         vpn = region.start_vpn
         compute.cache.insert(vpn, writable=False)
         protocol = make_protocol(platform, process)

@@ -150,19 +150,25 @@ class TestTimeoutAndCancel:
         assert platform.stats.pushdown_cancellations == 0
 
     def test_fallback_accepts_late_result_when_cancel_fails(self, env):
+        """The late response is sent at the function's end, while the
+        cancel exchange is in flight: the caller resumes when the later of
+        the two lands (here the cancel ack), not after both in turn."""
         platform, _process, _region, ctx = env
         session = platform.teleport.begin_session(
             ctx, PushdownOptions(timeout_ns=1e6, on_timeout=TimeoutAction.FALLBACK)
         )
-        session.mem_thread.clock.advance_to(to_ps(1e6 + 10.0))
+        end_ps = to_ps(1e6 + 10.0)
+        session.mem_thread.clock.advance_to(end_ps)
         session.finish()  # no raise: the late remote result is accepted
         assert platform.stats.pushdown_timeouts == 1
+        assert session.breakdown.response_ns == 1_636.571
+        assert ctx.now - end_ps == to_ps(3_208.286)
 
     def test_timeout_paths_release_coherence_protocol(self, env):
         platform, process, _region, ctx = env
         with pytest.raises(PushdownTimeout):
             ctx.pushdown(lambda c: c.compute(10_000_000), timeout_ns=1e6)
-        compkernel, _memkernel = platform.kernels_for(process)
+        compkernel = platform.kernel_for(process)
         assert compkernel.protocol is None
         protocol = platform.teleport._protocols.get(process.pid)
         assert protocol is None or protocol.refcount == 0
@@ -270,7 +276,7 @@ class TestMemoryPoolFailure:
         platform.teleport.fail_memory_pool(at_ns=to_ns(ctx.now))
         with pytest.raises(KernelPanic):
             ctx.pushdown(lambda mctx: None)
-        compkernel, _memkernel = platform.kernels_for(process)
+        compkernel = platform.kernel_for(process)
         assert compkernel.protocol is None
         assert platform.teleport._protocols == {}
         assert session.protocol.refcount == 0

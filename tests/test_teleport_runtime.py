@@ -149,7 +149,7 @@ class TestCoherenceDuringPushdown:
         """Divergence point (2): compute cache stale after pushdown."""
         platform, process, region, ctx = env
         ctx.load_slice(region, 0, 512)  # cache the first page
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         vpn = region.start_vpn
         assert vpn in compute.cache
 
@@ -168,7 +168,7 @@ class TestCoherenceDuringPushdown:
         def touch_everything(mctx, r):
             mctx.load_slice(r, 0, 10_000)
             mctx.store_slice(r, 0, np.zeros(512))
-            mctx.protocol.check_swmr()
+            mctx.pager.check_swmr()
 
         ctx.load_slice(region, 0, 50_000)
         ctx.store_slice(region, 0, np.ones(2048))
@@ -193,7 +193,7 @@ class TestSyncMethods:
     def test_eager_clears_then_restores_cache(self, env):
         platform, process, region, ctx = env
         ctx.touch_seq(region, 0, 100_000)
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         resident_before = len(compute.cache)
         assert resident_before > 0
         ctx.pushdown(lambda mctx: None, sync=SyncMethod.EAGER)
@@ -205,7 +205,7 @@ class TestSyncMethods:
         other = alloc_floats(process, "other", 50_000, seed=11)
         ctx.touch_seq(region, 0, 60_000, write=True)
         ctx.touch_seq(other, 0, 50_000, write=True)
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         ctx.pushdown(
             lambda mctx: None, sync=SyncMethod.EAGER_REGIONS, sync_regions=[other]
         )
@@ -243,7 +243,7 @@ class TestConsistencyFlags:
         assert platform.stats.coherence_invalidations >= 1
         # The stale compute copy was dropped, so the next read refetches
         # (and sees) the memory side's data.
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         assert region.start_vpn not in compute.cache
         assert (ctx.load_slice(region, 0, 512) == 0).all()
 
@@ -262,7 +262,7 @@ class TestConsistencyFlags:
 
         ctx.pushdown(writer, region, consistency=mode)
         assert ctx.load_at(region, 0) == 1.0  # refetch a read-only copy
-        compute, _memory = platform.kernels_for(process)
+        compute = platform.kernel_for(process)
         assert vpn in compute.cache
         invalidations = platform.stats.coherence_invalidations
         messages = platform.stats.coherence_messages
