@@ -30,20 +30,22 @@ def run(kind, corpus, job):
 
 def main():
     corpus = make_corpus(N_TOKENS, vocabulary=VOCABULARY, seed=2022)
-    reference = np.bincount(corpus, minlength=VOCABULARY)
+    words, word_counts = np.unique(corpus, return_counts=True)
+    reference = dict(zip(words.tolist(), word_counts.tolist()))
+    hot = [0, 1, 2, 3, 4]
     print(f"corpus: {N_TOKENS} tokens, vocabulary {VOCABULARY}\n")
 
-    for job_name, job_factory in (
-        ("WordCount", WordCountJob),
-        ("Grep('top-5 hot words')", lambda: GrepJob([0, 1, 2, 3, 4])),
+    for job_name, job_factory, expected in (
+        ("WordCount", WordCountJob, reference),
+        ("Grep('top-5 hot words')", lambda: GrepJob(hot),
+         {word: reference[word] for word in hot if word in reference}),
     ):
         times = {}
         for kind in ("local", "ddc", "teleport"):
             counts, engine = run(kind, corpus, job_factory())
             times[kind] = engine.total_time_ns()
             # Results are exact on every platform.
-            for token, count in list(counts.items())[:100]:
-                assert count == reference[token]
+            assert counts == expected
         print(f"{job_name}:")
         print(
             f"  local {times['local'] / MS:9.1f} ms | "

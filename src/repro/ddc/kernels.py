@@ -348,8 +348,8 @@ class ComputeKernel:
 
         ``vpns=None`` flushes everything. The pages cross the fabric in one
         batched transfer, for ``syncmem`` and for the eager-sync ablation's
-        pre-sync alike (Section 4 / Figure 20); that ablation's strawman
-        costs are the eviction and the page-by-page refetch around it.
+        pre-sync alike (Section 4 / Figure 20, through :meth:`evict_all`);
+        that ablation's strawman cost is the page-by-page refetch after it.
         """
         if vpns is None:
             targets = self.cache.dirty_vpns()
@@ -368,18 +368,12 @@ class ComputeKernel:
         return cost + self.network.pages_out_ps(len(flushed), batch=len(flushed)), len(flushed)
 
     def evict_all(self):
-        """Drop the whole cache (full-process migration); returns cost.
-
-        Dirty victims are flushed page by page — the strawman path.
+        """Write every dirty page back in one batched :meth:`flush_dirty`,
+        then drop the whole cache (the eager-sync ablation's full-process
+        migration); returns the flush's cost, as dropping clean pages is free.
         """
-        cost = 0
-        dropped = self.cache.clear()
-        written = [vpn for vpn, was_dirty in dropped if was_dirty]
-        if written:
-            self.stats.dirty_writebacks += len(written)
-            cost += self.pool.write_back(written)
-            cost += self.network.pages_out_ps(len(written), batch=1)
-        self.stats.cache_evictions += len(dropped)
+        cost, _count = self.flush_dirty()
+        self.stats.cache_evictions += len(self.cache.clear())
         return cost
 
     def evict_regions(self, regions):

@@ -1,10 +1,12 @@
 """The MapReduce engine: map-compute, map-shuffle, reduce, merge.
 
-The shuffle inserts every emitted key-value record into the destination
-reduce task's keyed buffer (Phoenix keeps per-reducer sorted keyval
-arrays), which is a scattered-write pattern over the intermediate buffers
-— the reason map-shuffle dominates map time in a DDC (95%, Section 5.3)
-and the piece worth TELEPORTing.
+A record is a key counted once; the value bytes it ships to its reducer
+are simulated from ``job.value_bytes_per_record`` and never materialised.
+The shuffle inserts every emitted record into the destination reduce
+task's keyed buffer (Phoenix keeps per-reducer sorted keyval arrays),
+which is a scattered-write pattern over the intermediate buffers — the
+reason map-shuffle dominates map time in a DDC (95%, Section 5.3) and the
+piece worth TELEPORTing.
 """
 
 import numpy as np
@@ -60,23 +62,20 @@ class MapReduceEngine:
         try:
             for task in range(self.n_map_tasks):
                 lo, hi = int(bounds[task]), int(bounds[task + 1])
-                keys, values = self._phases.run(
+                keys = self._phases.run(
                     "map_compute", self._map_compute_body, job, lo, hi
                 )
-                buffers = self._phases.run(
-                    "map_shuffle", self._map_shuffle_body, job, keys, values
+                emitted.append(
+                    self._phases.run("map_shuffle", self._map_shuffle_body, job, keys)
                 )
-                emitted.append(buffers)
 
-            partials = []
-            for reducer in range(self.n_reducers):
-                keys = np.concatenate([e[reducer][0] for e in emitted])
-                values = np.concatenate([e[reducer][1] for e in emitted])
-                partials.append(
-                    self._phases.run(
-                        "reduce", self._reduce_body, job, reducer, keys, values
-                    )
+            partials = [
+                self._phases.run(
+                    "reduce", self._reduce_body, job, reducer,
+                    np.concatenate([buffers[reducer] for buffers in emitted]),
                 )
+                for reducer in range(self.n_reducers)
+            ]
             return self._phases.run("merge", self._merge_body, job, partials)
         finally:
             self._release_buffers()
@@ -124,12 +123,12 @@ class MapReduceEngine:
     # Phase bodies
     # ------------------------------------------------------------------
     def _map_compute_body(self, ctx, job, lo, hi):
-        """Apply the user map function to one input chunk."""
+        """Apply the user map function to one input chunk; returns its keys."""
         tokens = ctx.load_slice(self.corpus, lo, hi)
         ctx.compute((hi - lo) * job.map_ops_per_token)
         return job.map_compute(tokens)
 
-    def _map_shuffle_body(self, ctx, job, keys, values):
+    def _map_shuffle_body(self, ctx, job, keys):
         """Scatter emitted records into the reduce tasks' keyed buffers.
 
         Phoenix inserts every record into the destination reduce task's
@@ -143,11 +142,11 @@ class MapReduceEngine:
         ctx.compute(n * 4)
         self._ensure_buffers(job, n)
         elems_per_record = max(1, job.value_bytes_per_record // 8)
-        buffers = {}
+        buffers = []
         for reducer in range(self.n_reducers):
             mask = partitions == reducer
             r_keys = keys[mask]
-            buffers[reducer] = (r_keys, values[mask])
+            buffers.append(r_keys)
             if len(r_keys) == 0:
                 continue
             # Keyed-index inserts: one scattered write per record.
@@ -163,8 +162,8 @@ class MapReduceEngine:
                 self._cursors[reducer] = end
         return buffers
 
-    def _reduce_body(self, ctx, job, reducer, keys, values):
-        """Aggregate one reduce task's records."""
+    def _reduce_body(self, ctx, job, reducer, keys):
+        """Count one reduce task's records; returns ``(distinct_keys, counts)``."""
         # The reducer streams its shuffled buffer back in.
         if self._buffers is not None:
             index = self._buffers[reducer]
@@ -173,10 +172,10 @@ class MapReduceEngine:
             if filled:
                 ctx.touch_seq(self._payloads[reducer], 0, filled, write=False)
         ctx.compute(len(keys) * job.reduce_ops_per_record)
-        return job.reduce(keys, values)
+        return job.reduce(keys)
 
     def _merge_body(self, ctx, job, partials):
-        """Merge the reducers' partial results."""
-        total = sum(len(partial) for partial in partials)
+        """Merge the reducers' partial results, charged per distinct key."""
+        total = sum(len(keys) for keys, _counts in partials)
         ctx.compute(total * 2)
         return job.merge(partials)

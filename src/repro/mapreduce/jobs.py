@@ -1,14 +1,42 @@
-"""MapReduce jobs: WordCount and Grep (the paper's two benchmarks)."""
+"""MapReduce jobs: WordCount and Grep (the paper's two benchmarks).
+
+Both count tokens, so a record is a key counted once: Phoenix's
+(token, 1) pair keeps only its key here, and the bytes a record ships to
+its reducer are modelled by size alone, ``value_bytes_per_record``.
+"""
 
 import numpy as np
 
 
-class WordCountJob:
+class CountJob:
+    """The counting that WordCount and Grep share.
+
+    ``reduce`` turns one reduce task's keys into a ``(distinct_keys,
+    counts)`` pair; ``merge`` sums one or more such pairs, whose keys
+    may overlap, into the job's ``{key: count}`` result.
+    """
+
+    def reduce(self, keys):
+        return np.unique(keys, return_counts=True)
+
+    def merge(self, partials):
+        keys = np.concatenate([k for k, _c in partials])
+        if len(keys) == 0:
+            return {}
+        counts = np.concatenate([c for _k, c in partials], dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        totals = np.add.reduceat(counts[order], starts)
+        return dict(zip(keys[starts].tolist(), totals.tolist()))
+
+
+class WordCountJob(CountJob):
     """Count occurrences of every word token.
 
-    Every input token emits one (token, 1) record — the maximal shuffle
-    volume, which is why WordCount's map phase is the DDC bottleneck
-    (Figure 10, right group).
+    Every input token emits one record — the maximal shuffle volume, which
+    is why WordCount's map phase is the DDC bottleneck (Figure 10, right
+    group).
     """
 
     name = "WordCount"
@@ -18,24 +46,10 @@ class WordCountJob:
     value_bytes_per_record = 8
 
     def map_compute(self, tokens):
-        return tokens.astype(np.int64), np.ones(len(tokens), dtype=np.int64)
-
-    def reduce(self, keys, values):
-        if len(keys) == 0:
-            return {}
-        unique, inverse = np.unique(keys, return_inverse=True)
-        counts = np.bincount(inverse, weights=values).astype(np.int64)
-        return dict(zip(unique.tolist(), counts.tolist()))
-
-    def merge(self, partials):
-        merged = {}
-        for partial in partials:
-            for key, count in partial.items():
-                merged[key] = merged.get(key, 0) + count
-        return merged
+        return tokens
 
 
-class GrepJob:
+class GrepJob(CountJob):
     """Find occurrences of a token pattern.
 
     Only matching tokens emit records, so the shuffle is small and the map
@@ -53,20 +67,4 @@ class GrepJob:
         self.pattern_tokens = np.asarray(sorted(pattern_tokens), dtype=np.int64)
 
     def map_compute(self, tokens):
-        mask = np.isin(tokens, self.pattern_tokens)
-        matches = tokens[mask].astype(np.int64)
-        return matches, np.ones(len(matches), dtype=np.int64)
-
-    def reduce(self, keys, values):
-        if len(keys) == 0:
-            return {}
-        unique, inverse = np.unique(keys, return_inverse=True)
-        counts = np.bincount(inverse, weights=values).astype(np.int64)
-        return dict(zip(unique.tolist(), counts.tolist()))
-
-    def merge(self, partials):
-        merged = {}
-        for partial in partials:
-            for key, count in partial.items():
-                merged[key] = merged.get(key, 0) + count
-        return merged
+        return tokens[np.isin(tokens, self.pattern_tokens)]

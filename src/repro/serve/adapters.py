@@ -134,10 +134,10 @@ def mapreduce_workload(n_tokens=2_000_000, n_splits=8, vocabulary=20_000,
         def body(ectx, lo, hi):
             chunk = ectx.load_slice(corpus, lo, hi)
             ectx.compute((hi - lo) * job.map_ops_per_token)
-            keys, values = job.map_compute(chunk)
+            keys = job.map_compute(chunk)
             ectx.compute(len(keys) * job.reduce_ops_per_record)
-            partial = job.reduce(keys, values)
-            return len(partial)
+            distinct_keys, _counts = job.reduce(keys)
+            return len(distinct_keys)
 
         def requests():
             for index in range(n_splits):

@@ -385,9 +385,7 @@ class PushdownSession:
             return 0, compkernel.resident_snapshot(), []
         if sync is SyncMethod.EAGER:
             refetch = [vpn for vpn, _writable in compkernel.resident_snapshot()]
-            flush_cost, _count = compkernel.flush_dirty()
-            evict_cost = compkernel.evict_all()
-            return flush_cost + evict_cost, [], refetch
+            return compkernel.evict_all(), [], refetch
         if sync is SyncMethod.EAGER_REGIONS:
             cost = compkernel.evict_regions(self.options.sync_regions)
             return cost, [], []

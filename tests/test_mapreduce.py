@@ -2,6 +2,7 @@
 
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -231,6 +232,89 @@ class TestGrep:
             grep_engine.profile("map_shuffle").time_ns
             < wc_engine.profile("map_shuffle").time_ns / 2
         )
+
+
+int32s = st.integers(min_value=np.iinfo(np.int32).min, max_value=np.iinfo(np.int32).max)
+key_arrays = st.lists(
+    st.one_of(int32s, st.sampled_from([np.iinfo(np.int32).min, -1, 0, np.iinfo(np.int32).max])),
+    max_size=60,
+).map(lambda keys: np.array(keys, dtype=np.int32))
+
+
+def assert_plain_int_counts(merged):
+    assert all(type(key) is int and type(count) is int for key, count in merged.items())
+
+
+class TestCountPath:
+    """``reduce`` and ``merge`` agree with ``collections.Counter``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys=key_arrays)
+    def test_reduce_counts_each_distinct_key(self, keys):
+        distinct, counts = WordCountJob().reduce(keys)
+        assert dict(zip(distinct.tolist(), counts.tolist())) == dict(Counter(keys.tolist()))
+        assert len(distinct) == len(set(keys.tolist()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(splits=st.lists(key_arrays, min_size=1, max_size=6))
+    def test_merge_sums_overlapping_partials(self, splits):
+        # Independent splits of one key space: partials share keys.
+        job = WordCountJob()
+        merged = job.merge([job.reduce(keys) for keys in splits])
+        assert merged == dict(sum((Counter(keys.tolist()) for keys in splits), Counter()))
+        assert_plain_int_counts(merged)
+
+    def test_merge_of_empty_partials(self):
+        job = WordCountJob()
+        empty = job.reduce(np.empty(0, np.int32))
+        assert job.merge([empty, empty]) == {}
+
+    @settings(max_examples=30, deadline=None)
+    @given(tokens=key_arrays, pattern=st.lists(int32s, max_size=4))
+    def test_grep_counts_only_pattern_tokens(self, tokens, pattern):
+        job = GrepJob(pattern)
+        half = len(tokens) // 2
+        parts = (tokens[:half], tokens[half:])
+        merged = job.merge([job.reduce(job.map_compute(part)) for part in parts])
+        wanted = set(pattern)
+        assert merged == dict(Counter(t for t in tokens.tolist() if t in wanted))
+        assert_plain_int_counts(merged)
+
+    def test_grep_with_no_match(self):
+        job = GrepJob([999_999])
+        keys = job.map_compute(np.arange(1_000, dtype=np.int32))
+        assert len(keys) == 0
+        assert job.merge([job.reduce(keys)]) == {}
+
+
+class TestSimulatedCost:
+    """Per-phase virtual time of small runs, pinned exactly: how records
+    and partials are held on the host must not move simulated time (merge
+    is charged per distinct key, whatever a partial's container is)."""
+
+    EXPECTED = {
+        ("ddc", "WC"): {"map_compute": 271698.003, "map_shuffle": 56562066.515,
+                        "reduce": 1204242.579, "merge": 747.619},
+        ("ddc", "Grep"): {"map_compute": 243126.575, "map_shuffle": 790678.494,
+                          "reduce": 716825.814, "merge": 2.857},
+        ("teleport", "WC"): {"map_compute": 223110.0, "map_shuffle": 1823342.38,
+                             "reduce": 1169280.291, "merge": 747.619},
+        ("teleport", "Grep"): {"map_compute": 194538.572, "map_shuffle": 159273.33,
+                               "reduce": 698059.527, "merge": 2.857},
+    }
+    JOBS = {"WC": WordCountJob, "Grep": lambda: GrepJob([0, 3, 799])}
+
+    @pytest.mark.parametrize("kind,job_name", sorted(EXPECTED))
+    def test_phase_times_unchanged(self, kind, job_name):
+        corpus = make_corpus(20_000, vocabulary=800, seed=5)
+        pushdown = ("map_shuffle",) if kind == "teleport" else ()
+        engine, _platform = make_engine(
+            corpus, kind=kind, pushdown=pushdown,
+            config=DdcConfig(compute_cache_bytes=64 * KIB), n_map_tasks=4, n_reducers=4,
+        )
+        engine.run(self.JOBS[job_name]())
+        times = {phase: engine.profile(phase).time_ns for phase in engine.PHASES}
+        assert times == self.EXPECTED[kind, job_name]
 
 
 class TestEngineValidation:

@@ -1,5 +1,7 @@
 """Tests for the pushdown syscall end to end (Section 3.2)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,35 @@ class TestSyncMethods:
         ctx.pushdown(lambda mctx: None, sync=SyncMethod.EAGER)
         # Post-pushdown the strawman refetched everything page by page.
         assert len(compute.cache) == resident_before
+
+    def test_eager_pre_sync_is_one_batched_flush(self, env):
+        """Eager pre-sync writes the dirty pages back in one batched
+        transfer; dropping the then-clean cache adds no cost."""
+        platform, process, region, ctx = env
+        ctx.touch_seq(region, 0, 100_000, write=True)
+        ctx.touch_seq(region, 100_000, 150_000, write=False)
+        compute = platform.kernel_for(process)
+        dirty, resident = len(compute.cache.dirty_vpns()), len(compute.cache)
+        assert 0 < dirty < resident
+        flushes = []
+        flush = compute.flush_dirty
+
+        def spy_flush(vpns=None):
+            flushes.append((vpns, flush(vpns)))
+            return flushes[-1][1]
+
+        writebacks, evictions = platform.stats.dirty_writebacks, platform.stats.cache_evictions
+        network = compute.network
+        with mock.patch.object(compute, "flush_dirty", side_effect=spy_flush), \
+                mock.patch.object(network, "pages_out_ps", wraps=network.pages_out_ps) as out:
+            ctx.pushdown(lambda mctx: None, sync=SyncMethod.EAGER)
+        [(vpns, (cost, count))] = flushes
+        assert (vpns, count) == (None, dirty)
+        assert out.call_args_list == [mock.call(dirty, batch=dirty)]
+        assert platform.teleport.breakdowns[-1].pre_sync_ns == to_ns(cost)
+        assert platform.stats.dirty_writebacks - writebacks == dirty
+        assert platform.stats.cache_evictions - evictions == resident
+        assert compute.evict_all() == 0  # the refetched cache is clean
 
     def test_eager_regions_evicts_only_those_regions(self, env):
         platform, process, region, ctx = env
