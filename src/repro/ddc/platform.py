@@ -45,9 +45,7 @@ class Platform:
         return process
 
     def spawn_thread(self, process, name=None, start_ps=0):
-        thread = SimThread(process, name=name, pool=self._thread_pool(), start_ps=start_ps)
-        process.threads.append(thread)
-        return thread
+        return SimThread(process, name=name, pool=self._thread_pool(), start_ps=start_ps)
 
     def context_for(self, thread):
         raise NotImplementedError

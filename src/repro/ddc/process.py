@@ -20,7 +20,6 @@ class Process:
         self.pid = next(_pids)
         self.platform = platform
         self.address_space = AddressSpace(platform.config.page_size, base_vpn)
-        self.threads = []
 
     def alloc_array(self, name, array):
         """Register a numpy array as a named region of this process."""

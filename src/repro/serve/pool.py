@@ -10,23 +10,19 @@ module makes it explicit:
   from dispatch until its memory-side execution ends. The scheduler keeps
   no copy of them: it reads when they free up from
   :class:`~repro.teleport.rpc.RpcServer`;
-* **an admission queue** — a ``pushdown()`` that finds no free slot
-  queues in virtual time instead of executing instantly; queueing delay
-  is charged to the caller's virtual clock and accounted per tenant;
+* **an admission queue** — a request the serving
+  :class:`~repro.serve.tenant.Server` submits waits in virtual time until
+  a slot frees; queueing delay is accounted per tenant;
 * **pluggable policies** — FIFO, weighted fair share (least attained
   normalised service first), and strict priority decide which queued
   request a freed slot serves next;
 * **trace visibility** — enqueue/dispatch/cancel/complete events of kind
   ``"sched"`` when tracing is enabled.
 
-Two paths feed the queue. Tenant workloads driven by the serving
-:class:`~repro.serve.scheduler.Scheduler` submit requests and park until
-a dispatch event resumes them — there the policies genuinely reorder,
-because every request arriving before a dispatch instant is already
-queued when the dispatch fires. Direct ``ctx.pushdown`` calls from engine
-internals take the synchronous path: they wait for the earliest free slot
-(FIFO in virtual time) with the same accounting, since a synchronous
-caller cannot be overtaken retroactively.
+The policies genuinely reorder: a dispatch at virtual time T fires only
+once every tenant has reached T, so every request arriving before T is
+already queued. A direct ``ctx.pushdown`` never passes through here; it
+waits FIFO at the RPC server, as on any TELEPORT platform.
 
 Requests that fail *while queued* take the runtime's one failure path,
 :meth:`~repro.teleport.runtime.TeleportRuntime.fail`: an expired
@@ -75,7 +71,7 @@ class TenantShare:
 
     __slots__ = (
         "name", "weight", "priority",
-        "submitted", "dispatched", "completed", "cancelled",
+        "dispatched", "completed", "cancelled",
         "queue_delay_ps", "service_ps",
     )
 
@@ -85,7 +81,6 @@ class TenantShare:
         self.name = name
         self.weight = float(weight)
         self.priority = int(priority)
-        self.submitted = 0
         self.dispatched = 0
         self.completed = 0
         self.cancelled = 0
@@ -108,29 +103,22 @@ class QueuedRequest:
     """One pushdown waiting in (or flowing through) the admission queue."""
 
     __slots__ = (
-        "task", "ctx", "fn", "args", "options", "share", "name",
-        "arrival_ps", "completed_ps", "seq",
-        "on_complete", "resume_task",
+        "ctx", "fn", "args", "options", "share", "name", "done",
+        "arrival_ps", "seq",
     )
 
-    def __init__(self, task, ctx, fn, args, options, share, name):
-        self.task = task
+    def __init__(self, ctx, fn, args, options, share, name, done):
         self.ctx = ctx
         self.fn = fn
         self.args = tuple(args)
         self.options = options
         self.share = share
         self.name = name
+        #: ``done(ctx, result, error)``, called once when the request
+        #: completes, falls back, or fails.
+        self.done = done
         self.arrival_ps = ctx.now
-        self.completed_ps = None
         self.seq = -1  # assigned by the pool; deterministic tie-break
-        #: Optional hook ``on_complete(request, result, error)`` fired at
-        #: completion, fallback, or failure.
-        self.on_complete = None
-        #: When False the pool leaves task resumption entirely to
-        #: ``on_complete`` — a task with several in-flight requests
-        #: (batch submission) resumes only when the whole batch is done.
-        self.resume_task = True
 
     def expiry_ps(self):
         """When this request's queued wait times out (None: never)."""
@@ -142,10 +130,9 @@ class QueuedRequest:
 class PoolScheduler:
     """Admission queue in front of one memory pool's TELEPORT instances.
 
-    Installs itself on the platform's TELEPORT runtime; from then on every
-    ``pushdown()`` waits for a free instance. Acts as the serving
-    scheduler's event source: ``next_event_ps``/``fire`` interleave queue
-    dispatches with tenant task steps in virtual-time order.
+    Acts as the serving scheduler's event source: ``next_event_ps``/
+    ``fire`` interleave queue dispatches with tenant task steps in
+    virtual-time order.
     """
 
     def __init__(self, platform, policy=QueuePolicy.FIFO):
@@ -163,9 +150,7 @@ class PoolScheduler:
         self.policy = policy
         self.queue = []
         self.shares = {}
-        self.dispatching = False
         self._seq = 0
-        runtime.pool_scheduler = self
 
     # ------------------------------------------------------------------
     # Tenants
@@ -178,26 +163,9 @@ class PoolScheduler:
         self.shares[name] = share
         return share
 
-    def share_for(self, ctx):
-        """The share a context charges to (auto-registered per process)."""
-        name = getattr(ctx, "serve_tenant", None)
-        if name is None:
-            name = f"pid-{ctx.thread.process.pid}"
-        share = self.shares.get(name)
-        if share is None:
-            share = self.shares.setdefault(name, TenantShare(name))
-        return share
-
     # ------------------------------------------------------------------
     # Live state the offload controller reads
     # ------------------------------------------------------------------
-    def queue_depth(self, now=None):
-        """Requests waiting plus instances busy at ``now`` (now=None: waiting only)."""
-        depth = len(self.queue)
-        if now is not None:
-            depth += self.rpc.busy(now)
-        return depth
-
     def estimated_wait_ps(self, now):
         """Deterministic estimate of the queueing delay a new arrival pays."""
         backlog = max(0, self.rpc.earliest_free_ps() - now)
@@ -213,19 +181,17 @@ class PoolScheduler:
         return total / completed
 
     # ------------------------------------------------------------------
-    # The queued (serving) path
+    # The queue
     # ------------------------------------------------------------------
-    def submit(self, scheduler, request):
-        """Queue a request and park its task until dispatch resumes it."""
+    def submit(self, request):
+        """Queue a request; a later :meth:`fire` settles it."""
         request.seq = self._seq
         self._seq += 1
-        request.share.submitted += 1
         self.queue.append(request)
         self._emit(
             request.arrival_ps, "enqueue", tenant=request.share.name,
             request=request.name, depth=len(self.queue),
         )
-        scheduler.block(request.task)
 
     def next_event_ps(self):
         """Virtual time of the earliest pending dispatch or queue expiry."""
@@ -239,7 +205,7 @@ class PoolScheduler:
                 event = expiry
         return event
 
-    def fire(self, now, scheduler):
+    def fire(self, now):
         """Handle the event at ``now``: cancel expired waits, dispatch one."""
         expired = sorted(
             (r for r in self.queue
@@ -248,7 +214,7 @@ class PoolScheduler:
         )
         for request in expired:
             self.queue.remove(request)
-            self._deliver(scheduler, request, self._cancel_queued)
+            self._deliver(request, self._cancel_queued)
         if not self.queue:
             return
         eligible = [r for r in self.queue if r.arrival_ps <= now]
@@ -256,56 +222,19 @@ class PoolScheduler:
             return
         request = self._pick(eligible)
         self.queue.remove(request)
-        self._deliver(scheduler, request, self._execute, now)
+        self._deliver(request, self._execute, now)
 
-    def _deliver(self, scheduler, request, run, *args):
-        """Settle a queued request with ``run(request, *args)`` and deliver
-        the outcome: hook first, then task resumption."""
-        result = error = None
+    def _deliver(self, request, run, *args):
+        """Settle a queued request with ``run(request, *args)`` and hand
+        the outcome to its ``done`` callback."""
         try:
             result = run(request, *args)
         except ReproError as exc:
-            error = exc
+            request.done(request.ctx, None, exc)
         else:
-            request.completed_ps = request.ctx.now
-        if request.on_complete is not None:
-            request.on_complete(request, result, error)
-        if not request.resume_task:
-            return
-        if error is not None:
-            scheduler.throw(request.task, error)
-        else:
-            scheduler.resume(request.task, result)
+            request.done(request.ctx, result, None)
 
-    # ------------------------------------------------------------------
-    # The synchronous path (direct ctx.pushdown under a serving platform)
-    # ------------------------------------------------------------------
-    def run_inline(self, ctx, fn, args, options, verify=False):
-        """Slot-bound a synchronous ``pushdown()`` call.
-
-        No free instance means the call queues in virtual time: the wait is
-        charged to the caller's clock and accounted to its tenant. A
-        synchronous caller cannot be reordered retroactively, so this path
-        is FIFO regardless of the configured policy.
-        """
-        # No task: a synchronous caller is never parked.
-        request = QueuedRequest(None, ctx, fn, args, options, self.share_for(ctx), "inline")
-        request.share.submitted += 1
-        arrival = request.arrival_ps
-        start = max(arrival, self.rpc.earliest_free_ps())
-        self._emit(
-            arrival, "enqueue", tenant=request.share.name, request="inline",
-            depth=self.queue_depth(arrival),
-        )
-        expiry = request.expiry_ps()
-        if expiry is not None and start > expiry:
-            return self._cancel_queued(request)
-        return self._execute(request, start, verify)
-
-    # ------------------------------------------------------------------
-    # Shared internals
-    # ------------------------------------------------------------------
-    def _execute(self, request, start_ps, verify=False):
+    def _execute(self, request, start_ps):
         """Dispatch ``request`` at ``start_ps`` onto the earliest free
         instance and run it; returns its result or raises its ReproError.
 
@@ -327,10 +256,9 @@ class PoolScheduler:
         dispatched = rpc.dispatched
         end_ps = None
         try:
-            self.dispatching = True
             result = self.runtime.pushdown(
                 ctx, request.fn, *request.args,
-                options=_remaining_timeout(request.options, waited), verify=verify,
+                options=_remaining_timeout(request.options, waited),
             )
         except ReproError as exc:
             self._emit(
@@ -339,7 +267,6 @@ class PoolScheduler:
             )
             raise
         finally:
-            self.dispatching = False
             if rpc.dispatched > dispatched:
                 end_ps = rpc.last_end_ps
                 share.service_ps += end_ps - start_ps

@@ -84,7 +84,7 @@ class Scheduler:
 
     ``event_source`` is an optional object with ``next_event_ps()`` (the
     virtual time of its earliest pending event, or None) and
-    ``fire(now, scheduler)``; the loop interleaves these events with task
+    ``fire(now)``; the loop interleaves these events with task
     steps in virtual-time order. Ties go to task steps so an event at
     time T observes every submission that happened at or before T.
     """
@@ -146,7 +146,7 @@ class Scheduler:
                 return self.tasks
             task = min(runnable, key=lambda t: (t.ready_ps, t.seq)) if runnable else None
             if task is None or (event_ps is not None and event_ps < task.ready_ps):
-                self.event_source.fire(event_ps, self)
+                self.event_source.fire(event_ps)
                 continue
             self._step(task)
 

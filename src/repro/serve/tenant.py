@@ -5,8 +5,9 @@ with its own process, thread, and virtual clock — onto one shared
 platform, and drives them with the deterministic serving scheduler. Every
 request a tenant yields passes through the adaptive offload controller
 (push down vs run compute-local) and, when pushed, through the memory
-pool's admission queue; completion latencies are recorded per request on
-the virtual clock.
+pool's admission queue. Each request runs on its own thread of the
+tenant's process, so the requests of one yielded batch overlap in virtual
+time; completion latencies are recorded per request on the virtual clock.
 
 Usage::
 
@@ -117,7 +118,6 @@ class Server:
         if any(t.name == name for t in self.tenants):
             raise ConfigError(f"tenant {name!r} already admitted")
         ctx = self.platform.main_context(name=name)
-        ctx.serve_tenant = name  # PoolScheduler.share_for keys on this
         tenant = Tenant(name, ctx, to_ps(arrival_ns))
         if self.pool is not None:
             tenant.share = self.pool.register(name, weight=weight,
@@ -137,66 +137,76 @@ class Server:
     # The offload decision, applied per yielded request
     # ------------------------------------------------------------------
     def _handle_effect(self, scheduler, task, effect):
-        """Route one yielded effect: a request, or a batch of them.
+        """Start every member of a yielded batch; resume the task once.
 
-        A single :class:`OffloadRequest` resumes the task with its bare
-        result. A list/tuple is a fork-join batch — every member is
-        decided and (when pushed) queued concurrently, and the task
-        resumes with the list of results once the whole batch completes.
-        Batches are what give a tenant more than one outstanding request,
-        so they are where queueing policies genuinely reorder work.
+        A single :class:`OffloadRequest` is a batch of one whose result is
+        delivered bare; a list/tuple is a fork-join batch. Each member,
+        local or pushed, runs on its own thread of the tenant's process,
+        forked at the yield, so a batch's members overlap in virtual time
+        and a tenant can hold several memory-pool slots at once. Every
+        member ends in one ``done`` callback. The task resumes at the
+        latest member's completion with the results, or at the first
+        failure with that error; siblings that finish after a failure do
+        not move the tenant's clock, and no member starts after a local
+        one has failed.
         """
         is_batch = isinstance(effect, (list, tuple))
         batch = list(effect) if is_batch else [effect]
         if not batch:
             raise ReproError(f"tenant {task.name!r} yielded an empty batch")
-        tenant = task.payload
-        ctx = tenant.ctx
-        results = [None] * len(batch)
-        state = {"pending": 0, "failed": False}
-
-        def deliver():
-            scheduler.resume(task, results if is_batch else results[0])
-
-        def make_done(index, request):
-            def done(queued, result, error):
-                if error is not None:
-                    if not state["failed"]:
-                        # First failure wakes the task; siblings still in
-                        # flight complete silently afterwards.
-                        state["failed"] = True
-                        scheduler.throw(task, error)
-                    return
-                results[index] = result
-                self._record(tenant, request, queued.completed_ps)
-                state["pending"] -= 1
-                if state["pending"] == 0 and not state["failed"]:
-                    deliver()
-            return done
-
-        for index, request in enumerate(batch):
+        for request in batch:
             if not isinstance(request, OffloadRequest):
                 raise ReproError(
                     f"tenant {task.name!r} yielded {request!r}; serving "
                     "tasks must yield OffloadRequest effects (or batches)"
                 )
+        tenant = task.payload
+        ctx = tenant.ctx
+        platform = self.platform
+        process = ctx.thread.process
+        results = [None] * len(batch)
+        pending = len(batch)
+        failed = False
+
+        def make_done(index, request):
+            def done(mctx, result, error):
+                nonlocal pending, failed
+                if error is None:
+                    results[index] = result
+                    self._record(tenant, request, mctx.now)
+                    pending -= 1
+                if failed:
+                    return
+                task.clock.advance_to(mctx.now)
+                if error is not None:
+                    failed = True
+                    scheduler.throw(task, error)
+                elif pending == 0:
+                    scheduler.resume(task, results if is_batch else results[0])
+            return done
+
+        scheduler.block(task)
+        for index, request in enumerate(batch):
+            if failed:
+                break
             request.arrival_ps = ctx.now
-            push = self.controller.decide(ctx, request, self.pool)
-            request.pushed = push
-            if not push:
-                results[index] = request.fn(ctx, *request.args)
-                self._record(tenant, request, ctx.now)
-                continue
-            state["pending"] += 1
-            queued = QueuedRequest(
-                task, ctx, request.fn, request.args, request.options,
-                tenant.share, request.name,
+            request.pushed = self.controller.decide(ctx, request, self.pool)
+            mctx = platform.context_for(
+                platform.spawn_thread(process, name=request.name, start_ps=ctx.now)
             )
-            queued.resume_task = False
-            queued.on_complete = make_done(index, request)
-            self.pool.submit(scheduler, queued)
-        if state["pending"] == 0:
-            deliver()
+            done = make_done(index, request)
+            if request.pushed:
+                self.pool.submit(QueuedRequest(
+                    mctx, request.fn, request.args, request.options,
+                    tenant.share, request.name, done,
+                ))
+                continue
+            try:
+                result = request.fn(mctx, *request.args)
+            except ReproError as exc:
+                done(mctx, None, exc)
+            else:
+                done(mctx, result, None)
 
     def _record(self, tenant, effect, completed_ps):
         tenant.records.append(RequestRecord(

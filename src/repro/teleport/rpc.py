@@ -6,8 +6,8 @@ first free instance; when every instance is busy, requests queue (with a
 single instance, concurrent pushdowns serialise, the paper's default).
 
 These instances are the memory pool's only model of its execution slots:
-the serving layer's admission queue (:mod:`repro.serve.pool`) reads when
-they free up from here.
+an admission queue layered above the runtime reads when they free up
+from here rather than keeping a copy.
 
 When more instances run than the memory pool has physical cores, execution
 stretches due to time sharing plus a context-switching penalty — the source

@@ -80,10 +80,6 @@ class TeleportRuntime:
         self.detector = HeartbeatDetector(self.config, self.stats)
         self._breakers = {}
         self._request_counter = 0
-        #: Optional :class:`~repro.serve.pool.PoolScheduler`; when installed
-        #: every ``pushdown()`` waits in its admission queue for a free
-        #: instance of :attr:`rpc`.
-        self.pool_scheduler = None
 
     # ------------------------------------------------------------------
     # Failure injection (Section 3.2, exception and fault handling)
@@ -164,17 +160,10 @@ class TeleportRuntime:
         to the compute pool until a probe succeeds. User errors never
         trip the breaker — a buggy function stays buggy wherever it runs.
 
-        When a serving :class:`~repro.serve.pool.PoolScheduler` is
-        installed, the call first passes admission control: it waits (in
-        virtual time) for a free memory-pool execution slot instead of
-        executing instantly.
+        A call that finds every TELEPORT instance busy waits FIFO at the
+        RPC server (Figure 17); the wait is charged to the caller and shows
+        as its breakdown's ``queue_wait_ns``.
         """
-        scheduler = self.pool_scheduler
-        if scheduler is not None and not scheduler.dispatching:
-            options = _resolve_options(
-                options, consistency, sync, timeout_ns, sync_regions, on_timeout
-            )
-            return scheduler.run_inline(ctx, fn, args, options, verify)
         if verify:
             # Imported lazily: the analysis layer sits above the runtime.
             from repro.analysis.verifier import assert_pushdownable

@@ -10,6 +10,7 @@ from repro.serve.offload import OffloadPolicy, OffloadRequest
 from repro.serve.pool import PoolScheduler, QueuePolicy, TenantShare
 from repro.serve.tenant import Server
 from repro.sim.config import DdcConfig
+from repro.sim.units import to_ns
 
 
 def compute_tenant(n_requests, ops):
@@ -73,7 +74,7 @@ def test_pool_slots_are_teleport_instances():
     pool = PoolScheduler(platform)
     assert pool.rpc is platform.teleport.rpc
     assert pool.rpc.instances == 4
-    assert pool.queue_depth(0.0) == 0
+    assert pool.rpc.busy(0) == 0
 
 
 def occupy_instance(rpc, until_ps):
@@ -270,9 +271,10 @@ def test_fair_share_long_run_shares_converge(heavy):
 
 
 # ----------------------------------------------------------------------
-# The synchronous (inline) path
+# A direct ctx.pushdown bypasses the admission queue
 # ----------------------------------------------------------------------
-def test_inline_pushdown_waits_for_free_slot():
+def test_direct_pushdown_waits_at_rpc_server():
+    """A direct call queues FIFO at the RPC server, not in the pool."""
     platform = make_platform("teleport")
     pool = PoolScheduler(platform)
     ctx = platform.main_context()
@@ -283,18 +285,20 @@ def test_inline_pushdown_waits_for_free_slot():
         ectx.compute(1000)
         return "done"
 
-    result = ctx.pushdown(fn)
-    assert result == "done"
+    assert ctx.pushdown(fn) == "done"
     assert ctx.now > busy_until
-    share = pool.shares[f"pid-{ctx.thread.process.pid}"]
-    assert share.queue_delay_ps == busy_until
-    assert share.completed == 1
+    (breakdown,) = platform.teleport.breakdowns
+    # The request reaches the server after pre-sync and its transfer.
+    arrival_ns = breakdown.pre_sync_ns + breakdown.request_ns
+    assert breakdown.queue_wait_ns == pytest.approx(to_ns(busy_until) - arrival_ns)
+    assert pool.shares == {}
+    assert pool.queue == []
 
 
-def test_inline_back_to_back_calls_do_not_wait():
-    """Sequential pushdowns from one caller find the slot free again."""
+def test_direct_back_to_back_pushdowns_do_not_wait():
+    """Sequential pushdowns from one caller find the instance free again."""
     platform = make_platform("teleport")
-    pool = PoolScheduler(platform)
+    PoolScheduler(platform)
     ctx = platform.main_context()
 
     def fn(ectx):
@@ -303,7 +307,6 @@ def test_inline_back_to_back_calls_do_not_wait():
 
     assert ctx.pushdown(fn) == 1
     assert ctx.pushdown(fn) == 1
-    share = pool.shares[f"pid-{ctx.thread.process.pid}"]
-    assert share.completed == 2
-    assert share.queue_delay_ns == 0.0
-    assert share.service_ns > 0.0
+    breakdowns = platform.teleport.breakdowns
+    assert len(breakdowns) == 2
+    assert all(b.queue_wait_ns == 0 for b in breakdowns)

@@ -133,7 +133,7 @@ def test_event_source_interleaves_by_virtual_time():
         def next_event_ps(self):
             return self.pending[0] if self.pending else None
 
-        def fire(self, now, scheduler):
+        def fire(self, now):
             self.pending.pop(0)
             order.append(("event", now))
 
