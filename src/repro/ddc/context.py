@@ -14,8 +14,10 @@ the local swap device (:class:`~repro.mem.storage.SwapDevice`) on the
 monolithic baseline, the process's
 :class:`~repro.ddc.kernels.ComputeKernel` in the compute pool, and the
 pushdown's :class:`~repro.teleport.coherence.CoherenceProtocol` in the
-memory pool. Each has ``touch_runs(heads, repeats, write, now)`` and
-``touch_sequential(start_vpn, npages, write, now)``.
+memory pool. Each has ``touch_runs(heads, repeats, write, now)``, its
+array form for dense batches ``touch_dense`` (see
+:meth:`ExecutionContext._random_cost`) and ``touch_sequential(start_vpn,
+npages, write, now)``.
 
 The same application code therefore runs unmodified on the monolithic
 baseline, the base DDC, and TELEPORT — mirroring the paper's premise that
@@ -100,7 +102,7 @@ class ExecutionContext:
         vpns = np.asarray(region.vpns_of_indices(indices))
         if len(vpns) == 0:
             return
-        self.thread.clock.advance(self._random_cost(vpns[_run_heads(vpns)], write))
+        self.thread.clock.advance(self._random_cost(vpns[_run_bounds(vpns)[:-1]], write))
 
     # ------------------------------------------------------------------
     # Data access helpers (cost + real data)
@@ -167,9 +169,21 @@ class ExecutionContext:
         one pass over live state, and charges the runs' DRAM time as
         products; time is integer, so the total is the per-access loop's
         exactly.
+
+        A batch is dense when its heads outnumber the pages they span
+        (highest minus lowest, plus one), so some page heads several runs.
+        It goes to the pager's ``touch_dense`` as two arrays, with no list
+        built: a pager whose state guarantees that no page can be evicted
+        within the batch serves it once per distinct page, and any other
+        serves it as ``touch_runs`` would.
         """
+        now = self.now
+        if len(vpns) <= 1:
+            return self.pager.touch_runs([int(vpn) for vpn in vpns], [0] * len(vpns), write, now)
         heads, repeats = _page_runs(vpns)
-        return self.pager.touch_runs(heads, repeats, write, self.now)
+        if len(heads) > heads.max() - heads.min() + 1:
+            return self.pager.touch_dense(heads, repeats, write, now)
+        return self.pager.touch_runs(heads.tolist(), repeats.tolist(), write, now)
 
     # ------------------------------------------------------------------
     # TELEPORT surface (overridden behaviour on TeleportPlatform)
@@ -207,21 +221,21 @@ class ExecutionContext:
         return f"ExecutionContext({self.thread.name!r}, pool={self.pool.value})"
 
 
-def _run_heads(vpns):
-    """Mask of the accesses in a non-empty vpn array that start a run of
-    equal consecutive vpns."""
-    heads = np.empty(len(vpns), dtype=bool)
-    heads[0] = True
-    np.not_equal(vpns[1:], vpns[:-1], out=heads[1:])
-    return heads
+def _run_bounds(vpns):
+    """The positions in a non-empty vpn array where a run of equal
+    consecutive vpns starts, followed by the array's length."""
+    n = len(vpns)
+    bounds = np.empty(n + 1, dtype=bool)
+    bounds[0] = bounds[n] = True
+    np.not_equal(vpns[1:], vpns[:-1], out=bounds[1:n])
+    return np.flatnonzero(bounds)
 
 
 def _page_runs(vpns):
-    """The runs of equal consecutive vpns in a batch, as two lists: each
-    run's page, and how many accesses after its first one it holds."""
-    if len(vpns) <= 1:
-        return [int(vpn) for vpn in vpns], [0] * len(vpns)
+    """The runs of equal consecutive vpns in a batch of two or more, as two
+    int64 arrays: each run's page (its head), and how many accesses after
+    its first one it holds."""
     vpns = np.asarray(vpns)
-    starts = np.flatnonzero(_run_heads(vpns))
-    repeats = np.diff(starts, append=len(vpns)) - 1
-    return vpns[starts].tolist(), repeats.tolist()
+    bounds = _run_bounds(vpns)
+    starts = bounds[:-1]
+    return vpns[starts], bounds[1:] - starts - 1

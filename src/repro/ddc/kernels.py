@@ -49,9 +49,8 @@ class ComputeKernel:
     def on_free(self, region):
         """Drop a freed region's pages from the cache and the memory pool
         without write-back."""
-        for vpn in region.all_vpns():
-            self.cache.invalidate(vpn)
-            self.pool.drop(vpn)
+        self.cache.drop_range(region.start_vpn, region.end_vpn)
+        self.pool.drop_range(region.start_vpn, region.end_vpn)
 
     # ------------------------------------------------------------------
     # Access paths (cost only; data lives in the region's numpy buffer)
@@ -71,7 +70,9 @@ class ComputeKernel:
         pool spilled the page) + ``single_fault_ps`` [+
         ``single_writeback_ps`` and the memory pool's ``write_back`` for a
         dirty victim]; its counters, traffic and fixed costs are charged
-        once per batch.
+        once per batch. On a full cache it evicts the LRU victim before
+        the insert rather than after, which evicts the same page, and
+        reuses the victim's entry for the new page.
         """
         entries = self.cache._entries
         get = entries.get
@@ -81,8 +82,7 @@ class ComputeKernel:
         tracer = self.platform.tracer
         tracing = tracer.enabled
         pool = self.pool
-        in_pool = pool._resident
-        pool_move_to_end = in_pool.move_to_end
+        pool_move_to_end = pool._resident.move_to_end
         config = self.config
         fault_ps = config.single_fault_ps
         writeback_ps = config.single_writeback_ps
@@ -118,18 +118,22 @@ class ComputeKernel:
             if protocol is not None:
                 cost += self._fetch(vpn, 1, write)
                 continue
-            if vpn in in_pool:
+            try:
                 pool_move_to_end(vpn)
-            else:
+            except KeyError:
                 cost += pool.touch(vpn)
-            entries[vpn] = CacheEntry(write, write)
-            if len(entries) > capacity:
-                evictions += 1
-                victim_vpn, victim = entries.popitem(last=False)
-                if victim.dirty:
-                    dirty += 1
-                    if not pool.all_dirty:
-                        cost += pool.write_back((victim_vpn,))
+            if len(entries) < capacity:
+                entries[vpn] = CacheEntry(write, write)
+                continue
+            # Evict the LRU entry first and reuse it for the page.
+            evictions += 1
+            victim_vpn, entry = entries.popitem(last=False)
+            if entry.dirty:
+                dirty += 1
+                if not pool.all_dirty:
+                    cost += pool.write_back((victim_vpn,))
+            entry.writable = entry.dirty = write
+            entries[vpn] = entry
         stats = self.stats
         stats.cache_hits += len(heads) - misses + sum(repeats)
         stats.cache_misses += misses
@@ -139,6 +143,11 @@ class ComputeKernel:
             stats.cache_evictions += evictions
             stats.dirty_writebacks += dirty
         return cost + len(heads) * random_ps + sum(repeats) * line_ps
+
+    def touch_dense(self, heads, repeats, write, now):
+        """:meth:`touch_runs` for a dense batch, given as two int64 arrays:
+        the cache has no per-page shortcut, so the heads go through it."""
+        return self.touch_runs(heads.tolist(), repeats.tolist(), write, now)
 
     def touch_sequential(self, start_vpn, npages, write, now=0):
         """Stream ``npages`` consecutive pages through the cache.

@@ -8,7 +8,8 @@ the compute pool with the recorded permission, which is precisely the state
 TELEPORT's coherence protocol manipulates.
 """
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from itertools import repeat
 
 from repro.errors import ConfigError
 
@@ -98,10 +99,15 @@ class PageCache:
                 entry.dirty = entry.dirty or dirty
                 entries.move_to_end(vpn)
                 continue
-            entries[vpn] = CacheEntry(writable, dirty)
-            if len(entries) > capacity:
-                victim_vpn, victim = entries.popitem(last=False)
-                evicted.append((victim_vpn, victim.dirty))
+            if len(entries) < capacity:
+                entries[vpn] = CacheEntry(writable, dirty)
+                continue
+            # Evict the LRU entry first and reuse it for the page.
+            victim_vpn, entry = entries.popitem(last=False)
+            evicted.append((victim_vpn, entry.dirty))
+            entry.writable = writable
+            entry.dirty = dirty
+            entries[vpn] = entry
         return evicted
 
     def insert_absent_run(self, start_vpn, npages, writable, dirty=False):
@@ -129,6 +135,15 @@ class PageCache:
     def invalidate(self, vpn):
         """Drop a page (coherence invalidation); return its entry or None."""
         return self._entries.pop(vpn, None)
+
+    def drop_range(self, start_vpn, end_vpn):
+        """Drop the pages of [start_vpn, end_vpn) (their region was freed)
+        without write-back. Like :meth:`first_cached`, it scans the range
+        or the cached vpns, whichever is shorter."""
+        span = range(start_vpn, end_vpn)
+        entries = self._entries
+        cached = span if len(span) <= len(entries) else [vpn for vpn in entries if vpn in span]
+        deque(map(entries.pop, cached, repeat(None)), maxlen=0)
 
     def downgrade(self, vpn):
         """Set a page read-only; return True if it held dirty data.

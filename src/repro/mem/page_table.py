@@ -63,7 +63,7 @@ class PageTableSnapshot:
         #: The mapped vpn ranges [starts[i], ends[i]), sorted and disjoint.
         self._starts = starts
         self._ends = ends
-        #: vpn -> owned PTE. ``CoherenceProtocol.touch_runs`` reads it
+        #: vpn -> owned PTE. ``CoherenceProtocol._serve_heads`` reads it
         #: directly, as :meth:`peek` does, and adds an owned PTE as
         #: :meth:`ensure` would, so that a quiet touch costs it no call.
         self._owned = {}

@@ -12,6 +12,8 @@ software path each time).
 from collections import OrderedDict, deque
 from itertools import repeat
 
+import numpy as np
+
 
 class SwapDevice:
     """Cost and residency model of the NVMe storage pool.
@@ -26,7 +28,7 @@ class SwapDevice:
         self.stats = stats
         self.capacity_pages = max(1, capacity_pages)
         #: vpn -> dirty, in LRU order. ``ComputeKernel.touch_runs`` and
-        #: ``CoherenceProtocol.touch_runs`` use it directly, so that a
+        #: ``CoherenceProtocol._serve_heads`` use it directly, so that a
         #: resident page costs them no call. A page is dirty once anything
         #: wrote it in pool DRAM: a write fault, a compute-pool write-back
         #: (:meth:`write_back`) or a memory-side write, which sets the bit
@@ -104,6 +106,22 @@ class SwapDevice:
                 if write and not entry_dirty:
                     resident[vpn] = True
         return cost
+
+    def touch_dense(self, heads, repeats, write, now):
+        """:meth:`touch_runs` for a dense batch, given as two int64 arrays.
+        If all its pages are resident, every head is a hit: one C-speed
+        pass moves the pages to the MRU end in the order of their last
+        heads, and a write sets their dirty bits. Otherwise the heads go
+        through :meth:`touch_runs`."""
+        pages = heads[distinct_heads(heads, last=True)].tolist()
+        resident = self._resident
+        if not all(map(resident.__contains__, pages)):
+            return self.touch_runs(heads.tolist(), repeats.tolist(), write, now)
+        deque(map(resident.move_to_end, pages), maxlen=0)
+        if write:
+            resident.update(zip(pages, repeat(True)))
+        config = self.config
+        return len(heads) * config.dram_random_ps + int(repeats.sum()) * config.dram_line_ps
 
     def touch_sequential(self, start_vpn, npages, write, now):
         """The cost of a sequential pass over ``npages`` pages: their
@@ -229,6 +247,21 @@ class SwapDevice:
         config = self.config
         return config.transfer_ps(dirty * config.page_size, config.ssd_bandwidth_bytes_per_ns)
 
-    def drop(self, vpn):
-        """Forget a page entirely (its region was freed); no write-back."""
-        self._resident.pop(vpn, None)
+    def drop_range(self, start_vpn, end_vpn):
+        """Forget the pages of [start_vpn, end_vpn) entirely (their region
+        was freed), in one C-speed pass; no write-back."""
+        deque(map(self._resident.pop, range(start_vpn, end_vpn), repeat(None)), maxlen=0)
+
+
+def distinct_heads(heads, last=False):
+    """The positions in ``heads`` (an int64 array of vpns) of each page's
+    first head, or with ``last`` its last one, in increasing order. No
+    sort: ``ufunc.at`` keeps each page's least (greatest) position
+    whatever order it applies repeated indices in."""
+    lo = heads.min()
+    unseen = -1 if last else len(heads)
+    at = np.full(heads.max() - lo + 1, unseen)
+    (np.maximum if last else np.minimum).at(at, heads - lo, np.arange(len(heads)))
+    marked = np.zeros(len(heads), dtype=bool)
+    marked[at[at != unseen]] = True
+    return np.flatnonzero(marked)

@@ -30,8 +30,11 @@ The protocol preserves the Single-Writer-Multiple-Reader invariant, which
 
 from itertools import accumulate
 
+import numpy as np
+
 from repro.errors import CoherenceViolation
 from repro.mem.page import PageTableEntry
+from repro.mem.storage import distinct_heads
 from repro.teleport.flags import ConsistencyMode
 
 
@@ -149,40 +152,79 @@ class CoherenceProtocol:
         temporary context.
 
         A run costs ``dram_random_ps``, one ``dram_line_ps`` per repeat and
-        its first access's (its head's) cost: a :meth:`memory_touch` at
-        ``now`` plus the cost of the runs before it. A quiet head is served
-        inline: a page in memory-pool DRAM whose ``t_mm`` PTE is present,
-        and writable for a write or in WEAK/OFF. On such a page
-        :meth:`memory_touch` costs nothing and changes nothing but a
-        write's dirty bits, set here: the memory pool's, and the owned
-        PTE's (made first if not yet owned, as ``ensure`` does); the
-        sanitizer still checks it. Every access of the batch counts as a
-        memory-side page touch.
+        its first access's (its head's) cost, served by
+        :meth:`_serve_heads` in order. Every access of the batch counts as
+        a memory-side page touch.
+        """
+        lines_before = list(accumulate(repeats, initial=0))
+        t_mm = self.t_mm
+        mapped = t_mm is not None and bool(heads) and t_mm.maps(min(heads), max(heads))
+        cost = self._serve_heads(enumerate(heads), lines_before, mapped, write, now)
+        return self._charge_batch(cost, len(heads), lines_before[-1])
+
+    def touch_dense(self, heads, repeats, write, now):
+        """:meth:`touch_runs` for a dense batch, given as two int64 arrays.
+
+        If the memory pool has room for all the batch's pages, no fault can
+        evict one. After a page's first head its later heads then change
+        nothing: the page stays resident with its dirty bits set and its
+        ``t_mm`` PTE (if any) present, and writable after a write, as a
+        touch of another page in between changes only that page's PTE,
+        cache entry, pool dirty bit and upgrade window. So only each
+        page's first head is served, at its own time, and the sanitizer
+        checks the other heads. Otherwise the heads go through
+        :meth:`touch_runs`.
+        """
+        firsts = distinct_heads(heads)
+        pool = self.pool
+        if pool.resident_pages + len(firsts) > pool.capacity_pages:
+            return self.touch_runs(heads.tolist(), repeats.tolist(), write, now)
+        lines = np.cumsum(repeats)
+        indices = firsts.tolist()
+        lines_before = dict(zip(indices, (lines[firsts] - repeats[firsts]).tolist()))
+        mapped = self.t_mm is not None and self.t_mm.maps(int(heads.min()), int(heads.max()))
+        cost = self._serve_heads(
+            zip(indices, heads[firsts].tolist()), lines_before, mapped, write, now
+        )
+        if self.sanitizer is not None:
+            for vpn in np.delete(heads, firsts).tolist():
+                self.sanitizer.swmr_transition(self, "memory_touch", vpn)
+        return self._charge_batch(cost, len(heads), int(lines[-1]))
+
+    def _serve_heads(self, indexed_heads, lines_before, mapped, write, now):
+        """Serve a batch's (index, vpn) heads in order; returns the cost of
+        their memory touches.
+
+        A quiet head is served inline: a page in memory-pool DRAM whose
+        ``t_mm`` PTE is present, and writable for a write or in WEAK/OFF.
+        An unowned PTE is so if ``mapped``, i.e. if ``t_mm`` mapped the
+        batch's lowest to highest head at setup: a batch's heads lie in one
+        region, so one lookup tells. (Were they to span regions, each
+        unowned head would go through memory_touch: slower, as exact.) On
+        such a page :meth:`memory_touch` costs nothing and changes nothing
+        but a write's dirty bits, set here: the memory pool's, and the
+        owned PTE's (made first if not yet owned, as ``ensure`` does); the
+        sanitizer still checks it. Any other head is a :meth:`memory_touch`
+        at ``now`` plus the cost so far plus the DRAM time of the runs
+        before it: ``index * dram_random_ps + lines_before[index] *
+        dram_line_ps``, where ``lines_before[index]`` counts their repeats.
         """
         pool = self.pool
         in_pool = pool._resident
         # While the pool is all dirty, a quiet write has no bit to set;
         # only a memory_touch call in the loop can clear the flag.
         all_dirty = pool.all_dirty
-        t_mm = self.t_mm
         # Without a temporary context no head is quiet: all go through
         # memory_touch.
-        owned = {} if t_mm is None else t_mm._owned
+        owned = {} if self.t_mm is None else self.t_mm._owned
         owned_get = owned.get
-        # A batch's heads lie in one region, so one lookup tells whether
-        # t_mm mapped them all at setup. (Were they to span regions, each
-        # unowned head would go through memory_touch: slower, as exact.)
-        mapped = t_mm is not None and bool(heads) and t_mm.maps(min(heads), max(heads))
         writable_only = write or self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF)
         sanitizer = self.sanitizer
         touch = self.memory_touch
         random_ps = self.config.dram_random_ps
         line_ps = self.config.dram_line_ps
-        # The DRAM time of the runs before head i is i * random_ps +
-        # lines_before[i] * line_ps; the runs' DRAM time is added at the end.
-        lines_before = list(accumulate(repeats, initial=0))
         cost = 0
-        for index, vpn in enumerate(heads):
+        for index, vpn in indexed_heads:
             pte = owned_get(vpn)
             if pte is None:
                 # Not owned: present and writable if mapped at setup.
@@ -203,9 +245,13 @@ class CoherenceProtocol:
                 at = now + cost + index * random_ps + lines_before[index] * line_ps
                 cost += touch(vpn, write, at)
                 all_dirty = pool.all_dirty
-        lines = lines_before[-1]
-        self.stats.memory_side_page_touches += len(heads) + lines
-        return cost + len(heads) * random_ps + lines * line_ps
+        return cost
+
+    def _charge_batch(self, cost, nheads, lines):
+        """Count a batch's accesses and add its DRAM time to ``cost``."""
+        self.stats.memory_side_page_touches += nheads + lines
+        config = self.config
+        return cost + nheads * config.dram_random_ps + lines * config.dram_line_ps
 
     def _memory_touch(self, vpn, write, now):
         cost = 0

@@ -9,9 +9,12 @@ caches in the same LRU order, for the local pool, the compute pool (with
 and without a live protocol) and the memory pool under MESI, PSO and WEAK.
 
 Each pool's ``touch_runs`` serves a batch's run heads in one loop over
-live state. Every batch is played with the tracer on and off, and in both
-runs the per-head calls raise on any head the loop should have served
-inline.
+live state. A dense batch (more heads than pages spanned) goes to
+``touch_dense``, which the local swap and the memory side serve once per
+distinct page when no page can be evicted within it; dense batches are
+drawn against pools that spill, hold the region, or have room. Every
+batch is played with the tracer on and off, and in both runs the
+per-head calls raise on any head the loop should have served inline.
 """
 
 from contextlib import contextmanager
@@ -23,7 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ddc import Pool, make_platform
+from repro.ddc.context import ExecutionContext, _page_runs
 from repro.ddc.kernels import ComputeKernel
+from repro.ddc.thread import SimThread
 from repro.errors import PushdownUserError
 from repro.mem.storage import SwapDevice
 from repro.sim.config import DdcConfig
@@ -40,6 +45,14 @@ CONFIG = dict(
     memory_pool_bytes=32 * 4 * KIB,
     local_ram_bytes=16 * 4 * KIB,
 )
+#: The memory pool and the local DRAM: ``spills`` (CONFIG's, smaller than
+#: the region, so a dense batch takes the per-head path), ``holds`` (the
+#: whole region, with room for any batch's pages) and ``room`` (as large,
+#: but a freed region displaced the data region's first pages, so a dense
+#: batch faults without evicting).
+LARGE_POOLS = dict(memory_pool_bytes=64 * 4 * KIB, local_ram_bytes=64 * 4 * KIB)
+POOLS = {"spills": {}, "holds": LARGE_POOLS, "room": LARGE_POOLS}
+DISPLACING_PAGES = 40
 
 
 def reference_cost(ctx, vpns, write):
@@ -69,6 +82,20 @@ def collapsed_cost(ctx, vpns, write):
 
 RUNS = st.lists(st.tuples(st.integers(0, N_PAGES - 1), st.integers(1, 6)), min_size=1, max_size=20)
 BATCHES = st.lists(st.tuples(RUNS, st.booleans()), min_size=1, max_size=6)
+
+
+def window_runs(window):
+    first, width = window
+    return st.lists(
+        st.tuples(st.integers(first, first + width - 1), st.integers(1, 3)),
+        min_size=1, max_size=200,
+    )
+
+
+#: Up to about 200 heads over a window of at most 8 pages: mostly dense
+#: batches (more heads than pages spanned).
+DENSE_RUNS = st.tuples(st.integers(0, N_PAGES - 8), st.integers(1, 8)).flatmap(window_runs)
+DENSE_BATCHES = st.lists(st.tuples(DENSE_RUNS, st.booleans()), min_size=1, max_size=4)
 WARMUP = st.lists(st.tuples(st.integers(0, N_PAGES - 1), st.booleans()), max_size=24)
 
 
@@ -79,16 +106,20 @@ def expand(runs, start_vpn):
 
 
 def play(kind, where, mode, warmup, batches, cost_fn, line_ns=4.0, traced=False,
-         fault_ns=2500.0):
+         fault_ns=2500.0, pool="spills"):
     """Run warm-up accesses, then ``batches`` through ``cost_fn``; return
     everything the two paths must agree on. ``traced`` turns the tracer
-    on."""
-    config = DdcConfig(dram_line_ns=line_ns, fault_software_ns=fault_ns, **CONFIG)
+    on; ``pool`` names the memory pool's and local DRAM's size in POOLS."""
+    config = DdcConfig(
+        dram_line_ns=line_ns, fault_software_ns=fault_ns, **dict(CONFIG, **POOLS[pool])
+    )
     platform = make_platform(kind, config)
     if traced:
         platform.tracer.enable()
     process = platform.new_process()
     region = process.alloc_array("data", np.zeros(N_PAGES * PAGE_ELEMENTS))
+    if pool == "room":
+        process.free(process.alloc_array("displacing", np.zeros(DISPLACING_PAGES * PAGE_ELEMENTS)))
     ctx = platform.main_context(process)
     for page, write in warmup:
         ctx.touch_page(region.start_vpn + page, write=write)
@@ -101,17 +132,22 @@ def play(kind, where, mode, warmup, batches, cost_fn, line_ns=4.0, traced=False,
             cost = cost_fn(c, expand(runs, region.start_vpn), write)
             costs.append(cost)
             c.charge_ps(cost)
-            if protocol is not None:
-                # The temporary context's PTEs after each batch (a later
-                # batch may overwrite a wrong bit; the pushdown's end
-                # drops them).
-                t_mm.append(sorted(
+            if protocol is not None and protocol.t_mm is not None:
+                # The temporary context's PTEs after each batch, in the
+                # order they were made (a later batch may overwrite a
+                # wrong bit; the pushdown's end drops them).
+                t_mm.append([
                     (vpn, pte.present, pte.writable, pte.dirty)
                     for vpn, pte in protocol.t_mm.owned_entries()
-                ))
+                ])
 
     if where == "memory":
         ctx.pushdown(run_batches, consistency=mode)
+    elif where == "memory without t_mm":
+        # A protocol with no temporary context: every memory-side touch
+        # is a plain access of the memory pool.
+        protocol = CoherenceProtocol(platform, process, mode)
+        run_batches(ExecutionContext(platform, SimThread(process, pool=Pool.MEMORY), protocol))
     elif where == "compute+protocol":
         compute = platform.kernel_for(process)
         protocol = CoherenceProtocol(platform, process, mode)
@@ -156,7 +192,7 @@ def heads_served_inline():
         return fetch(self, vpn, npages, write)
 
     def checked_memory_touch(self, vpn, write, now):
-        pte = self.t_mm.peek(vpn)
+        pte = None if self.t_mm is None else self.t_mm.peek(vpn)
         relaxed = self.mode in (ConsistencyMode.WEAK, ConsistencyMode.OFF)
         quiet = (
             vpn in self.pool
@@ -173,16 +209,17 @@ def heads_served_inline():
         yield
 
 
-def assert_exact(kind, where, mode, warmup, batches, line_ns=4.0, fault_ns=2500.0):
+def assert_exact(kind, where, mode, warmup, batches, line_ns=4.0, fault_ns=2500.0,
+                 pool="spills"):
     """Play ``batches`` through the per-access loop with the tracer on, and
     through ``_random_cost`` under :func:`heads_served_inline` with the
     tracer on and off; all must agree bit for bit, trace events included.
     Returns the untraced state."""
     args = (kind, where, mode, warmup, batches)
-    expected = play(*args, reference_cost, line_ns, traced=True, fault_ns=fault_ns)
+    expected = play(*args, reference_cost, line_ns, traced=True, fault_ns=fault_ns, pool=pool)
     with heads_served_inline():
-        traced = play(*args, collapsed_cost, line_ns, traced=True, fault_ns=fault_ns)
-        untraced = play(*args, collapsed_cost, line_ns, fault_ns=fault_ns)
+        traced = play(*args, collapsed_cost, line_ns, traced=True, fault_ns=fault_ns, pool=pool)
+        untraced = play(*args, collapsed_cost, line_ns, fault_ns=fault_ns, pool=pool)
     # Bit-equal, not approximately equal.
     assert traced["costs"] == expected["costs"]
     assert traced == expected
@@ -341,3 +378,98 @@ def test_memory_reads_and_writes_over_shared_and_owned_ptes(mode, line_ns):
         ([(page, 1) for page in range(N_PAGES)], True),
     ]
     assert_exact("teleport", "memory", mode, warmup, batches, line_ns)
+
+
+#: Every pager, and the memory side with no temporary context.
+DENSE_SCENARIOS = SCENARIOS + [("teleport", "memory without t_mm", ConsistencyMode.MESI)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scenario=st.sampled_from(DENSE_SCENARIOS),
+    pool=st.sampled_from(sorted(POOLS)),
+    warmup=WARMUP,
+    batches=DENSE_BATCHES,
+    line_ns=st.sampled_from([4.0, 4.1]),
+)
+def test_dense_batches_match_per_access_loop(scenario, pool, warmup, batches, line_ns):
+    """Batches of up to about 200 heads over at most 8 pages, which the
+    swap and the memory side serve once per distinct page when no page
+    can be evicted within the batch (``holds``, ``room``) and head by head
+    otherwise (``spills``), agree with the per-access loop bit for bit,
+    with the tracer on and off."""
+    kind, where, mode = scenario
+    assert_exact(kind, where, mode, warmup, batches, line_ns, pool=pool)
+
+
+DENSE_RUN_LIST = [(page, 1 + page % 3) for _ in range(12) for page in (5, 9, 6, 5, 8, 12, 7)]
+
+
+def no_per_head_loop(self, heads, repeats, write, now):
+    raise AssertionError(f"a dense batch of {len(heads)} heads took the per-head loop")
+
+
+def dense_cost(ctx, vpns, write):
+    """``_random_cost`` of a batch that must not reach the pager's
+    per-head loop."""
+    with mock.patch.object(type(ctx.pager), "touch_runs", no_per_head_loop):
+        return ctx._random_cost(vpns, write)
+
+
+@pytest.mark.parametrize("scenario, pool", [
+    (("local", "local", None), "holds"),
+    (("teleport", "memory", ConsistencyMode.MESI), "holds"),
+    (("teleport", "memory", ConsistencyMode.MESI), "room"),
+    (("teleport", "memory", ConsistencyMode.PSO), "room"),
+    (("teleport", "memory", ConsistencyMode.WEAK), "room"),
+    (("teleport", "memory without t_mm", ConsistencyMode.MESI), "room"),
+], ids=["local", "mesi-holds", "mesi-room", "pso-room", "weak-room", "no-t_mm-room"])
+def test_dense_batch_skips_the_per_head_loop(scenario, pool):
+    """When the pool has room for a dense batch's pages, the batch never
+    reaches the per-head loop and still matches the per-access loop. The
+    compute pool caches some of the pages, writable or read-only; in the
+    ``room`` pool all of them start on storage."""
+    kind, where, mode = scenario
+    warmup = [(page, page % 2 == 0) for page in range(4, 14, 3)]
+    batches = [(DENSE_RUN_LIST, False), (DENSE_RUN_LIST, True), (DENSE_RUN_LIST[::-1], False)]
+    args = (kind, where, mode, warmup, batches)
+    expected = play(*args, reference_cost, traced=True, pool=pool)
+    with heads_served_inline():
+        actual = play(*args, dense_cost, traced=True, pool=pool)
+    assert actual == expected
+    if pool == "room":
+        assert actual["stats"]["storage_faults"] > 0
+
+
+@pytest.mark.parametrize("write", [False, True])
+@pytest.mark.parametrize("mode", [ConsistencyMode.MESI, ConsistencyMode.PSO, ConsistencyMode.WEAK])
+def test_dense_memory_batch_checks_swmr_once_per_head(mode, write):
+    """With sanitizers armed, a dense memory-side batch makes one SWMR
+    check per head, as the per-head loop does, though it serves each page
+    once. CI's micro-sanitize lane pins the count over whole figures, so
+    a path that checked once per distinct page must fail here first."""
+    vpns = expand(DENSE_RUN_LIST, 0)
+    checks = []
+    for per_head in (False, True):
+        config = DdcConfig(sanitizers=True, **dict(CONFIG, **POOLS["holds"]))
+        platform = make_platform("teleport", config)
+        process = platform.new_process()
+        region = process.alloc_array("data", np.zeros(N_PAGES * PAGE_ELEMENTS))
+        ctx = platform.main_context(process)
+        for page in (5, 8, 12):
+            ctx.touch_page(region.start_vpn + page, write=page != 8)
+        batch = vpns + region.start_vpn
+        heads, repeats = _page_runs(batch)
+        assert len(heads) > heads.max() - heads.min() + 1
+
+        def run(c, per_head=per_head, heads=heads, repeats=repeats, batch=batch):
+            suite = c.platform.sanitizers
+            before = suite.swmr_checks
+            if per_head:
+                c.pager.touch_runs(heads.tolist(), repeats.tolist(), write, c.now)
+            else:
+                dense_cost(c, batch, write)
+            return suite.swmr_checks - before
+
+        checks.append(ctx.pushdown(run, consistency=mode))
+    assert checks == [len(heads), len(heads)]
