@@ -14,7 +14,7 @@ the local swap device (:class:`~repro.mem.storage.SwapDevice`) on the
 monolithic baseline, the process's
 :class:`~repro.ddc.kernels.ComputeKernel` in the compute pool, and the
 pushdown's :class:`~repro.teleport.coherence.CoherenceProtocol` in the
-memory pool. Each has ``touch_runs(heads, repeats, write, now)``, its
+memory pool. Each has ``touch_runs(heads, repeats, write, now, span)``, its
 array form for dense batches ``touch_dense`` (see
 :meth:`ExecutionContext._random_cost`) and ``touch_sequential(start_vpn,
 npages, write, now)``.
@@ -175,15 +175,19 @@ class ExecutionContext:
         It goes to the pager's ``touch_dense`` as two arrays, with no list
         built: a pager whose state guarantees that no page can be evicted
         within the batch serves it once per distinct page, and any other
-        serves it as ``touch_runs`` would.
+        serves it as ``touch_runs`` would. The compute cache, with no
+        protocol or tracer, classifies every head of it by replaying its
+        LRU at C speed. Any other batch goes to ``touch_runs`` as two
+        lists, with its lowest and highest head as ``span``.
         """
         now = self.now
         if len(vpns) <= 1:
             return self.pager.touch_runs([int(vpn) for vpn in vpns], [0] * len(vpns), write, now)
         heads, repeats = _page_runs(vpns)
-        if len(heads) > heads.max() - heads.min() + 1:
+        span = int(heads.min()), int(heads.max())
+        if len(heads) > span[1] - span[0] + 1:
             return self.pager.touch_dense(heads, repeats, write, now)
-        return self.pager.touch_runs(heads.tolist(), repeats.tolist(), write, now)
+        return self.pager.touch_runs(heads.tolist(), repeats.tolist(), write, now, span)
 
     # ------------------------------------------------------------------
     # TELEPORT surface (overridden behaviour on TeleportPlatform)

@@ -13,10 +13,13 @@ routes the relevant transitions through the attached
 Single-Writer-Multiple-Reader invariant holds across the pools.
 """
 
+from collections import deque
 from itertools import accumulate
 
+import numpy as np
+
 from repro.mem.cache import CacheEntry, PageCache
-from repro.mem.storage import SwapDevice
+from repro.mem.storage import SwapDevice, distinct_heads
 
 
 class ComputeKernel:
@@ -55,7 +58,7 @@ class ComputeKernel:
     # ------------------------------------------------------------------
     # Access paths (cost only; data lives in the region's numpy buffer)
     # ------------------------------------------------------------------
-    def touch_runs(self, heads, repeats, write, now):
+    def touch_runs(self, heads, repeats, write, now, span=None):
         """The cost of a batch of random runs of page accesses from the
         compute pool.
 
@@ -72,7 +75,7 @@ class ComputeKernel:
         dirty victim]; its counters, traffic and fixed costs are charged
         once per batch. On a full cache it evicts the LRU victim before
         the insert rather than after, which evicts the same page, and
-        reuses the victim's entry for the new page.
+        reuses the victim's entry for the new page. ``span`` is unused.
         """
         entries = self.cache._entries
         get = entries.get
@@ -145,9 +148,68 @@ class ComputeKernel:
         return cost + len(heads) * random_ps + sum(repeats) * line_ps
 
     def touch_dense(self, heads, repeats, write, now):
-        """:meth:`touch_runs` for a dense batch, given as two int64 arrays:
-        the cache has no per-page shortcut, so the heads go through it."""
-        return self.touch_runs(heads.tolist(), repeats.tolist(), write, now)
+        """:meth:`touch_runs` for a dense batch, given as two int64 arrays.
+
+        With no protocol and the tracer off, :meth:`PageCache.replay` gives
+        each head its residency interval at C speed, and numpy derives the
+        loop's effect from those ids: LRU evicts intervals in the order of
+        their last access, the untouched cached ones first (DESIGN.md,
+        "Dense batches"). The heads go through :meth:`touch_runs` instead
+        with a protocol or the tracer, when the cache holds more entries
+        than the batch has heads (seeding would cost more than the batch),
+        when a missed page is absent from the memory pool, or when a dirty
+        victim's write-back would change it (not ``all_dirty``). The replay
+        changes nothing, so falling back after it is exact.
+        """
+        cache = self.cache
+        entries = cache._entries
+        cached = len(entries)
+        if self.protocol is not None or self.platform.tracer.enabled or cached > len(heads):
+            return self.touch_runs(heads.tolist(), repeats.tolist(), write, now)
+        ids = cache.replay(heads.tolist())
+        intervals = max(int(ids.max()) + 1, cached)
+        misses = intervals - cached
+        evictions = max(0, intervals - cache.capacity_pages)
+        page_of = np.empty(intervals, np.int64)
+        page_of[:cached] = np.fromiter(entries, np.int64, cached)
+        # Every head of an interval is the same page: any write order does.
+        page_of[ids] = heads
+        missed = page_of[cached:]
+        missed = missed[distinct_heads(missed, last=True)].tolist() if misses else []
+        # Every interval in the order of its last access.
+        touched = ids[distinct_heads(ids, last=True)]
+        hit = np.zeros(intervals, bool)
+        hit[touched] = True
+        order = np.concatenate((np.flatnonzero(~hit[:cached]), touched))
+        old = list(entries.values())
+        # A victim is dirty if its entry was, or if the batch writes and
+        # opened or hit it.
+        dirty_of = np.full(intervals, write)
+        dirty_of[:cached] = [entry.dirty for entry in old]
+        dirty_of[touched] |= write
+        dirty = int(np.count_nonzero(dirty_of[order[:evictions]]))
+        resident = self.pool._resident
+        if (dirty and not self.pool.all_dirty) or not all(map(resident.__contains__, missed)):
+            return self.touch_runs(heads.tolist(), repeats.tolist(), write, now)
+        deque(map(resident.move_to_end, missed), maxlen=0)
+        # The survivors in order: a cached entry is kept (and a write hit
+        # makes it writable and dirty), every other page's is new.
+        if write:
+            for entry in map(old.__getitem__, touched[touched < cached].tolist()):
+                entry.writable = entry.dirty = True
+        alive = order[evictions:].tolist()
+        kept = [old[i] if i < cached else CacheEntry(write, write) for i in alive]
+        entries.clear()
+        entries.update(zip(page_of[alive].tolist(), kept))
+        lines = int(repeats.sum())
+        stats = self.stats
+        stats.cache_hits += len(heads) - misses + lines
+        stats.cache_misses += misses
+        stats.cache_evictions += evictions
+        stats.dirty_writebacks += dirty
+        cost = self.network.pages_in_ps(misses, batch=1)
+        cost += self.network.pages_out_ps(dirty, batch=1)
+        return cost + len(heads) * self.config.dram_random_ps + lines * self.config.dram_line_ps
 
     def touch_sequential(self, start_vpn, npages, write, now=0):
         """Stream ``npages`` consecutive pages through the cache.

@@ -9,7 +9,10 @@ TELEPORT's coherence protocol manipulates.
 """
 
 from collections import OrderedDict, deque
-from itertools import repeat
+from functools import lru_cache, partial
+from itertools import count, repeat
+
+import numpy as np
 
 from repro.errors import ConfigError
 
@@ -39,7 +42,8 @@ class PageCache:
             raise ConfigError(f"cache capacity must be >= 1 page, got {capacity_pages}")
         self.capacity_pages = capacity_pages
         #: vpn -> CacheEntry, in LRU order. ``ComputeKernel.touch_runs``
-        #: reads and updates it directly, so that a hit costs it no call.
+        #: reads and updates it directly, so that a hit costs it no call;
+        #: ``ComputeKernel.touch_dense`` rebuilds it from :meth:`replay`.
         self._entries = OrderedDict()
 
     def __len__(self):
@@ -72,6 +76,16 @@ class PageCache:
         if len(span) <= len(entries):
             return next(filter(entries.__contains__, span), end_vpn)
         return min(filter(span.__contains__, entries), default=end_vpn)
+
+    def replay(self, vpns):
+        """The residency interval that would serve each access of ``vpns``
+        (a list) in turn, as an int64 array, leaving the cache unchanged.
+        The cached pages hold intervals 0 .. len(self) - 1 in LRU order and
+        each miss opens the next: an ``lru_cache`` of the same capacity (an
+        exact LRU in C) maps each vpn through ``next`` of one counter."""
+        replay = lru_cache(maxsize=self.capacity_pages)(partial(next, count()))
+        deque(map(replay, self._entries), maxlen=0)
+        return np.fromiter(map(replay, vpns), np.int64, len(vpns))
 
     def insert(self, vpn, writable, dirty=False):
         """Insert (or refresh) a page; return list of evicted (vpn, dirty).

@@ -83,14 +83,14 @@ class SwapDevice:
             return 0
         return self._fault_in(vpn, dirty)
 
-    def touch_runs(self, heads, repeats, write, now):
+    def touch_runs(self, heads, repeats, write, now, span=None):
         """The cost of a batch of random runs of page accesses.
 
         Each run touches its page (its head) as :meth:`touch` would and
         costs ``dram_random_ps``, plus one ``dram_line_ps`` per repeat. A
         DRAM hit is served inline (LRU move, and the dirty bit for a write)
         and adds no fault cost; a miss goes through :meth:`_fault_in`.
-        No cost depends on the batch's start time ``now``.
+        No cost depends on the batch's start time ``now`` or ``span``.
         """
         resident = self._resident
         get = resident.get

@@ -147,18 +147,21 @@ class CoherenceProtocol:
         self.stats.memory_side_page_touches += npages
         return cost + npages * self.config.dram_page_ps
 
-    def touch_runs(self, heads, repeats, write, now):
+    def touch_runs(self, heads, repeats, write, now, span=None):
         """The cost of a batch of random runs of page accesses from the
         temporary context.
 
         A run costs ``dram_random_ps``, one ``dram_line_ps`` per repeat and
         its first access's (its head's) cost, served by
         :meth:`_serve_heads` in order. Every access of the batch counts as
-        a memory-side page touch.
+        a memory-side page touch. ``span``, the lowest and highest head if
+        the caller has them, saves a ``min``/``max`` over the list.
         """
         lines_before = list(accumulate(repeats, initial=0))
         t_mm = self.t_mm
-        mapped = t_mm is not None and bool(heads) and t_mm.maps(min(heads), max(heads))
+        mapped = False
+        if t_mm is not None and heads:
+            mapped = t_mm.maps(*(span or (min(heads), max(heads))))
         cost = self._serve_heads(enumerate(heads), lines_before, mapped, write, now)
         return self._charge_batch(cost, len(heads), lines_before[-1])
 
@@ -176,13 +179,14 @@ class CoherenceProtocol:
         :meth:`touch_runs`.
         """
         firsts = distinct_heads(heads)
+        span = int(heads.min()), int(heads.max())
         pool = self.pool
         if pool.resident_pages + len(firsts) > pool.capacity_pages:
-            return self.touch_runs(heads.tolist(), repeats.tolist(), write, now)
+            return self.touch_runs(heads.tolist(), repeats.tolist(), write, now, span)
         lines = np.cumsum(repeats)
         indices = firsts.tolist()
         lines_before = dict(zip(indices, (lines[firsts] - repeats[firsts]).tolist()))
-        mapped = self.t_mm is not None and self.t_mm.maps(int(heads.min()), int(heads.max()))
+        mapped = self.t_mm is not None and self.t_mm.maps(*span)
         cost = self._serve_heads(
             zip(indices, heads[firsts].tolist()), lines_before, mapped, write, now
         )

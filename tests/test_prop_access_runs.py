@@ -11,10 +11,13 @@ and without a live protocol) and the memory pool under MESI, PSO and WEAK.
 Each pool's ``touch_runs`` serves a batch's run heads in one loop over
 live state. A dense batch (more heads than pages spanned) goes to
 ``touch_dense``, which the local swap and the memory side serve once per
-distinct page when no page can be evicted within it; dense batches are
-drawn against pools that spill, hold the region, or have room. Every
-batch is played with the tracer on and off, and in both runs the
-per-head calls raise on any head the loop should have served inline.
+distinct page when no page can be evicted within it, and the compute
+cache (no protocol, tracer off) classifies head by head by replaying its
+LRU at C speed; dense batches are drawn against pools that spill, hold
+the region, or have room, and for the compute cache over windows that fit
+it and windows of up to 40 pages that overflow it. Every batch is played
+with the tracer on and off, and in both runs the per-head calls raise on
+any head the loop should have served inline.
 """
 
 from contextlib import contextmanager
@@ -84,11 +87,11 @@ RUNS = st.lists(st.tuples(st.integers(0, N_PAGES - 1), st.integers(1, 6)), min_s
 BATCHES = st.lists(st.tuples(RUNS, st.booleans()), min_size=1, max_size=6)
 
 
-def window_runs(window):
+def window_runs(window, min_size=1):
     first, width = window
     return st.lists(
         st.tuples(st.integers(first, first + width - 1), st.integers(1, 3)),
-        min_size=1, max_size=200,
+        min_size=min_size, max_size=200,
     )
 
 
@@ -308,15 +311,15 @@ def test_spilled_miss_adds_write_back_after_remote_fault():
     assert state["stats"]["dirty_writebacks"] == 3
 
 
-def every_head_through_fault_in(self, heads, repeats, write, now):
+def every_head_through_fault_in(self, heads, repeats, write, now, span=None):
     return sum(self._fault_in(vpn, write) for vpn in heads)
 
 
-def every_head_through_fetch(self, heads, repeats, write, now):
+def every_head_through_fetch(self, heads, repeats, write, now, span=None):
     return sum(self._fetch(vpn, 1, write) for vpn in heads)
 
 
-def every_head_through_memory_touch(self, heads, repeats, write, now):
+def every_head_through_memory_touch(self, heads, repeats, write, now, span=None):
     return sum(self.memory_touch(vpn, write, now) for vpn in heads)
 
 
@@ -402,10 +405,53 @@ def test_dense_batches_match_per_access_loop(scenario, pool, warmup, batches, li
     assert_exact(kind, where, mode, warmup, batches, line_ns, pool=pool)
 
 
+#: Twice as many runs as pages, up to 200, over a window of up to 40 of
+#: the 48 pages: dense compute batches, most of which overflow the 12-page
+#: cache.
+WIDE_DENSE_RUNS = st.tuples(st.integers(0, N_PAGES - 40), st.integers(1, 40)).flatmap(
+    lambda window: window_runs(window, min_size=2 * window[1])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.sampled_from(sorted(POOLS)),
+    warmup=WARMUP,
+    batches=st.lists(st.tuples(WIDE_DENSE_RUNS, st.booleans()), min_size=1, max_size=4),
+    line_ns=st.sampled_from([4.0, 4.1]),
+)
+# Page 1, then page 0, is a hit on an entry cached before the second
+# batch: the memory pool must not move either.
+@example(
+    pool="holds",
+    warmup=[],
+    batches=[([(0, 1), (1, 1), (0, 1)], False), ([(1, 1), (0, 1), (1, 1)], False)],
+    line_ns=4.0,
+)
+# Page 0, cached clean, is hit by a write and then evicted within the
+# batch: its victim is dirty.
+@example(
+    pool="holds",
+    warmup=[(0, False)],
+    batches=[([(0, 1), (1, 1), (0, 1)] + [(page, 1) for page in range(2, 15)], True)],
+    line_ns=4.0,
+)
+def test_dense_compute_batches_over_the_cache_match_per_access_loop(
+    pool, warmup, batches, line_ns
+):
+    """Dense compute batches over windows of up to 40 pages, which
+    overflow the 12-page cache, after clean and dirty warm-ups, agree with
+    the per-access loop bit for bit, with the tracer on and off."""
+    assert_exact("ddc", "compute", None, warmup, batches, line_ns, pool=pool)
+
+
 DENSE_RUN_LIST = [(page, 1 + page % 3) for _ in range(12) for page in (5, 9, 6, 5, 8, 12, 7)]
+#: 57 heads over 19 of the 37 pages spanned: dense, and more pages than the
+#: compute cache holds.
+OVERFLOWING_RUN_LIST = [(page, 1 + page % 3) for _ in range(3) for page in range(2, 40, 2)]
 
 
-def no_per_head_loop(self, heads, repeats, write, now):
+def no_per_head_loop(self, heads, repeats, write, now, span=None):
     raise AssertionError(f"a dense batch of {len(heads)} heads took the per-head loop")
 
 
@@ -416,29 +462,37 @@ def dense_cost(ctx, vpns, write):
         return ctx._random_cost(vpns, write)
 
 
-@pytest.mark.parametrize("scenario, pool", [
-    (("local", "local", None), "holds"),
-    (("teleport", "memory", ConsistencyMode.MESI), "holds"),
-    (("teleport", "memory", ConsistencyMode.MESI), "room"),
-    (("teleport", "memory", ConsistencyMode.PSO), "room"),
-    (("teleport", "memory", ConsistencyMode.WEAK), "room"),
-    (("teleport", "memory without t_mm", ConsistencyMode.MESI), "room"),
-], ids=["local", "mesi-holds", "mesi-room", "pso-room", "weak-room", "no-t_mm-room"])
-def test_dense_batch_skips_the_per_head_loop(scenario, pool):
+@pytest.mark.parametrize("scenario, pool, runs", [
+    (("local", "local", None), "holds", DENSE_RUN_LIST),
+    (("teleport", "memory", ConsistencyMode.MESI), "holds", DENSE_RUN_LIST),
+    (("teleport", "memory", ConsistencyMode.MESI), "room", DENSE_RUN_LIST),
+    (("teleport", "memory", ConsistencyMode.PSO), "room", DENSE_RUN_LIST),
+    (("teleport", "memory", ConsistencyMode.WEAK), "room", DENSE_RUN_LIST),
+    (("teleport", "memory without t_mm", ConsistencyMode.MESI), "room", DENSE_RUN_LIST),
+    (("ddc", "compute", None), "holds", DENSE_RUN_LIST),
+    (("ddc", "compute", None), "holds", OVERFLOWING_RUN_LIST),
+], ids=["local", "mesi-holds", "mesi-room", "pso-room", "weak-room", "no-t_mm-room",
+        "compute-fits", "compute-overflows"])
+def test_dense_batch_skips_the_per_head_loop(scenario, pool, runs):
     """When the pool has room for a dense batch's pages, the batch never
     reaches the per-head loop and still matches the per-access loop. The
     compute pool caches some of the pages, writable or read-only; in the
-    ``room`` pool all of them start on storage."""
+    ``room`` pool all of them start on storage. The compute cache, whose
+    replay runs with the tracer off, needs no room: a batch that fits it
+    and one that overflows it both skip the loop."""
     kind, where, mode = scenario
     warmup = [(page, page % 2 == 0) for page in range(4, 14, 3)]
-    batches = [(DENSE_RUN_LIST, False), (DENSE_RUN_LIST, True), (DENSE_RUN_LIST[::-1], False)]
+    batches = [(runs, False), (runs, True), (runs[::-1], False)]
     args = (kind, where, mode, warmup, batches)
+    traced = where != "compute"
     expected = play(*args, reference_cost, traced=True, pool=pool)
     with heads_served_inline():
-        actual = play(*args, dense_cost, traced=True, pool=pool)
-    assert actual == expected
+        actual = play(*args, dense_cost, traced=traced, pool=pool)
+    assert actual == (expected if traced else dict(expected, events=[]))
     if pool == "room":
         assert actual["stats"]["storage_faults"] > 0
+    if runs is OVERFLOWING_RUN_LIST:
+        assert actual["stats"]["dirty_writebacks"] > 0
 
 
 @pytest.mark.parametrize("write", [False, True])
