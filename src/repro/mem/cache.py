@@ -77,6 +77,14 @@ class PageCache:
             return next(filter(entries.__contains__, span), end_vpn)
         return min(filter(span.__contains__, entries), default=end_vpn)
 
+    def count_cached(self, span):
+        """How many vpns of the range ``span`` are cached, probing the
+        shorter of the two as :meth:`first_cached` does."""
+        entries = self._entries
+        if len(span) <= len(entries):
+            return sum(map(entries.__contains__, span))
+        return sum(map(span.__contains__, entries))
+
     def replay(self, vpns):
         """The residency interval that would serve each access of ``vpns``
         (a list) in turn, as an int64 array, leaving the cache unchanged.

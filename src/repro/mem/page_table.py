@@ -6,13 +6,19 @@ temporary context works on that table as of the pushdown's start
 allocation to its free, and nothing in between changes its PTE, so the
 full table is a :class:`PageTable`: a view of the address space's live
 regions that keeps no per-page state. The temporary context's table is a
-:class:`PageTableSnapshot` of it: the region bounds as of setup, plus a
-PTE for each page the protocol has read for update since.
+:class:`PageTableSnapshot` of it: the region bounds as of setup, plus an
+owned PTE for each page the compute pool held at setup or the protocol
+has read for update since.
 """
 
 from bisect import bisect_right
 
 from repro.mem.page import PageTableEntry
+
+#: The PTEs shared by the pages the compute pool held read-only (present,
+#: read-only) and writable (absent) at setup; copied on update, never changed.
+_HELD_READ_ONLY = PageTableEntry(True, False)
+_HELD_WRITABLE = PageTableEntry(False, False)
 
 
 class PageTable:
@@ -52,9 +58,11 @@ class PageTableSnapshot:
     taken, so regions allocated or freed afterwards do not show up. A
     mapped page reads as present, writable and clean until :meth:`get` or
     :meth:`ensure` first returns it; from then on it has its own *owned*
-    PTE, and only owned PTEs are ever changed. An owned PTE starts clean,
-    so its dirty bit means "dirtied since the snapshot". :meth:`peek`
-    reads without taking ownership.
+    PTE, and only owned PTEs are ever changed. The pages :meth:`hold`
+    names are owned from the start, but share two PTEs that :meth:`get`
+    and :meth:`ensure` copy before handing one out. An owned PTE starts
+    clean, so its dirty bit means "dirtied since the snapshot".
+    :meth:`peek` reads without taking ownership.
     """
 
     __slots__ = ("_starts", "_ends", "_owned")
@@ -67,6 +75,18 @@ class PageTableSnapshot:
         #: directly, as :meth:`peek` does, and adds an owned PTE as
         #: :meth:`ensure` would, so that a quiet touch costs it no call.
         self._owned = {}
+
+    def hold(self, resident):
+        """Own the mapped pages of ``resident``, the compute pool's
+        (vpn, writable) list, on a fresh snapshot: Figure 8's
+        ``Invalidate`` through the shared held PTEs. One ``maps`` call
+        checks a list that lies in one region."""
+        owned = self._owned = {
+            vpn: _HELD_WRITABLE if writable else _HELD_READ_ONLY for vpn, writable in resident
+        }
+        if owned and not self.maps(min(owned), max(owned)):
+            for vpn in [vpn for vpn in owned if not self.maps(vpn, vpn)]:
+                del owned[vpn]
 
     def maps(self, first, last):
         """Whether every vpn in [first, last] was mapped when the snapshot
@@ -83,7 +103,8 @@ class PageTableSnapshot:
 
     def peek(self, vpn):
         """The PTE for ``vpn`` (or None) without taking ownership; read
-        only, since a page not yet owned reads as a new PTE each time."""
+        only, since a page not yet owned reads as a new PTE each time and
+        a held page as a shared one."""
         entry = self._owned.get(vpn)
         if entry is None and self.maps(vpn, vpn):
             return PageTableEntry(True, True)
@@ -95,6 +116,8 @@ class PageTableSnapshot:
         entry = self._owned.get(vpn)
         if entry is None and self.maps(vpn, vpn):
             entry = self._owned[vpn] = PageTableEntry(True, True)
+        elif entry is _HELD_READ_ONLY or entry is _HELD_WRITABLE:
+            entry = self._owned[vpn] = PageTableEntry(entry.present, False)
         return entry
 
     def ensure(self, vpn):
@@ -103,6 +126,8 @@ class PageTableSnapshot:
         if entry is None:
             mapped = self.maps(vpn, vpn)
             entry = self._owned[vpn] = PageTableEntry(mapped, mapped)
+        elif entry is _HELD_READ_ONLY or entry is _HELD_WRITABLE:
+            entry = self._owned[vpn] = PageTableEntry(entry.present, False)
         return entry
 
     def owned_entries(self):

@@ -110,8 +110,9 @@ class OffloadController:
             return False
         if self.policy is OffloadPolicy.ALWAYS:
             return True
-        local = self.estimate_local_ps(ctx, request)
-        remote = self.estimate_pushdown_ps(ctx, request, pool)
+        cached = self.cached_pages(ctx, request)
+        local = self.estimate_local_ps(ctx, request, cached)
+        remote = self.estimate_pushdown_ps(ctx, request, pool, cached)
         return remote < local
 
     # ------------------------------------------------------------------
@@ -121,32 +122,31 @@ class OffloadController:
         """Touched pages currently resident in the compute-pool cache.
 
         Uses membership probes only — recency order must not change, or
-        the decision itself would perturb the workload it is costing.
+        the decision itself would perturb the workload it is costing. A
+        decision probes once, at C speed, and hands the count to both
+        estimates.
         """
         cache = ctx.pager.cache
-        cached = 0
-        for entry in request.regions:
-            for vpn in _vpn_range(entry):
-                if vpn in cache:
-                    cached += 1
-        return cached
+        return sum(cache.count_cached(_vpn_range(entry)) for entry in request.regions)
 
-    def estimate_local_ps(self, ctx, request):
+    def estimate_local_ps(self, ctx, request, cached=None):
         """Cost of running locally: faulting in every non-resident page.
 
         Sequential prefetching amortises the round trip over
         ``prefetch_degree`` pages, matching what a compute-local scan
         actually pays; the resident pages stream at DRAM speed.
+        ``cached`` is :meth:`cached_pages`, probed here if not given.
         """
         config = self.config
         touched = request.touched_pages()
-        cached = self.cached_pages(ctx, request)
+        if cached is None:
+            cached = self.cached_pages(ctx, request)
         misses = touched - cached
         degree = config.prefetch_degree
         miss_cost = misses * (config.remote_fault_ps(degree) / degree)
         return miss_cost + cached * config.dram_page_ps
 
-    def estimate_pushdown_ps(self, ctx, request, pool=None):
+    def estimate_pushdown_ps(self, ctx, request, pool=None, cached=None):
         """Cost of pushing down: fixed overheads, payload, queue, coherence.
 
         The memory pool streams the touched region at its own DRAM, so
@@ -155,9 +155,11 @@ class OffloadController:
         result payload transfer, the current admission-queue wait, and
         one coherence message per compute-cached page (the temporary
         context must invalidate or downgrade those to access them).
+        ``cached`` is :meth:`cached_pages`, probed here if not given.
         """
         config = self.config
-        cached = self.cached_pages(ctx, request)
+        if cached is None:
+            cached = self.cached_pages(ctx, request)
         cost = (
             config.context_base_ps
             + config.net_roundtrip_ps()

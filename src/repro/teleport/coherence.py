@@ -7,10 +7,10 @@ user context's page table ``t_mm``, prepared by
 :func:`CoherenceProtocol.setup` as in Figure 8. Figure 8 borrows the
 caller's table, so ``t_mm`` is a copy-on-access snapshot of the process's
 full table (:class:`~repro.mem.page_table.PageTableSnapshot`): the bounds
-of the regions live at setup, plus a PTE for each page the protocol has
-read for update since. Read-only checks, and memory-side reads that change
-no PTE, use ``peek`` and copy nothing. Nothing flows back to the full
-table at the end: it keeps no per-page state.
+of the regions live at setup, plus a PTE for each page the compute pool
+held at setup or the protocol has read for update since. Read-only checks,
+and memory-side reads that change no PTE, use ``peek`` and copy nothing.
+Nothing flows back to the full table at the end: it keeps no per-page state.
 
 Transitions follow Figure 9:
 
@@ -28,7 +28,7 @@ The protocol preserves the Single-Writer-Multiple-Reader invariant, which
 :meth:`check_swmr` asserts (used heavily by the property-based tests).
 """
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -75,14 +75,12 @@ class CoherenceProtocol:
         """Build ``t_mm`` from the caller's table and the resident list.
 
         ``resident`` is the compute pool's transmitted page list:
-        (vpn, writable) pairs. Returns the setup cost.
+        (vpn, writable) pairs, one per page, which ``PageTableSnapshot.hold``
+        invalidates without a PTE each. Returns the setup cost, which
+        still prices one PTE clone per listed page.
         """
         self.t_mm = self.full_table.snapshot()
-        for vpn, writable in resident:
-            # Every page mapped at setup is present.
-            pte = self.t_mm.get(vpn)
-            if pte is not None:
-                self._invalidate(pte, write=writable)
+        self.t_mm.hold(resident)
         if self.sanitizer is not None:
             # The freshly built temporary context must satisfy SWMR.
             self.sanitizer.swmr_transition(self, "setup")
@@ -140,10 +138,12 @@ class CoherenceProtocol:
         temporary context: a :meth:`memory_touch` per page, each at ``now``
         plus the cost charged before it (so a write upgrade's tie-break
         window ends when that upgrade does), plus DRAM streaming for each
-        page."""
-        cost = 0
-        for vpn in range(start_vpn, start_vpn + npages):
-            cost += self.memory_touch(vpn, write, now + cost)
+        page. The pages are served by :meth:`_serve_heads` as heads of
+        index 0 with no repeats, so a quiet page skips the call."""
+        stop = start_vpn + npages
+        mapped = self.t_mm is not None and self.t_mm.maps(start_vpn, stop - 1)
+        heads = zip(repeat(0), range(start_vpn, stop))
+        cost = self._serve_heads(heads, (0,), mapped, write, now)
         self.stats.memory_side_page_touches += npages
         return cost + npages * self.config.dram_page_ps
 

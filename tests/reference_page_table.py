@@ -10,7 +10,16 @@ every observable flag must agree. The snapshot here is written per page
 too, so the reference shares no table code with what it checks.
 """
 
+from repro.mem import page_table
 from repro.mem.page import PageTableEntry
+
+
+def assert_held_ptes_intact():
+    """The two PTEs every held page of a snapshot shares until an update
+    copies it still hold their bits."""
+    for pte, bits in ((page_table._HELD_READ_ONLY, (True, False, False)),
+                      (page_table._HELD_WRITABLE, (False, False, False))):
+        assert (pte.present, pte.writable, pte.dirty) == bits
 
 
 class ReferencePageTable:

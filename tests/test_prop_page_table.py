@@ -2,11 +2,14 @@
 
 :class:`~repro.mem.page_table.PageTable` is a view of an address space's
 live regions, and a snapshot of it keeps the region bounds as of the
-snapshot plus a PTE for each page first read for update. The property
-test runs random sequences of region allocs and frees, snapshots, and
-snapshot reads and updates on it and on
+snapshot plus a PTE for each page first read for update. A snapshot owns
+the pages the compute pool held at setup through two shared PTEs, which
+it copies before an update. The property test runs random sequences of
+region allocs and frees, snapshots with held pages, and snapshot reads
+and updates on it and on
 :class:`tests.reference_page_table.ReferencePageTable`, which builds every
-PTE at map time, and requires every observable flag to agree.
+PTE at map time and copies one per held page, and requires every
+observable flag to agree and the shared PTEs to keep their bits.
 """
 
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from repro.mem.page import PageTableEntry
 from repro.mem.region import AddressSpace
 from repro.sim.units import MIB
 from repro.teleport.coherence import CoherenceProtocol
-from tests.reference_page_table import ReferencePageTable
+from tests.reference_page_table import ReferencePageTable, assert_held_ptes_intact
 
 PAGE = 4096
 VPN_LIMIT = 48
@@ -27,7 +30,12 @@ OPS = st.lists(
     st.one_of(
         st.tuples(st.just("alloc"), st.integers(1, 6)),
         st.tuples(st.just("free"), st.integers(0, 7)),
-        st.tuples(st.just("snapshot")),
+        st.tuples(
+            st.just("snapshot"),
+            # The compute pool's resident list: distinct vpns, each held
+            # writable or read-only.
+            st.lists(st.tuples(VPNS, st.booleans()), unique_by=lambda pair: pair[0], max_size=12),
+        ),
         st.tuples(
             st.just("snap_get"), VPNS,
             st.sampled_from(["read", "invalidate", "downgrade", "dirty"]),
@@ -60,6 +68,10 @@ class Space:
     def mapped(self, vpn):
         return vpn in self.table
 
+    @staticmethod
+    def hold(snap, resident):
+        snap.hold(resident)
+
 
 class Reference:
     """The eager table, mapping regions where the address space would."""
@@ -82,6 +94,13 @@ class Reference:
 
     def mapped(self, vpn):
         return self.table.get(vpn) is not None
+
+    @staticmethod
+    def hold(snap, resident):
+        for vpn, writable in resident:
+            pte = snap.get(vpn)
+            if pte is not None:
+                update(pte, "invalidate" if writable else "downgrade")
 
 
 def flags(pte):
@@ -122,6 +141,7 @@ def apply(op, model, snap):
     elif kind == "snapshot":
         if snap is None:
             snap = model.table.snapshot()
+            model.hold(snap, op[1])
     elif snap is None:
         pass
     elif kind == "snap_get":
@@ -149,13 +169,11 @@ def test_page_table_matches_per_page_reference(ops):
         assert (real_snap is None) == (ref_snap is None)
         if real_snap is not None:
             assert snapshot_state(real_snap) == snapshot_state(ref_snap), op
+    assert_held_ptes_intact()
 
 
-def test_fresh_region_builds_no_pte(monkeypatch):
-    # A 192 MiB alloc and a pushdown's setup leave the full table and t_mm
-    # holding state per region, not per page.
-    platform = make_platform("teleport")
-    process = platform.new_process()
+def built_ptes(monkeypatch):
+    """The list of every PageTableEntry constructed from now on."""
     built = []
     init = PageTableEntry.__init__
 
@@ -164,6 +182,15 @@ def test_fresh_region_builds_no_pte(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(PageTableEntry, "__init__", counting_init)
+    return built
+
+
+def test_fresh_region_builds_no_pte(monkeypatch):
+    # A 192 MiB alloc and a pushdown's setup leave the full table and t_mm
+    # holding state per region, not per page.
+    platform = make_platform("teleport")
+    process = platform.new_process()
+    built = built_ptes(monkeypatch)
     region = process.alloc("cell", 192 * MIB)
     assert region.npages == 192 * MIB // platform.config.page_size
     table = process.address_space.full_table
@@ -178,3 +205,29 @@ def test_fresh_region_builds_no_pte(monkeypatch):
     assert not t_mm.owned_entries()
     assert t_mm.get(region.start_vpn).present
     assert len(built) == 1
+
+
+def test_setup_with_resident_pages_builds_no_pte(monkeypatch):
+    # A setup whose resident list names 512 pages owns them through the
+    # two shared held PTEs; only an update copies one.
+    platform = make_platform("teleport")
+    process = platform.new_process()
+    region = process.alloc("cell", 4 * MIB)
+    resident = [(region.start_vpn + 2 * page, page % 3 == 0) for page in range(512)]
+    built = built_ptes(monkeypatch)
+    protocol = CoherenceProtocol(platform, process)
+    cost = protocol.setup(resident)
+    t_mm = protocol.t_mm
+    assert built == []
+    config = platform.config
+    assert cost == config.context_base_ps + 512 * config.pte_clone_ps
+    assert [vpn for vpn, _pte in t_mm.owned_entries()] == [vpn for vpn, _held in resident]
+    assert flags(t_mm.peek(region.start_vpn)) == (False, False, False)
+    assert flags(t_mm.peek(region.start_vpn + 2)) == (True, False, False)
+    assert built == []
+    t_mm.get(region.start_vpn + 2).dirty = True
+    t_mm.ensure(region.start_vpn).present = True
+    assert len(built) == 2
+    assert flags(t_mm.peek(region.start_vpn + 2)) == (True, False, True)
+    assert flags(t_mm.peek(region.start_vpn)) == (True, False, False)
+    assert_held_ptes_intact()
