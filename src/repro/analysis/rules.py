@@ -143,7 +143,7 @@ CONCURRENCY_ROOTS = frozenset({
 #: *return* a virtual-time cost. Discarding the return value means the
 #: work happened for free — a determinism/accounting bug (LNT103).
 COST_RETURNING_METHODS = frozenset({
-    "message_ps", "roundtrip_ps", "pages_in_ps", "pages_out_ps",
+    "message_ps", "pages_in_ps", "pages_out_ps",
     "coherence_message_ps", "net_message_ps", "net_roundtrip_ps",
     "remote_fault_ps", "page_writeback_ps", "ssd_fault_ps", "cpu_ps", "transfer_ps",
     "boundary_sync", "memory_touch", "compute_upgrade",

@@ -18,7 +18,7 @@ Sub-packages:
 """
 
 from repro.db.executor import OperatorProfile, QueryExecutor, QueryResult
-from repro.db.intensity import IntensityPlanner, profile_plan
+from repro.db.intensity import IntensityPlanner
 from repro.db.optimizer import CostBasedOptimizer, PlacementEstimate
 from repro.db.plan import PhysicalPlan
 from repro.db.table import Column, Table
@@ -35,5 +35,4 @@ __all__ = [
     "QueryResult",
     "Table",
     "Vector",
-    "profile_plan",
 ]

@@ -49,16 +49,6 @@ class QueryResult:
     profiles: list
     env: dict
 
-    @property
-    def time_s(self):
-        return self.time_ns / SEC
-
-    def profile(self, label):
-        for profile in self.profiles:
-            if profile.label == label:
-                return profile
-        raise ReproError(f"no profile for operator {label!r}")
-
     def breakdown_by_kind(self):
         """Total time per operator kind (Figure 10 style)."""
         kinds = {}

@@ -198,43 +198,6 @@ class Not(Expr):
         return f"~{self.inner!r}"
 
 
-class Where(Expr):
-    """Conditional expression: ``condition ? then_value : else_value``.
-
-    The vectorised analogue of SQL's CASE WHEN (used by Q12 and Q14).
-    """
-
-    def __init__(self, condition, then_value, else_value):
-        self.condition = condition
-        self.then_value = then_value if isinstance(then_value, Expr) else Const(then_value)
-        self.else_value = else_value if isinstance(else_value, Expr) else Const(else_value)
-
-    def columns(self):
-        return (
-            self.condition.columns()
-            | self.then_value.columns()
-            | self.else_value.columns()
-        )
-
-    def evaluate(self, arrays):
-        return np.where(
-            self.condition.evaluate(arrays),
-            self.then_value.evaluate(arrays),
-            self.else_value.evaluate(arrays),
-        )
-
-    def ops_per_row(self):
-        return (
-            1
-            + self.condition.ops_per_row()
-            + self.then_value.ops_per_row()
-            + self.else_value.ops_per_row()
-        )
-
-    def __repr__(self):
-        return f"Where({self.condition!r}, {self.then_value!r}, {self.else_value!r})"
-
-
 class Like(Expr):
     """Substring match over an integer-coded 'token' column.
 

@@ -8,23 +8,7 @@ backfires when the memory pool's CPU is slow (Figure 18), which is exactly
 the trade-off the planner lets callers explore.
 """
 
-from repro.db.executor import QueryExecutor
-from repro.ddc.platform import make_platform
 from repro.errors import ReproError
-
-
-def profile_plan(build, config):
-    """Profile a plan on a fresh baseline DDC.
-
-    ``build(platform)`` must create the data and return ``(ctx, plan)``;
-    the plan is executed without pushdown and its per-operator profiles
-    returned. A fresh platform guarantees the profile run does not disturb
-    the caller's caches.
-    """
-    platform = make_platform("ddc", config)
-    ctx, plan = build(platform)
-    result = QueryExecutor(ctx).execute(plan)
-    return result.profiles
 
 
 class IntensityPlanner:
@@ -44,20 +28,6 @@ class IntensityPlanner:
             if profile.label == label:
                 return profile.memory_intensity
         raise ReproError(f"no profiled operator labelled {label!r}")
-
-    def top(self, k):
-        """Pushdown set: the k most memory-intense operators."""
-        if k < 0:
-            raise ReproError(f"k must be non-negative, got {k}")
-        return set(self.ranked_labels()[:k])
-
-    def above(self, threshold):
-        """Pushdown set: operators above ``threshold`` remote accesses/s."""
-        return {
-            profile.label
-            for profile in self.profiles
-            if profile.memory_intensity > threshold
-        }
 
     # ------------------------------------------------------------------
     # Kind-level planning (the paper ranks operator *types*: projection,

@@ -15,7 +15,7 @@ from repro.db.operators.hashjoin import HashJoin
 from repro.db.operators.mergejoin import MergeJoin
 from repro.db.operators.project import Projection
 from repro.db.operators.select import Selection
-from repro.db.operators.sort import Sort, SortPermutation, TopN
+from repro.db.operators.sort import SortPermutation, TopN
 
 __all__ = [
     "Aggregate",
@@ -27,7 +27,6 @@ __all__ = [
     "Operator",
     "Projection",
     "Selection",
-    "Sort",
     "SortPermutation",
     "TopN",
     "resolve",

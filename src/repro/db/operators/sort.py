@@ -1,4 +1,4 @@
-"""Sort and Top-N operators."""
+"""Sort-permutation and Top-N operators."""
 
 import math
 
@@ -6,27 +6,6 @@ import numpy as np
 
 from repro.db.operators.base import Operator, materialize, resolve
 from repro.db.operators.groupby import GroupResult
-
-
-class Sort(Operator):
-    """Materialise a vector in ascending (or descending) order."""
-
-    kind = "sort"
-
-    def __init__(self, source, out, descending=False):
-        super().__init__(out=out, label=f"sort:{out}")
-        self.source = source
-        self.descending = descending
-
-    def run(self, ctx, env):
-        vector = resolve(env, self.source)
-        values = np.asarray(vector.read(ctx))
-        n = len(values)
-        ctx.compute(int(3 * n * max(1.0, math.log2(max(2, n)))))
-        ordered = np.sort(values)
-        if self.descending:
-            ordered = ordered[::-1]
-        return materialize(ctx, self.out, np.ascontiguousarray(ordered))
 
 
 class SortPermutation(Operator):

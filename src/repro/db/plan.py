@@ -26,12 +26,6 @@ class PhysicalPlan:
     def __len__(self):
         return len(self.operators)
 
-    def operator(self, label):
-        for op in self.operators:
-            if op.label == label:
-                return op
-        raise ReproError(f"plan {self.name!r} has no operator labelled {label!r}")
-
     def explain(self, pushdown=None):
         """Human-readable plan listing (EXPLAIN).
 

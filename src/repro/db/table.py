@@ -21,7 +21,7 @@ class Column(Vector):
         self.name = name
 
     def __repr__(self):
-        return f"Column({self.name!r}, length={self.length}, dtype={self.dtype})"
+        return f"Column({self.name!r}, length={self.length}, dtype={self.region.array.dtype})"
 
 
 class Table:
@@ -61,10 +61,6 @@ class Table:
 
     def __contains__(self, column_name):
         return column_name in self.columns
-
-    @property
-    def nbytes(self):
-        return sum(column.nbytes for column in self.columns.values())
 
     def __repr__(self):
         return f"Table({self.name!r}, {self.nrows} rows, {len(self.columns)} columns)"

@@ -19,15 +19,11 @@ from repro.db.tpch.queries import (
     build_q3,
     build_q6,
     build_q9,
-    build_q12,
-    build_q14,
     build_qfilter,
     reference_q1,
     reference_q3,
     reference_q6,
     reference_q9,
-    reference_q12,
-    reference_q14,
     reference_qfilter,
 )
 
@@ -35,16 +31,12 @@ __all__ = [
     "BASE_ROWS",
     "TpchDataset",
     "build_q1",
-    "build_q12",
-    "build_q14",
     "build_q3",
     "build_q6",
     "build_q9",
     "build_qfilter",
     "generate",
     "reference_q1",
-    "reference_q12",
-    "reference_q14",
     "reference_q3",
     "reference_q6",
     "reference_q9",

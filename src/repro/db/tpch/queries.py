@@ -10,7 +10,7 @@ answer directly with numpy for testing.
 
 import numpy as np
 
-from repro.db.expr import Col, Like, Where
+from repro.db.expr import Col, Like
 from repro.db.operators import (
     Aggregate,
     ExpressionMap,
@@ -215,119 +215,6 @@ def reference_q3(dataset, segment=1, date=Q3_DATE, n=10):
             revenue[int(okey)] = revenue.get(int(okey), 0.0) + float(amount)
     ranked = sorted(revenue.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:n]
-
-
-# ----------------------------------------------------------------------
-# Q12: shipping modes and order priority
-# ----------------------------------------------------------------------
-def build_q12(tables, modes=(2, 4), year_start=1095):
-    """Priority counts per ship mode for late-committed lineitems."""
-    orders = tables["orders"]
-    lineitem = tables["lineitem"]
-    predicate = (
-        ((Col("shipmode") == modes[0]) | (Col("shipmode") == modes[1]))
-        & (Col("commitdate") < Col("receiptdate"))
-        & (Col("shipdate") < Col("commitdate"))
-        & (Col("receiptdate") >= year_start)
-        & (Col("receiptdate") < year_start + 365)
-    )
-    return PhysicalPlan(
-        "Q12",
-        [
-            Selection(lineitem, predicate, out="sel"),
-            Projection(lineitem["orderkey"], out="li_ord", candidates="sel"),
-            Projection(lineitem["shipmode"], out="mode", candidates="sel"),
-            HashJoin(build=orders["orderkey"], probe="li_ord", out="j_ord"),
-            Projection(orders["orderpriority"], out="opri", candidates="j_ord.build"),
-            # high-priority orders: URGENT (0) or HIGH (1)
-            ExpressionMap(
-                {"p": "opri"}, Where(Col("p") <= 1, 1.0, 0.0), out="high_flag"
-            ),
-            ExpressionMap(
-                {"p": "opri"}, Where(Col("p") <= 1, 0.0, 1.0), out="low_flag"
-            ),
-            GroupAggregate("mode", "high_flag", "sum", out="g_high"),
-            GroupAggregate("mode", "low_flag", "sum", out="g_low"),
-        ],
-        result="g_high",
-        description="TPC-H Q12: priority counts per ship mode for late lineitems",
-    )
-
-
-def reference_q12(dataset, modes=(2, 4), year_start=1095):
-    li = dataset.tables["lineitem"]
-    orders = dataset.tables["orders"]
-    mask = (
-        np.isin(li["shipmode"], np.asarray(modes))
-        & (li["commitdate"] < li["receiptdate"])
-        & (li["shipdate"] < li["commitdate"])
-        & (li["receiptdate"] >= year_start)
-        & (li["receiptdate"] < year_start + 365)
-    )
-    priority = dict(zip(orders["orderkey"].tolist(), orders["orderpriority"].tolist()))
-    high = {}
-    low = {}
-    for okey, mode in zip(li["orderkey"][mask], li["shipmode"][mask]):
-        if priority[int(okey)] <= 1:
-            high[int(mode)] = high.get(int(mode), 0.0) + 1.0
-            low.setdefault(int(mode), 0.0)
-        else:
-            low[int(mode)] = low.get(int(mode), 0.0) + 1.0
-            high.setdefault(int(mode), 0.0)
-    return high, low
-
-
-# ----------------------------------------------------------------------
-# Q14: promotion effect
-# ----------------------------------------------------------------------
-#: Parts whose name token falls in this set count as "PROMO" parts.
-PROMO_TOKENS = tuple(range(0, 12))
-
-
-def build_q14(tables, date=1000, promo_tokens=PROMO_TOKENS):
-    """Share of revenue from promotional parts in one month (30 days)."""
-    part = tables["part"]
-    lineitem = tables["lineitem"]
-    one = 1.0
-    return PhysicalPlan(
-        "Q14",
-        [
-            Selection(
-                lineitem,
-                (Col("shipdate") >= date) & (Col("shipdate") < date + 30),
-                out="sel",
-            ),
-            Projection(lineitem["partkey"], out="li_part", candidates="sel"),
-            Projection(lineitem["extendedprice"], out="ep", candidates="sel"),
-            Projection(lineitem["discount"], out="disc", candidates="sel"),
-            HashJoin(build=part["partkey"], probe="li_part", out="j_part"),
-            Projection(part["name_token"], out="ptoken", candidates="j_part.build"),
-            ExpressionMap(
-                {"ep": "ep", "disc": "disc"},
-                Col("ep") * (one - Col("disc")),
-                out="rev",
-            ),
-            ExpressionMap(
-                {"t": "ptoken", "r": "rev"},
-                Where(Like("t", promo_tokens), Col("r"), 0.0),
-                out="promo_rev",
-            ),
-            Aggregate("promo_rev", "sum", out="promo_total"),
-            Aggregate("rev", "sum", out="total"),
-        ],
-        result="promo_total",
-        description="TPC-H Q14: promotional revenue share",
-    )
-
-
-def reference_q14(dataset, date=1000, promo_tokens=PROMO_TOKENS):
-    li = dataset.tables["lineitem"]
-    part = dataset.tables["part"]
-    mask = (li["shipdate"] >= date) & (li["shipdate"] < date + 30)
-    tokens = part["name_token"][li["partkey"][mask]]
-    revenue = li["extendedprice"][mask] * (1.0 - li["discount"][mask])
-    promo = revenue[np.isin(tokens, np.asarray(promo_tokens))].sum()
-    return float(promo), float(revenue.sum())
 
 
 # ----------------------------------------------------------------------

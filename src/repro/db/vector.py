@@ -27,14 +27,6 @@ class Vector:
         ctx.touch_seq(region, 0, len(values), write=True)
         return cls(region, len(values))
 
-    @property
-    def dtype(self):
-        return self.region.array.dtype
-
-    @property
-    def nbytes(self):
-        return self.length * self.region.array.itemsize
-
     def __len__(self):
         return self.length
 
@@ -46,9 +38,5 @@ class Vector:
         """Random reads at ``indices``."""
         return ctx.gather(self.region, indices)
 
-    def free(self, process):
-        """Release the backing region."""
-        process.free(self.region)
-
     def __repr__(self):
-        return f"Vector({self.region.name!r}, length={self.length}, dtype={self.dtype})"
+        return f"Vector({self.region.name!r}, length={self.length}, dtype={self.region.array.dtype})"

@@ -49,5 +49,4 @@ class Process:
         return self.address_space.unique_name(prefix)
 
     def __repr__(self):
-        space = self.address_space
-        return f"Process(pid={self.pid}, regions={len(space.regions)}, bytes={space.allocated_bytes})"
+        return f"Process(pid={self.pid}, regions={len(self.address_space.regions)})"

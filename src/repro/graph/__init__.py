@@ -15,7 +15,6 @@ finalize, gather and scatter, each with under 100 lines of code.
 
 from repro.graph.algorithms import (
     connected_components,
-    pagerank,
     reachability,
     sssp,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "GraphEngine",
     "PhaseProfile",
     "connected_components",
-    "pagerank",
     "reachability",
     "social_graph",
     "sssp",

@@ -1,8 +1,7 @@
 """Graph algorithms over the GAS engine.
 
 The paper's three PowerGraph queries — SSSP (single-source shortest
-path), RE (single-source reachability) and CC (connected components) —
-plus PageRank (whose gather phase is the bottleneck, per Section 5.2).
+path), RE (single-source reachability) and CC (connected components).
 Each superstep runs the gather, apply and scatter phases through the
 engine's phase plumbing, so any of them can be TELEPORTed and each gets
 its own Figure 10-style profile.
@@ -116,45 +115,6 @@ def connected_components(engine):
         engine, np.arange(n, dtype=np.int64), gather, apply, scatter
     )
     return labels.array.astype(np.int64)
-
-
-def pagerank(engine, iterations=10, damping=0.85):
-    """Fixed-iteration PageRank; returns the rank array."""
-    engine.finalize()
-    n = engine.n_vertices
-    ranks = engine.alloc_state("pr.rank", 1.0 / n)
-    sums = engine.alloc_state("pr.sum", 0.0)
-    everyone = np.arange(n, dtype=np.int64)
-    out_degree = np.maximum(
-        engine.indptr.array[1:] - engine.indptr.array[:-1], 1
-    ).astype(np.float64)
-
-    for _round in range(iterations):
-        def scatter(ctx, frontier):
-            sources, neighbours, _weights = engine.expand(ctx, frontier)
-            engine.read_state(ranks, frontier, ctx)  # own ranks
-            contribution = ranks.array[sources] / out_degree[sources]
-            ctx.compute(len(neighbours) * 3)
-            totals = np.zeros(n)
-            np.add.at(totals, neighbours, contribution)
-            touched = np.unique(neighbours)
-            engine.write_state(sums, touched, totals[touched], ctx)
-            return touched
-
-        def gather(ctx, _touched):
-            return engine.read_state(sums, everyone, ctx)
-
-        def apply(ctx, _touched, incoming):
-            ctx.compute(n * 3)
-            new_ranks = (1.0 - damping) / n + damping * incoming
-            engine.write_state(ranks, everyone, new_ranks, ctx)
-            sums.array[:] = 0.0
-            return everyone
-
-        touched = engine.run_phase("scatter", scatter, everyone)
-        incoming = engine.run_phase("gather", gather, touched)
-        engine.run_phase("apply", apply, touched, incoming)
-    return ranks.array.copy()
 
 
 def _min_combine(destinations, values):

@@ -48,10 +48,6 @@ class GraphEngine:
     def profiles(self):
         return self._phases.profiles
 
-    @property
-    def pushdown(self):
-        return self._phases.pushdown
-
     def run_phase(self, name, body, *args):
         return self._phases.run(name, body, *args)
 
@@ -108,9 +104,6 @@ class GraphEngine:
         )
         self._states[name] = region
         return region
-
-    def state(self, name):
-        return self._states[name]
 
     def read_state(self, region, vertices, ctx=None):
         """Random reads of per-vertex state."""

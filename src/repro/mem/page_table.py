@@ -36,9 +36,6 @@ class PageTable:
         """The number of mapped pages."""
         return sum(region.npages for region in self._regions.values())
 
-    def __contains__(self, vpn):
-        return any(region.start_vpn <= vpn < region.end_vpn for region in self._regions.values())
-
     def snapshot(self):
         """This table as of now, copied on access (the temporary context's
         table)."""
@@ -94,13 +91,6 @@ class PageTableSnapshot:
         index = bisect_right(self._starts, first)
         return index > 0 and last < self._ends[index - 1]
 
-    def __len__(self):
-        mapped = sum(end - start for start, end in zip(self._starts, self._ends))
-        return mapped + sum(1 for vpn in self._owned if not self.maps(vpn, vpn))
-
-    def __contains__(self, vpn):
-        return vpn in self._owned or self.maps(vpn, vpn)
-
     def peek(self, vpn):
         """The PTE for ``vpn`` (or None) without taking ownership; read
         only, since a page not yet owned reads as a new PTE each time and
@@ -135,4 +125,4 @@ class PageTableSnapshot:
         return self._owned.items()
 
     def __repr__(self):
-        return f"PageTableSnapshot({len(self)} entries, {len(self._owned)} owned)"
+        return f"PageTableSnapshot({len(self._starts)} regions, {len(self._owned)} owned)"

@@ -77,12 +77,6 @@ class AddressSpace:
         self.regions = {}
         self.full_table = PageTable(self.regions)
         self._next_vpn = base_vpn
-        self._allocated_bytes = 0
-
-    @property
-    def allocated_bytes(self):
-        """Total bytes of live allocations."""
-        return self._allocated_bytes
 
     def alloc_array(self, name, array):
         """Register a numpy array as a region of this address space.
@@ -99,7 +93,6 @@ class AddressSpace:
         region = Region(name, self._next_vpn, npages, array, self.page_size)
         self._next_vpn += npages + self._GUARD_PAGES
         self.regions[name] = region
-        self._allocated_bytes += array.nbytes
         return region
 
     def alloc(self, name, nbytes, dtype=np.uint8):
@@ -123,7 +116,6 @@ class AddressSpace:
         """Release a region; its pages are unmapped everywhere."""
         self.check_live(region)
         del self.regions[region.name]
-        self._allocated_bytes -= region.nbytes
 
     def unique_name(self, prefix):
         """Generate an unused region name with the given prefix."""

@@ -48,10 +48,6 @@ class VirtualClock:
             self._now = ps
         return self._now
 
-    def fork(self):
-        """Create a child clock starting at this clock's current time."""
-        return VirtualClock(self._now)
-
     def join(self, others):
         """Advance this clock to the latest time among ``others``.
 

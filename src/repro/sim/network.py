@@ -35,12 +35,6 @@ class Network:
                 cost += extra
         return cost
 
-    def roundtrip_ps(self, request_bytes=0, response_bytes=0, now=None):
-        """Charge a request/response pair; return total cost."""
-        return self.message_ps(request_bytes, now=now) + self.message_ps(
-            response_bytes, now=now
-        )
-
     def pages_in_ps(self, npages, batch):
         """Charge fetching ``npages`` from memory pool to compute pool in
         fault requests of ``batch`` pages each, the last one possibly

@@ -12,8 +12,3 @@ def make_rng(seed):
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn(rng, n):
-    """Derive ``n`` independent child generators from ``rng``."""
-    return [np.random.default_rng(s) for s in rng.integers(0, 2**63 - 1, size=n)]

@@ -63,9 +63,6 @@ class ReferenceSnapshot:
         self.entries = dict(entries)
         self.owned = {}
 
-    def __len__(self):
-        return len(self.entries)
-
     def peek(self, vpn):
         if vpn in self.owned:
             return self.owned[vpn]

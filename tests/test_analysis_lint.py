@@ -121,7 +121,7 @@ class TestRules:
         findings = lint_snippet(tmp_path, """\
             def send(network, clock):
                 network.message_ps(64)
-                clock.advance(network.roundtrip_ps(64, 64))
+                clock.advance(network.message_ps(64))
             """)
         assert rules_of(findings) == ["LNT103"]
         assert findings[0].line == 2

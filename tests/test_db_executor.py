@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.db import IntensityPlanner, PhysicalPlan, QueryExecutor, profile_plan
+from repro.db import IntensityPlanner, PhysicalPlan, QueryExecutor
 from repro.db.expr import Col
 from repro.db.operators import Aggregate, Projection, Selection
 from repro.db.table import Table
@@ -37,6 +37,10 @@ def simple_plan(table):
     )
 
 
+def pushed_labels(result):
+    return {profile.label for profile in result.profiles if profile.pushed_down}
+
+
 @pytest.fixture
 def env():
     platform = make_platform("teleport", DdcConfig(compute_cache_bytes=64 * KIB))
@@ -63,13 +67,9 @@ class TestPlan:
                 result="sel",
             )
 
-    def test_operator_lookup(self, env):
+    def test_len_counts_operators(self, env):
         _platform, _process, table, _ctx = env
-        plan = simple_plan(table)
-        assert plan.operator("selection:sel").out == "sel"
-        with pytest.raises(ReproError):
-            plan.operator("nope")
-        assert len(plan) == 3
+        assert len(simple_plan(table)) == 3
 
 
 class TestExplain:
@@ -119,24 +119,21 @@ class TestExecutor:
     def test_pushdown_by_kind(self, env):
         platform, _process, table, ctx = env
         result = QueryExecutor(ctx, pushdown={"selection"}).execute(simple_plan(table))
-        assert result.profile("selection:sel").pushed_down
-        assert not result.profile("projection:v").pushed_down
+        assert pushed_labels(result) == {"selection:sel"}
 
     def test_pushdown_by_label_and_out(self, env):
         _platform, _process, table, ctx = env
         result = QueryExecutor(ctx, pushdown={"projection:v", "result"}).execute(
             simple_plan(table)
         )
-        assert result.profile("projection:v").pushed_down
-        assert result.profile("aggregation:result").pushed_down
-        assert not result.profile("selection:sel").pushed_down
+        assert pushed_labels(result) == {"projection:v", "aggregation:result"}
 
     def test_pushdown_callable(self, env):
         _platform, _process, table, ctx = env
         result = QueryExecutor(ctx, pushdown=lambda op: op.kind == "aggregation").execute(
             simple_plan(table)
         )
-        assert result.profile("aggregation:result").pushed_down
+        assert pushed_labels(result) == {"aggregation:result"}
 
     def test_pushdown_same_answer_as_inline(self, env):
         platform, _process, table, ctx = env
@@ -162,50 +159,31 @@ class TestExecutor:
     def test_remote_traffic_recorded_per_operator(self, env):
         _platform, _process, table, ctx = env
         result = QueryExecutor(ctx).execute(simple_plan(table))
-        assert result.profile("selection:sel").remote_bytes > 0
+        selection = result.profiles[0]
+        assert selection.label == "selection:sel"
+        assert selection.remote_bytes > 0
 
 
 class TestIntensityPlanner:
-    def build(self, platform):
+    def planner(self):
+        """A planner over the simple plan's profile on a fresh DDC."""
+        platform = make_platform("ddc", DdcConfig(compute_cache_bytes=64 * KIB))
         process = platform.new_process()
         table = make_table(process)
         ctx = platform.main_context(process)
-        return ctx, simple_plan(table)
-
-    def test_profile_plan_runs_on_fresh_ddc(self):
-        config = DdcConfig(compute_cache_bytes=64 * KIB)
-        profiles = profile_plan(self.build, config)
-        assert len(profiles) == 3
-        assert all(p.time_ns > 0 for p in profiles)
+        return IntensityPlanner(QueryExecutor(ctx).execute(simple_plan(table)).profiles)
 
     def test_planner_ranks_by_intensity(self):
-        config = DdcConfig(compute_cache_bytes=64 * KIB)
-        planner = IntensityPlanner(profile_plan(self.build, config))
+        planner = self.planner()
         labels = planner.ranked_labels()
         intensities = [planner.intensity_of(label) for label in labels]
         assert intensities == sorted(intensities, reverse=True)
-
-    def test_top_k_sets(self):
-        config = DdcConfig(compute_cache_bytes=64 * KIB)
-        planner = IntensityPlanner(profile_plan(self.build, config))
-        assert len(planner.top(1)) == 1
-        assert planner.top(0) == set()
-        assert planner.top(99) == set(planner.ranked_labels())
-        with pytest.raises(ReproError):
-            planner.top(-1)
-
-    def test_threshold_sets(self):
-        config = DdcConfig(compute_cache_bytes=64 * KIB)
-        planner = IntensityPlanner(profile_plan(self.build, config))
-        assert planner.above(0.0) == set(planner.ranked_labels())
-        assert planner.above(float("inf")) == set()
 
     def test_empty_profiles_rejected(self):
         with pytest.raises(ReproError):
             IntensityPlanner([])
 
     def test_unknown_label_rejected(self):
-        config = DdcConfig(compute_cache_bytes=64 * KIB)
-        planner = IntensityPlanner(profile_plan(self.build, config))
+        planner = self.planner()
         with pytest.raises(ReproError):
             planner.intensity_of("nope")

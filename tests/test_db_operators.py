@@ -12,7 +12,6 @@ from repro.db.operators import (
     MergeJoin,
     Projection,
     Selection,
-    Sort,
     TopN,
 )
 from repro.db.operators.base import resolve
@@ -186,14 +185,6 @@ def test_group_aggregate_other_funcs(env, func):
     reducer = {"count": lambda a: len(a), "min": np.min, "max": np.max}[func]
     for bucket in np.unique(buckets):
         assert got[int(bucket)] == pytest.approx(reducer(values[buckets == bucket]))
-
-
-def test_sort_orders_values(env):
-    _platform, _process, table, ctx = env
-    out = Sort(table["value"], out="s").run(ctx, {}).read(ctx)
-    assert (np.diff(out) >= 0).all()
-    out_desc = Sort(table["value"], out="sd", descending=True).run(ctx, {}).read(ctx)
-    assert (np.diff(out_desc) <= 0).all()
 
 
 def test_topn_of_grouped_result(env):

@@ -21,7 +21,7 @@ from repro.db.tpch import (
 from repro.db.tpch.datagen import DATE_MAX, SUPPLIERS_PER_PART
 from repro.ddc import make_platform
 from repro.errors import ConfigError
-from repro.sim.config import DdcConfig
+from repro.sim.config import DdcConfig, scaled_config
 from repro.sim.units import MIB
 
 
@@ -158,3 +158,16 @@ class TestQueryCorrectness:
         # Figure 10's Q9 breakdown: projection, hash join, merge join,
         # expression, aggregation (group).
         assert {"projection", "hashjoin", "mergejoin", "expression", "group"} <= kinds
+
+
+class TestCrossPlatformTiming:
+    def test_ddc_pays_and_teleport_recovers(self, dataset):
+        times = {}
+        for kind, pushdown in [("local", None), ("ddc", None), ("teleport", "all")]:
+            platform = make_platform(kind, scaled_config(dataset.nbytes, cache_ratio=0.02))
+            process = platform.new_process()
+            tables = dataset.load_into(process)
+            executor = QueryExecutor(platform.main_context(process), pushdown=pushdown)
+            times[kind] = executor.execute(build_q9(tables)).time_ns
+        assert times["ddc"] > 1.5 * times["local"]
+        assert times["teleport"] < times["ddc"]

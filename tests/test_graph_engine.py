@@ -9,7 +9,6 @@ from repro.errors import ConfigError, ReproError
 from repro.graph import (
     GraphEngine,
     connected_components,
-    pagerank,
     reachability,
     social_graph,
     sssp,
@@ -174,14 +173,6 @@ class TestAlgorithmCorrectness:
             assert len(set(labels[members].tolist())) == 1
         n_components = nx.number_connected_components(nx_graph.to_undirected())
         assert len(set(labels.tolist())) == n_components
-
-    def test_pagerank_close_to_networkx(self, edges, nx_graph):
-        engine, _platform = make_engine(edges)
-        ranks = pagerank(engine, iterations=30)
-        expected = nx.pagerank(nx_graph, alpha=0.85, max_iter=200, weight=None)
-        got = ranks / ranks.sum()
-        for vertex in range(0, N, 37):
-            assert got[vertex] == pytest.approx(expected[vertex], rel=0.05, abs=1e-4)
 
     def test_results_identical_across_platforms(self, edges):
         baseline, _p = make_engine(edges, kind="local")

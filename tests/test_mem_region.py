@@ -88,9 +88,8 @@ def test_bad_slice_rejected(space):
 def test_free_unmaps(space):
     region = space.alloc("a", 8192)
     space.free(region)
-    assert region.start_vpn not in space.full_table
+    assert space.full_table.snapshot().peek(region.start_vpn) is None
     assert "a" not in space.regions
-    assert space.allocated_bytes == 0
 
 
 def test_free_unknown_region_rejected(space):
@@ -98,14 +97,6 @@ def test_free_unknown_region_rejected(space):
     space.free(region)
     with pytest.raises(AllocationError):
         space.free(region)
-
-
-def test_allocated_bytes_tracks_live_regions(space):
-    space.alloc_array("a", np.zeros(1024, dtype=np.float64))
-    b = space.alloc_array("b", np.zeros(512, dtype=np.float64))
-    assert space.allocated_bytes == 8192 + 4096
-    space.free(b)
-    assert space.allocated_bytes == 8192
 
 
 def test_unique_name(space):

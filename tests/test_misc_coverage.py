@@ -1,12 +1,10 @@
 """Edge-case coverage across modules: options objects, frees, reprs."""
 
-import numpy as np
 import pytest
 
-from repro.db.vector import Vector
 from repro.ddc import make_platform
 from repro.errors import AccessError, AllocationError
-from repro.graph import GraphEngine, pagerank, social_graph
+from repro.graph import GraphEngine, social_graph
 from repro.sim.config import DdcConfig
 from repro.sim.units import KIB, MIB
 from repro.teleport.flags import ConsistencyMode, PushdownOptions, SyncMethod
@@ -55,16 +53,6 @@ class TestRegionLifecycle:
         other = alloc_floats(process, "b", 10_000, seed=3)
         assert other.start_vpn >= region.end_vpn
 
-    def test_vector_free_releases_region(self):
-        platform = make_platform("local")
-        process = platform.new_process()
-        ctx = platform.main_context(process)
-        vector = Vector.materialize(ctx, process, "v", np.arange(100.0))
-        name = vector.region.name
-        assert name in process.address_space.regions
-        vector.free(process)
-        assert name not in process.address_space.regions
-
     def test_out_of_bounds_access_raises(self):
         platform = make_platform("local")
         process = platform.new_process()
@@ -77,23 +65,6 @@ class TestRegionLifecycle:
 
 
 class TestGraphExtras:
-    def test_pagerank_under_full_pushdown(self):
-        src, dst, weight = social_graph(300, avg_degree=6, seed=73)
-        baseline_platform = make_platform("local")
-        baseline = GraphEngine(
-            baseline_platform.main_context(), 300, src, dst, weight
-        )
-        pushed_platform = make_platform(
-            "teleport", DdcConfig(compute_cache_bytes=64 * KIB)
-        )
-        pushed = GraphEngine(
-            pushed_platform.main_context(), 300, src, dst, weight, pushdown="all"
-        )
-        base_ranks = pagerank(baseline, iterations=8)
-        push_ranks = pagerank(pushed, iterations=8)
-        assert np.allclose(base_ranks, push_ranks)
-        assert pushed_platform.stats.pushdown_calls > 0
-
     def test_engine_reprs_are_informative(self):
         src, dst, weight = social_graph(100, avg_degree=4, seed=79)
         platform = make_platform("local")

@@ -436,6 +436,16 @@ WIDE_DENSE_RUNS = st.tuples(st.integers(0, N_PAGES - 40), st.integers(1, 40)).fl
     batches=[([(0, 1), (1, 1), (0, 1)] + [(page, 1) for page in range(2, 15)], True)],
     line_ns=4.0,
 )
+# Page 0, spilled by the memory pool, is faulted back in clean and written
+# in the compute cache; a replayed batch over 14 pages the pool holds
+# evicts it, and its write-back must dirty the pool's copy (the pool is
+# not all_dirty).
+@example(
+    pool="spills",
+    warmup=[(0, True)],
+    batches=[([(page, 1) for page in range(17, 31)] * 2, False)],
+    line_ns=4.0,
+)
 def test_dense_compute_batches_over_the_cache_match_per_access_loop(
     pool, warmup, batches, line_ns
 ):

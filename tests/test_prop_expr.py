@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.expr import Col, Const, Like, Where
+from repro.db.expr import Col, Const, Like
 
 FINITE = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -60,15 +60,6 @@ def test_conjunction_is_intersection(a, lo, hi):
     both = ((Col("a") >= lo) & (Col("a") <= hi)).evaluate(arrays)
     expected = (a >= lo) & (a <= hi)
     assert (both == expected).all()
-
-
-@given(a=ARRAYS, threshold=FINITE)
-@settings(max_examples=100, deadline=None)
-def test_where_equals_numpy_where(a, threshold):
-    arrays = {"a": a}
-    expr = Where(Col("a") > threshold, Col("a"), -1.0)
-    expected = np.where(a > threshold, a, -1.0)
-    assert (expr.evaluate(arrays) == expected).all()
 
 
 @given(

@@ -66,7 +66,7 @@ class Space:
             self.space.free(self.regions.pop(index % len(self.regions)))
 
     def mapped(self, vpn):
-        return vpn in self.table
+        return self.table.snapshot().maps(vpn, vpn)
 
     @staticmethod
     def hold(snap, resident):
@@ -114,7 +114,6 @@ def table_state(model):
 def snapshot_state(snap):
     """What a snapshot's users read: ``peek`` and the owned PTEs."""
     return (
-        len(snap),
         [flags(snap.peek(vpn)) for vpn in range(VPN_LIMIT + 8)],
         [(vpn, flags(pte)) for vpn, pte in snap.owned_entries()],
     )
@@ -200,7 +199,6 @@ def test_fresh_region_builds_no_pte(monkeypatch):
     protocol.setup([])
     t_mm = protocol.t_mm
     assert built == []
-    assert len(t_mm) == region.npages
     assert t_mm._starts == [region.start_vpn] and t_mm._ends == [region.end_vpn]
     assert not t_mm.owned_entries()
     assert t_mm.get(region.start_vpn).present

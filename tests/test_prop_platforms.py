@@ -136,7 +136,8 @@ def test_address_space_allocations_never_overlap(sizes, frees):
     mapped = {vpn for region in live for vpn in region.all_vpns()}
     assert len(space.full_table) == len(mapped)
     probed = range(sum(size // 4096 + 2 for size in sizes))
-    assert {vpn for vpn in probed if vpn in space.full_table} == mapped
+    view = space.full_table.snapshot()
+    assert {vpn for vpn in probed if view.maps(vpn, vpn)} == mapped
     # Double free is rejected.
     if live:
         space.free(live[0])

@@ -95,17 +95,9 @@ def test_advance_to_never_goes_backwards():
     assert clock.now == 30
 
 
-def test_fork_starts_at_parent_time():
-    parent = VirtualClock(17)
-    child = parent.fork()
-    assert child.now == 17
-    child.advance(5)
-    assert parent.now == 17  # independent
-
-
 def test_join_takes_maximum():
     parent = VirtualClock(0)
-    children = [parent.fork() for _ in range(3)]
+    children = [VirtualClock(0) for _ in range(3)]
     for i, child in enumerate(children):
         child.advance(10 * (i + 1))
     parent.join(children)

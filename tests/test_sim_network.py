@@ -30,13 +30,6 @@ def test_messages_are_counted(net):
     assert stats.network_bytes == 150
 
 
-def test_roundtrip_counts_two_messages(net):
-    network, stats = net
-    network.roundtrip_ps(10, 20)
-    assert stats.rpc_messages == 2
-    assert stats.network_bytes == 30
-
-
 def test_pages_in_batched_cheaper_than_unbatched(net):
     network, stats = net
     batched = network.pages_in_ps(8, batch=8)

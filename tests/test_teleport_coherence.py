@@ -33,7 +33,8 @@ class TestSetup:
         platform, process, region = env
         protocol = make_protocol(platform, process)
         protocol.setup([])
-        assert len(protocol.t_mm) == len(process.address_space.full_table)
+        assert protocol.t_mm.maps(region.start_vpn, region.end_vpn - 1)
+        assert protocol.t_mm.peek(region.end_vpn) is None
 
     def test_writable_compute_pages_removed_from_t_mm(self, env):
         platform, process, region = env
@@ -85,7 +86,7 @@ class TestSnapshot:
         protocol = make_protocol(platform, process)
         protocol.setup([])
         late = process.alloc_array("late", np.zeros(1024, dtype=np.float64))
-        assert late.start_vpn not in protocol.t_mm
+        assert protocol.t_mm.peek(late.start_vpn) is None
         assert protocol.t_mm.get(late.start_vpn) is None
         assert protocol.state_of(late.start_vpn) == ("0", "0")
 
@@ -123,10 +124,9 @@ class TestSnapshot:
         platform, process, region = env
         protocol = make_protocol(platform, process)
         protocol.setup([])
-        size = len(protocol.t_mm)
         process.free(region)
-        assert region.start_vpn not in process.address_space.full_table
-        assert len(protocol.t_mm) == size
+        assert process.address_space.full_table.snapshot().peek(region.start_vpn) is None
+        assert protocol.t_mm.maps(region.start_vpn, region.end_vpn - 1)
         assert protocol.t_mm.get(region.start_vpn).present
         assert protocol.state_of(region.start_vpn) == ("0", "W")
 
