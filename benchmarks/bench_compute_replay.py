@@ -1,11 +1,13 @@
 """Figure-scale checks of the fast paths that replace per-page loops.
 
 ``ComputeKernel.touch_dense`` classifies a dense batch's heads by
-replaying the cache's LRU instead of serving them one by one, and the
+replaying the cache's LRU instead of serving them one by one; the
 temporary context's ``setup`` and memory-side ``touch_sequential`` share
 held PTEs and skip quiet pages instead of copying a PTE and making a
-``memory_touch`` per page. The property tests check them on small draws;
-here whole figures, whose batches hold 10^4-10^5 heads over full caches
+``memory_touch`` per page; and the swap device serves an all-resident
+dense batch in one pass and a stream's hits between readahead windows
+together. The property tests check them on small draws; here whole
+figures, whose batches hold 10^4-10^5 heads over full caches
 and spilling memory pools and whose pushdowns ship resident lists of
 hundreds of pages, run twice, each in a fresh shared-run scope: as they
 are, and with the fast paths patched to the per-page references. Their
@@ -23,9 +25,10 @@ from repro.bench.workloads import shared_runs
 from repro.ddc.kernels import ComputeKernel
 from repro.mem.cache import PageCache
 from repro.mem.page_table import PageTableSnapshot
+from repro.mem.storage import SwapDevice
 from repro.sim.stats import Stats
 from repro.teleport.coherence import CoherenceProtocol
-from tests import reference_protocol
+from tests import reference_protocol, reference_storage
 
 
 def per_head(self, heads, repeats, write, now):
@@ -87,4 +90,18 @@ def test_memory_side_fast_paths_match_per_page_references(figure, streams, effor
     # per-page references bit for bit.
     assert any(call.args[1] for call in held.call_args_list)
     assert streamed.called == streams
+    assert result == reference
+
+
+@pytest.mark.parametrize("figure", ["fig15", "fig14"])
+def test_swap_fast_paths_match_per_page_references(figure, effort):
+    with spied(SwapDevice, "touch_dense") as dense, \
+            spied(SwapDevice, "touch_resident") as batched:
+        result = run(figure, effort)
+    reference = run(figure, effort, mock.patch.multiple(
+        SwapDevice, touch_dense=per_head, touch_range=reference_storage.touch_range,
+    ))
+    # The figure reaches the swap's dense batches and batched hits, and
+    # matches the per-head and per-page references bit for bit.
+    assert dense.called and batched.called
     assert result == reference

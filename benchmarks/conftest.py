@@ -2,8 +2,9 @@
 
 Every ``bench_figNN_*.py`` runs one figure's experiment through
 pytest-benchmark, asserts the paper's qualitative shape (who wins, which
-way the trend bends), prints the reproduced table, and archives it under
-``benchmarks/results/`` for EXPERIMENTS.md.
+way the trend bends), prints the reproduced table, and archives the table
+and the rows at full precision under ``benchmarks/results/`` (the tables
+are the source for EXPERIMENTS.md).
 
 The session shares simulated runs across figures (Figs 3 and 13 show the
 same runs, and so do Figs 1a and 14): run one file alone to time that
@@ -37,15 +38,17 @@ def _shared_runs():
 
 @pytest.fixture
 def record():
-    """Print a FigureResult and archive it under benchmarks/results/."""
+    """Print a FigureResult and archive it under benchmarks/results/: the
+    table as ``<figure>.txt``, and its rows at full precision (``repr``
+    prints every float exactly) as ``<figure>.rows``."""
 
     def _record(result):
         table = result.format_table()
         print()
         print(table)
         RESULTS_DIR.mkdir(exist_ok=True)
-        path = RESULTS_DIR / f"{result.figure}.txt"
-        path.write_text(table + "\n")
+        (RESULTS_DIR / f"{result.figure}.txt").write_text(table + "\n")
+        (RESULTS_DIR / f"{result.figure}.rows").write_text(repr(result.rows) + "\n")
         return result
 
     return _record

@@ -64,10 +64,10 @@ def main():
     _answer, ddc_engine = run("ddc", src, dst, weight, algorithms["SSSP"])
     print("\nSSSP phase breakdown on the base DDC:")
     for phase in ("finalize", "scatter", "gather", "apply"):
-        profile = ddc_engine.profile(phase)
+        profile = ddc_engine.phases.profiles[phase]
         print(
             f"  {phase:9s} {profile.time_ns / MS:9.1f} ms, "
-            f"{profile.remote_bytes() / 1e6:8.1f} MB moved over the fabric"
+            f"{profile.remote_bytes / 1e6:8.1f} MB moved over the fabric"
         )
 
 if __name__ == "__main__":

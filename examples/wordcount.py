@@ -56,8 +56,8 @@ def main():
 
     # Phase view: map-shuffle dominates the DDC run (the paper's 95%).
     _counts, ddc_engine = run("ddc", corpus, WordCountJob())
-    shuffle = ddc_engine.profile("map_shuffle").time_ns
-    map_compute = ddc_engine.profile("map_compute").time_ns
+    shuffle = ddc_engine.phases.profiles["map_shuffle"].time_ns
+    map_compute = ddc_engine.phases.profiles["map_compute"].time_ns
     share = shuffle / (shuffle + map_compute)
     print(f"\nmap-shuffle share of WordCount map time on the base DDC: {share:.0%}")
 

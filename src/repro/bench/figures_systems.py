@@ -109,7 +109,7 @@ def run_fig10_breakdown(effort="quick"):
                 component=phase,
                 local_s=local[phase].time_s,
                 ddc_s=ddc[phase].time_s,
-                ddc_remote_mb=ddc[phase].remote_bytes() / 1e6,
+                ddc_remote_mb=ddc[phase].remote_bytes / 1e6,
             )
     return result
 

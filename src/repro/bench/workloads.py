@@ -189,6 +189,6 @@ def engine_run(effort, kind, workload):
         else:
             engine = MapReduceEngine(ctx, corpus, pushdown=pushdown)
             engine.run(MR_JOBS[workload]())
-        return (PhaseRun(engine.total_time_ns(), engine.profiles),)
+        return (PhaseRun(engine.total_time_ns(), engine.phases.profiles),)
 
     return _shared((effort, kind, config, pushdown, (workload,)), make)[0]

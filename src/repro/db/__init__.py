@@ -17,7 +17,7 @@ Sub-packages:
   planner of Section 7.4.
 """
 
-from repro.db.executor import OperatorProfile, QueryExecutor, QueryResult
+from repro.db.executor import QueryExecutor, QueryResult
 from repro.db.intensity import IntensityPlanner
 from repro.db.optimizer import CostBasedOptimizer, PlacementEstimate
 from repro.db.plan import PhysicalPlan
@@ -28,7 +28,6 @@ __all__ = [
     "Column",
     "CostBasedOptimizer",
     "IntensityPlanner",
-    "OperatorProfile",
     "PhysicalPlan",
     "PlacementEstimate",
     "QueryExecutor",

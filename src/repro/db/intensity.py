@@ -21,11 +21,11 @@ class IntensityPlanner:
 
     def ranked_labels(self):
         """Operator labels, most memory-intense first."""
-        return [profile.label for profile in self.profiles]
+        return [profile.name for profile in self.profiles]
 
     def intensity_of(self, label):
         for profile in self.profiles:
-            if profile.label == label:
+            if profile.name == label:
                 return profile.memory_intensity
         raise ReproError(f"no profiled operator labelled {label!r}")
 

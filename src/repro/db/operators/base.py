@@ -41,9 +41,6 @@ class JoinResult:
         self.probe = probe
         self.length = len(build)
 
-    def __len__(self):
-        return self.length
-
     def __repr__(self):
         return f"JoinResult({self.length} matches)"
 

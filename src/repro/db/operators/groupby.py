@@ -28,9 +28,6 @@ class GroupResult:
         self.values = values
         self.length = len(keys)
 
-    def __len__(self):
-        return self.length
-
     def as_dict(self, ctx):
         """Read the result back as {group key: aggregate}."""
         keys = self.keys.read(ctx)

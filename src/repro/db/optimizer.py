@@ -83,7 +83,7 @@ class CostBasedOptimizer:
         clock_ratio = config.compute_clock_ghz / config.memory_clock_ghz
         pushed_ns = local_ns * clock_ratio + self._pushdown_overhead_ns()
         return PlacementEstimate(
-            label=profile.label,
+            label=profile.name,
             kind=profile.kind,
             baseline_ns=profile.time_ns,
             pushed_ns=pushed_ns,

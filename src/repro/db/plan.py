@@ -1,5 +1,6 @@
 """Physical query plans."""
 
+from repro.ddc.phases import pushdown_selector
 from repro.errors import ReproError
 
 
@@ -32,14 +33,12 @@ class PhysicalPlan:
         ``pushdown`` — the executor's pushdown spec — marks which
         operators would run in the memory pool.
         """
-        from repro.db.executor import _pushdown_predicate
-
-        predicate = _pushdown_predicate(pushdown)
+        selected = pushdown_selector(pushdown)
         lines = [f"plan {self.name!r} -> {self.result!r}"]
         if self.description:
             lines.append(f"  -- {self.description.strip()}")
         for index, op in enumerate(self.operators, start=1):
-            place = "memory pool " if predicate(op) else "compute pool"
+            place = "memory pool " if selected(op.label, op.kind) else "compute pool"
             out = f" -> {op.out}" if op.out is not None else ""
             lines.append(f"  {index:3d}. [{place}] {op.label}{out}")
         return "\n".join(lines)

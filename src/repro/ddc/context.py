@@ -49,10 +49,6 @@ class ExecutionContext:
         return self.thread.pool
 
     @property
-    def clock(self):
-        return self.thread.clock
-
-    @property
     def now(self):
         """This thread's virtual time, in picoseconds."""
         return self.thread.clock.now

@@ -19,11 +19,10 @@ from repro.graph.algorithms import (
     sssp,
 )
 from repro.graph.datagen import social_graph
-from repro.graph.engine import GraphEngine, PhaseProfile
+from repro.graph.engine import GraphEngine
 
 __all__ = [
     "GraphEngine",
-    "PhaseProfile",
     "connected_components",
     "reachability",
     "social_graph",

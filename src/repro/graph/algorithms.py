@@ -129,8 +129,8 @@ def _message_loop(engine, initial_frontier, gather, apply, scatter):
     """Drive supersteps until the frontier drains."""
     frontier = initial_frontier
     while len(frontier):
-        pending = engine.run_phase("scatter", scatter, frontier)
+        pending = engine.phases.run("scatter", scatter, frontier)
         if len(pending) == 0:
             break
-        incoming = engine.run_phase("gather", gather, pending)
-        frontier = engine.run_phase("apply", apply, pending, incoming)
+        incoming = engine.phases.run("gather", gather, pending)
+        frontier = engine.phases.run("apply", apply, pending, incoming)

@@ -9,7 +9,7 @@ Each named phase can be TELEPORTed independently.
 
 import numpy as np
 
-from repro.ddc.phases import PhaseProfile, PhaseRunner
+from repro.ddc.phases import PhaseRunner
 from repro.errors import ReproError
 
 
@@ -18,15 +18,14 @@ class GraphEngine:
 
     PHASES = ("finalize", "gather", "apply", "scatter")
 
-    def __init__(self, ctx, n_vertices, src, dst, weight=None,
-                 pushdown=(), pushdown_options=None):
+    def __init__(self, ctx, n_vertices, src, dst, weight=None, pushdown=None):
         self.ctx = ctx
         self.process = ctx.thread.process
         self.n_vertices = int(n_vertices)
         self.n_edges = len(src)
         if len(dst) != self.n_edges:
             raise ReproError("src and dst must have equal length")
-        self._phases = PhaseRunner(ctx, self.PHASES, pushdown, pushdown_options)
+        self.phases = PhaseRunner(ctx, self.PHASES, pushdown)
         # Loading the graph is setup: the edge list lands in the memory
         # pool uncharged, like any allocation.
         self._src = self.process.alloc_array("graph.edges.src", np.asarray(src, np.int64))
@@ -41,21 +40,8 @@ class GraphEngine:
         self.weights = None
         self._states = {}
 
-    # ------------------------------------------------------------------
-    # Phase plumbing (delegated to the shared PhaseRunner)
-    # ------------------------------------------------------------------
-    @property
-    def profiles(self):
-        return self._phases.profiles
-
-    def run_phase(self, name, body, *args):
-        return self._phases.run(name, body, *args)
-
-    def profile(self, name):
-        return self._phases.profile(name)
-
     def total_time_ns(self):
-        return self._phases.total_time_ns()
+        return self.phases.total_time_ns()
 
     # ------------------------------------------------------------------
     # Finalize: partition + shuffle the edge list into CSR
@@ -64,7 +50,7 @@ class GraphEngine:
         """Build CSR storage; must run before any algorithm."""
         if self.indptr is not None:
             return
-        self.run_phase("finalize", self._finalize_body)
+        self.phases.run("finalize", self._finalize_body)
 
     def _finalize_body(self, ctx):
         m = self.n_edges

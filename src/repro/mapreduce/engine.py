@@ -21,15 +21,14 @@ class MapReduceEngine:
 
     PHASES = ("map_compute", "map_shuffle", "reduce", "merge")
 
-    def __init__(self, ctx, corpus, n_map_tasks=8, n_reducers=8,
-                 pushdown=(), pushdown_options=None):
+    def __init__(self, ctx, corpus, n_map_tasks=8, n_reducers=8, pushdown=None):
         if n_map_tasks < 1 or n_reducers < 1:
             raise ReproError("need at least one map task and one reducer")
         self.ctx = ctx
         self.process = ctx.thread.process
         self.n_map_tasks = n_map_tasks
         self.n_reducers = n_reducers
-        self._phases = PhaseRunner(ctx, self.PHASES, pushdown, pushdown_options)
+        self.phases = PhaseRunner(ctx, self.PHASES, pushdown)
         # Loading the input is setup (it sits in the memory pool).
         self.corpus = self.process.alloc_array(
             self.process.unique_name("mr.input"), np.asarray(corpus, np.int32)
@@ -37,18 +36,8 @@ class MapReduceEngine:
         self._buffers = None
         self._buffer_slots = 0
 
-    # ------------------------------------------------------------------
-    # Phase plumbing
-    # ------------------------------------------------------------------
-    @property
-    def profiles(self):
-        return self._phases.profiles
-
-    def profile(self, name):
-        return self._phases.profile(name)
-
     def total_time_ns(self):
-        return self._phases.total_time_ns()
+        return self.phases.total_time_ns()
 
     # ------------------------------------------------------------------
     # Job execution
@@ -62,21 +51,21 @@ class MapReduceEngine:
         try:
             for task in range(self.n_map_tasks):
                 lo, hi = int(bounds[task]), int(bounds[task + 1])
-                keys = self._phases.run(
+                keys = self.phases.run(
                     "map_compute", self._map_compute_body, job, lo, hi
                 )
                 emitted.append(
-                    self._phases.run("map_shuffle", self._map_shuffle_body, job, keys)
+                    self.phases.run("map_shuffle", self._map_shuffle_body, job, keys)
                 )
 
             partials = [
-                self._phases.run(
+                self.phases.run(
                     "reduce", self._reduce_body, job, reducer,
                     np.concatenate([buffers[reducer] for buffers in emitted]),
                 )
                 for reducer in range(self.n_reducers)
             ]
-            return self._phases.run("merge", self._merge_body, job, partials)
+            return self.phases.run("merge", self._merge_body, job, partials)
         finally:
             self._release_buffers()
 

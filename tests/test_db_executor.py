@@ -38,7 +38,7 @@ def simple_plan(table):
 
 
 def pushed_labels(result):
-    return {profile.label for profile in result.profiles if profile.pushed_down}
+    return {profile.name for profile in result.profiles if profile.pushed_down}
 
 
 @pytest.fixture
@@ -121,19 +121,15 @@ class TestExecutor:
         result = QueryExecutor(ctx, pushdown={"selection"}).execute(simple_plan(table))
         assert pushed_labels(result) == {"selection:sel"}
 
-    def test_pushdown_by_label_and_out(self, env):
+    def test_pushdown_by_label(self, env):
         _platform, _process, table, ctx = env
-        result = QueryExecutor(ctx, pushdown={"projection:v", "result"}).execute(
+        result = QueryExecutor(ctx, pushdown={"projection:v", "aggregation"}).execute(
             simple_plan(table)
         )
         assert pushed_labels(result) == {"projection:v", "aggregation:result"}
-
-    def test_pushdown_callable(self, env):
-        _platform, _process, table, ctx = env
-        result = QueryExecutor(ctx, pushdown=lambda op: op.kind == "aggregation").execute(
-            simple_plan(table)
-        )
-        assert pushed_labels(result) == {"aggregation:result"}
+        # An operator's output name does not select it.
+        result = QueryExecutor(ctx, pushdown={"v", "result"}).execute(simple_plan(table))
+        assert pushed_labels(result) == set()
 
     def test_pushdown_same_answer_as_inline(self, env):
         platform, _process, table, ctx = env
@@ -143,8 +139,9 @@ class TestExecutor:
 
     def test_bad_pushdown_spec_rejected(self, env):
         _platform, _process, _table, ctx = env
-        with pytest.raises(ReproError):
-            QueryExecutor(ctx, pushdown=42)
+        for spec in (42, True, lambda op: True):
+            with pytest.raises(ReproError):
+                QueryExecutor(ctx, pushdown=spec)
 
     def test_requires_physical_plan(self, env):
         _platform, _process, _table, ctx = env
@@ -160,8 +157,8 @@ class TestExecutor:
         _platform, _process, table, ctx = env
         result = QueryExecutor(ctx).execute(simple_plan(table))
         selection = result.profiles[0]
-        assert selection.label == "selection:sel"
-        assert selection.remote_bytes > 0
+        assert selection.name == "selection:sel"
+        assert selection.remote_bytes == selection.remote_pages * ctx.config.page_size > 0
 
 
 class TestIntensityPlanner:

@@ -129,7 +129,7 @@ def test_hashjoin_fk_join(env):
     # Every probe match must pair equal keys.
     assert (build_keys[build_pos] == probe_pos).all()  # key == its own value here
     expected_matches = len(build_keys)
-    assert len(result) == expected_matches
+    assert result.length == expected_matches
 
 
 def test_hashjoin_rejects_duplicate_build_keys(env):
@@ -145,7 +145,7 @@ def test_hashjoin_empty_probe(env):
     empty = Table.create(process, "e", {"key": np.empty(0, dtype=np.int64)})
     join = HashJoin(build=table["key"], probe=empty["key"], out="j")
     result = join.run(ctx, {})
-    assert len(result) == 0
+    assert result.length == 0
 
 
 def test_mergejoin_matches_hashjoin(env):

@@ -36,7 +36,7 @@ class TestEstimates:
         optimizer = CostBasedOptimizer(result.profiles, config)
         estimates = optimizer.estimates()
         assert len(estimates) == len(result.profiles)
-        assert {e.label for e in estimates} == {p.label for p in result.profiles}
+        assert {e.label for e in estimates} == {p.name for p in result.profiles}
 
     def test_memory_bound_operators_show_positive_benefit(self, profiled):
         _dataset, config, result = profiled
@@ -45,7 +45,7 @@ class TestEstimates:
         # The heavy hash join (random probing over remote memory) must be
         # estimated as profitable to push.
         heaviest = max(result.profiles, key=lambda p: p.remote_bytes)
-        assert by_label[heaviest.label].benefit_ns > 0
+        assert by_label[heaviest.name].benefit_ns > 0
 
     def test_pushed_estimate_includes_overhead(self, profiled):
         _dataset, config, result = profiled

@@ -128,16 +128,16 @@ class TestEngine:
     def test_phase_profiles_recorded(self, edges):
         engine, _platform = make_engine(edges)
         sssp(engine, 0)
-        assert {"finalize", "gather", "apply", "scatter"} <= set(engine.profiles)
-        assert engine.profile("scatter").calls > 0
-        assert engine.profile("finalize").time_ns > 0
+        assert {"finalize", "gather", "apply", "scatter"} <= set(engine.phases.profiles)
+        assert engine.phases.profiles["scatter"].calls > 0
+        assert engine.phases.profiles["finalize"].time_ns > 0
 
     def test_scatter_dominates_finalize_aside(self, edges):
         """Section 5.2: scatter is SSSP's expensive superstep phase."""
         engine, _platform = make_engine(edges, kind="ddc")
         sssp(engine, 0)
-        scatter = engine.profile("scatter").time_ns
-        gather = engine.profile("gather").time_ns
+        scatter = engine.phases.profiles["scatter"].time_ns
+        gather = engine.phases.profiles["gather"].time_ns
         assert scatter > gather
 
 
@@ -203,8 +203,8 @@ class TestCostShapes:
         config = DdcConfig(compute_cache_bytes=64 * KIB)
         engine, _platform = make_engine(edges, kind="ddc", config=config)
         sssp(engine, 0)
-        finalize = engine.profile("finalize")
-        apply_profile = engine.profile("apply")
+        finalize = engine.phases.profiles["finalize"]
+        apply_profile = engine.phases.profiles["apply"]
         assert finalize.remote_pages > apply_profile.remote_pages
 
 

@@ -192,17 +192,17 @@ class TestWordCount:
     def test_phase_profiles(self, corpus):
         engine, _platform = make_engine(corpus)
         engine.run(WordCountJob())
-        assert set(engine.profiles) == {"map_compute", "map_shuffle", "reduce", "merge"}
-        assert engine.profile("map_compute").calls == engine.n_map_tasks
-        assert engine.profile("reduce").calls == engine.n_reducers
+        assert set(engine.phases.profiles) == {"map_compute", "map_shuffle", "reduce", "merge"}
+        assert engine.phases.profiles["map_compute"].calls == engine.n_map_tasks
+        assert engine.phases.profiles["reduce"].calls == engine.n_reducers
 
     def test_map_shuffle_dominates_on_ddc(self, corpus):
         """Section 5.3: map-shuffle is ~95% of map time in a DDC."""
         config = DdcConfig(compute_cache_bytes=256 * KIB)
         engine, _platform = make_engine(corpus, kind="ddc", config=config)
         engine.run(WordCountJob())
-        shuffle = engine.profile("map_shuffle").time_ns
-        compute = engine.profile("map_compute").time_ns
+        shuffle = engine.phases.profiles["map_shuffle"].time_ns
+        compute = engine.phases.profiles["map_compute"].time_ns
         assert shuffle / (shuffle + compute) > 0.8
 
 
@@ -229,8 +229,8 @@ class TestGrep:
         grep_engine, _p2 = make_engine(corpus, kind="ddc", config=config)
         grep_engine.run(GrepJob([3, 77]))
         assert (
-            grep_engine.profile("map_shuffle").time_ns
-            < wc_engine.profile("map_shuffle").time_ns / 2
+            grep_engine.phases.profiles["map_shuffle"].time_ns
+            < wc_engine.phases.profiles["map_shuffle"].time_ns / 2
         )
 
 
@@ -313,7 +313,7 @@ class TestSimulatedCost:
             config=DdcConfig(compute_cache_bytes=64 * KIB), n_map_tasks=4, n_reducers=4,
         )
         engine.run(self.JOBS[job_name]())
-        times = {phase: engine.profile(phase).time_ns for phase in engine.PHASES}
+        times = {phase: engine.phases.profiles[phase].time_ns for phase in engine.PHASES}
         assert times == self.EXPECTED[kind, job_name]
 
 
@@ -355,17 +355,25 @@ class TestPhaseRunner:
         platform = make_platform("local")
         ctx = platform.main_context()
         runner = PhaseRunner(ctx, ("a",))
-        with pytest.raises(ReproError):
-            runner.profile("a")
+        assert "a" not in runner.profiles
         runner.run("a", lambda c: c.compute(100))
-        assert runner.profile("a").time_ns > 0
-        assert runner.total_time_ns() == runner.profile("a").time_ns
+        assert runner.profiles["a"].time_ns > 0
+        assert runner.total_time_ns() == runner.profiles["a"].time_ns
 
     def test_pushdown_all_expands(self):
         platform = make_platform("teleport")
         ctx = platform.main_context()
         runner = PhaseRunner(ctx, ("a", "b"), pushdown="all")
-        assert runner.pushdown == {"a", "b"}
         runner.run("a", lambda c: None)
-        assert platform.stats.pushdown_calls == 1
-        assert runner.profile("a").pushed_down
+        runner.run("b", lambda c: None)
+        assert platform.stats.pushdown_calls == 2
+        assert all(profile.pushed_down for profile in runner.profiles.values())
+
+    def test_remote_bytes_use_the_configured_page_size(self, corpus):
+        config = DdcConfig(page_size=8192, compute_cache_bytes=256 * KIB)
+        engine, _platform = make_engine(corpus, kind="ddc", config=config)
+        engine.run(WordCountJob())
+        profiles = engine.phases.profiles.values()
+        assert sum(profile.remote_pages for profile in profiles) > 0
+        for profile in profiles:
+            assert profile.remote_bytes == profile.remote_pages * 8192

@@ -70,7 +70,7 @@ class TestGraphExtras:
         platform = make_platform("local")
         engine = GraphEngine(platform.main_context(), 100, src, dst, weight)
         engine.finalize()
-        assert "finalize" in repr(engine.profiles["finalize"].name)
+        assert "finalize" in repr(engine.phases.profiles["finalize"].name)
 
 
 class TestReprs:

@@ -360,7 +360,7 @@ class TestComputeSide:
         # PSO memory-pool write at t=0: the compute copy is demoted, not dropped.
         protocol.memory_touch(region.start_vpn, write=True, now=0)
         ctx = platform.main_context(process)
-        ctx.clock.advance_to(to_ps(write_at_ns))
+        ctx.thread.clock.advance_to(to_ps(write_at_ns))
         ctx.touch_seq(region, 0, 1, write=True)
         assert platform.stats.coherence_tiebreaks == tiebreaks
 
